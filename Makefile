@@ -39,12 +39,14 @@ race:
 
 # race-pool is the focused race pass over the concurrency-bearing
 # pieces: the work-stealing pool (claim/steal CAS protocol, invariance
-# across worker counts) and the sharded adaptation-cache pool. A repeat
-# count varies goroutine interleavings beyond what one -race run sees.
+# across worker counts), the sharded adaptation-cache pool and the serve
+# pipeline's admission (single-flight joins, shedding, overload). A
+# repeat count varies goroutine interleavings beyond what one -race run
+# sees.
 race-pool:
 	$(GO) test -race -count 2 \
-		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|CacheShards|ContextHash' \
-		./internal/expt/ ./internal/safety/
+		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
+		./internal/expt/ ./internal/safety/ ./internal/serve/
 
 benchcheck:
 	$(GO) test -run '^$$' -bench='SafetyKillingPFH|KillingBatch|DistCampaign|PoolStealSkewed|PoolFixedSkewed' -benchtime=1x ./...
@@ -142,6 +144,7 @@ govulncheck:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/task
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/timeunit
+	$(GO) test -run '^$$' -fuzz '^FuzzVerdictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # profile writes pprof CPU and heap profiles of the benchmark suite;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

@@ -126,8 +126,8 @@ type Report struct {
 	// 8-way concurrent access.
 	ShardedCache *ShardedCacheSection `json:"sharded_cache,omitempty"`
 	// ServeThroughput reports the verdict pipeline (internal/serve)
-	// across the cold-cache, warm-cache and batched/unbatched-miss
-	// regimes at FTMC_WORKERS=1 (see serve_bench.go).
+	// across the cold-cache, warm-cache, concurrent-miss and
+	// duplicate-miss regimes at FTMC_WORKERS=1 (see serve_bench.go).
 	ServeThroughput *ServeThroughputSection `json:"serve_throughput,omitempty"`
 	// DistributedCampaign reports the lease-sharded campaign runner
 	// against the single-process engine: sets/sec at 1, 2 and 4
@@ -485,9 +485,9 @@ func main() {
 			}
 		}
 		if st := rep.ServeThroughput; st != nil {
-			fmt.Printf("ftmc-bench: serve pipeline cold %.0fns warm %.0fns per verdict (%.0fx), miss batching %.0fns -> %.0fns (%.2fx) at concurrency %d, workers %d\n",
+			fmt.Printf("ftmc-bench: serve pipeline cold %.0fns warm %.0fns per verdict (%.0fx), concurrent miss %.0fns, duplicate miss %.0fns (%.2f analyses/set) at concurrency %d, workers %d\n",
 				st.ColdCache.NsPerVerdict, st.WarmCache.NsPerVerdict, st.WarmSpeedup,
-				st.UnbatchedMiss.NsPerVerdict, st.BatchedMiss.NsPerVerdict, st.BatchedSpeedup,
+				st.ConcurrentMiss.NsPerVerdict, st.DuplicateMiss.NsPerVerdict, st.DuplicateAnalysesPerSet,
 				st.Concurrency, st.Workers)
 		}
 	}

@@ -2,15 +2,18 @@ package main
 
 // The serve_throughput section measures the internal/serve verdict
 // pipeline in process (no HTTP transport, so the cache-vs-analysis
-// ratio is not drowned by socket round trips) across the three serving
+// ratio is not drowned by socket round trips) across four serving
 // regimes:
 //
 //   - cold_cache: every request is a first-contact miss (fresh pipeline
 //     per round), analyzed individually;
 //   - warm_cache: every request hits the canonical-hash verdict cache;
-//   - unbatched_miss / batched_miss: 8 concurrent submitters of
-//     all-distinct sets against MaxBatch 1 vs the batching dispatcher —
-//     the cross-request amortization the micro-batcher exists for.
+//   - concurrent_miss: 8 concurrent submitters of all-distinct sets,
+//     every request its own analysis;
+//   - duplicate_miss: 8 concurrent submitters that each send every set
+//     in the same order, so identical misses meet in flight and share
+//     one analysis (single-flight) — the section fails unless it counts
+//     exactly one analysis per set.
 //
 // FTMC_WORKERS is pinned to 1 for the whole section (mirroring the
 // singleWorker benchmarks), so committed reports compare the regimes at
@@ -46,20 +49,21 @@ type ServeRegime struct {
 
 // ServeThroughputSection is the report's serve_throughput section.
 type ServeThroughputSection struct {
-	Concurrency   int         `json:"concurrency"`
-	Workers       int         `json:"workers"`
-	GOMAXPROCS    int         `json:"gomaxprocs"`
-	Sets          int         `json:"sets"`
-	ColdCache     ServeRegime `json:"cold_cache"`
-	WarmCache     ServeRegime `json:"warm_cache"`
-	UnbatchedMiss ServeRegime `json:"unbatched_miss"`
-	BatchedMiss   ServeRegime `json:"batched_miss"`
+	Concurrency    int         `json:"concurrency"`
+	Workers        int         `json:"workers"`
+	GOMAXPROCS     int         `json:"gomaxprocs"`
+	Sets           int         `json:"sets"`
+	ColdCache      ServeRegime `json:"cold_cache"`
+	WarmCache      ServeRegime `json:"warm_cache"`
+	ConcurrentMiss ServeRegime `json:"concurrent_miss"`
+	DuplicateMiss  ServeRegime `json:"duplicate_miss"`
+	// DuplicateAnalysesPerSet is the analyses the duplicate_miss regime
+	// started per distinct set: 1 when single-flight collapses every
+	// group of identical in-flight misses.
+	DuplicateAnalysesPerSet float64 `json:"duplicate_analyses_per_set"`
 	// WarmSpeedup is cold/warm ns-per-verdict: what the verdict cache
-	// buys a resubmitted set. BatchedSpeedup is unbatched/batched
-	// ns-per-verdict at the section's concurrency: what micro-batching
-	// buys concurrent distinct misses.
-	WarmSpeedup    float64 `json:"warm_speedup"`
-	BatchedSpeedup float64 `json:"batched_speedup"`
+	// buys a resubmitted set.
+	WarmSpeedup float64 `json:"warm_speedup"`
 }
 
 const (
@@ -191,7 +195,7 @@ func serveThroughputSection() (*ServeThroughputSection, error) {
 	var coldBest time.Duration
 	for r := 0; r < serveBenchRounds; r++ {
 		runtime.GC()
-		p := serve.NewPipeline(serve.Options{MaxBatch: 1})
+		p := serve.NewPipeline(serve.Options{})
 		t0 := time.Now()
 		coldLat, err = runSequential(p, reqs, coldLat)
 		if d := time.Since(t0); r == 0 || d < coldBest {
@@ -205,7 +209,7 @@ func serveThroughputSection() (*ServeThroughputSection, error) {
 	sec.ColdCache = regimeOf(coldLat, coldBest, serveBenchSets)
 
 	// Warm cache: one pipeline, primed, then pure hits.
-	p := serve.NewPipeline(serve.Options{MaxBatch: 1})
+	p := serve.NewPipeline(serve.Options{})
 	if _, err := runSequential(p, reqs, nil); err != nil {
 		p.Close()
 		return nil, err
@@ -226,47 +230,59 @@ func serveThroughputSection() (*ServeThroughputSection, error) {
 	p.Close()
 	sec.WarmCache = regimeOf(warmLat, warmBest, serveBenchSets)
 
-	// Concurrent all-distinct misses, batching off vs on. Fresh
-	// pipelines per round keep every request a true miss, and the two
-	// regimes alternate round by round so ambient noise (GC, host
-	// jitter) lands on both rather than biasing whichever ran later.
-	missRound := func(opt serve.Options) ([]int64, time.Duration, error) {
+	// Concurrent misses: all-distinct sets, then every set from every
+	// submitter. Fresh pipelines per round keep each set a true miss,
+	// and the two regimes alternate round by round so ambient noise
+	// (GC, host jitter) lands on both rather than biasing whichever ran
+	// later.
+	dup := make([]serve.Request, 0, serveBenchConcurrency*len(reqs))
+	for i := range reqs {
+		for w := 0; w < serveBenchConcurrency; w++ {
+			dup = append(dup, reqs[i]) // runConcurrent strides: one copy per submitter
+		}
+	}
+	missRound := func(rs []serve.Request) ([]int64, time.Duration, uint64, error) {
 		runtime.GC()
-		rp := serve.NewPipeline(opt)
+		rp := serve.NewPipeline(serve.Options{})
 		t0 := time.Now()
-		rl, err := runConcurrent(rp, reqs, serveBenchConcurrency)
+		rl, err := runConcurrent(rp, rs, serveBenchConcurrency)
 		d := time.Since(t0)
 		rp.Close()
-		return rl, d, err
+		_, analyses, _, _ := rp.CacheStats()
+		return rl, d, analyses, err
 	}
-	var unLat, baLat []int64
-	var unBest, baBest time.Duration
+	var conLat, dupLat []int64
+	var conBest, dupBest time.Duration
+	var dupAnalyses uint64
 	for r := 0; r < serveBenchRounds; r++ {
-		rl, d, err := missRound(serve.Options{MaxBatch: 1})
+		rl, d, _, err := missRound(reqs)
 		if err != nil {
 			return nil, err
 		}
-		unLat = append(unLat, rl...)
-		if r == 0 || d < unBest {
-			unBest = d
+		conLat = append(conLat, rl...)
+		if r == 0 || d < conBest {
+			conBest = d
 		}
-		rl, d, err = missRound(serve.Options{})
+		rl, d, analyses, err := missRound(dup)
 		if err != nil {
 			return nil, err
 		}
-		baLat = append(baLat, rl...)
-		if r == 0 || d < baBest {
-			baBest = d
+		dupLat = append(dupLat, rl...)
+		if r == 0 || d < dupBest {
+			dupBest = d
 		}
+		dupAnalyses += analyses
 	}
-	sec.UnbatchedMiss = regimeOf(unLat, unBest, serveBenchSets)
-	sec.BatchedMiss = regimeOf(baLat, baBest, serveBenchSets)
+	sec.ConcurrentMiss = regimeOf(conLat, conBest, serveBenchSets)
+	sec.DuplicateMiss = regimeOf(dupLat, dupBest, len(dup))
+	sec.DuplicateAnalysesPerSet = float64(dupAnalyses) / float64(serveBenchRounds*serveBenchSets)
+	if dupAnalyses != serveBenchRounds*serveBenchSets {
+		return nil, fmt.Errorf("duplicate_miss ran %d analyses for %d sets; single-flight must run exactly one per set",
+			dupAnalyses, serveBenchRounds*serveBenchSets)
+	}
 
 	if sec.WarmCache.NsPerVerdict > 0 {
 		sec.WarmSpeedup = sec.ColdCache.NsPerVerdict / sec.WarmCache.NsPerVerdict
-	}
-	if sec.BatchedMiss.NsPerVerdict > 0 {
-		sec.BatchedSpeedup = sec.UnbatchedMiss.NsPerVerdict / sec.BatchedMiss.NsPerVerdict
 	}
 	return sec, nil
 }

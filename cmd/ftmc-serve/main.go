@@ -1,14 +1,14 @@
 // ftmc-serve is the FT-S verdict server: the repository's analysis
 // engine behind an HTTP/JSON API, fronted by the internal/serve
-// pipeline — canonical-hash verdict cache, micro-batched admission of
-// cache misses into the batched Algorithm 1 kernel, per-tenant
-// token-bucket quotas and load shedding.
+// pipeline — canonical-hash verdict cache, bounded direct admission of
+// cache misses with identical in-flight misses sharing one analysis,
+// per-tenant token-bucket quotas and load shedding. Analyses run at
+// most FTMC_WORKERS (default: the CPU count) at a time.
 //
 // Usage:
 //
-//	ftmc-serve [-addr :8080] [-cache 65536] [-max-batch 16]
-//	           [-linger 200µs] [-queue 1024] [-shard-contexts 0]
-//	           [-quota-rate 0] [-quota-burst 0]
+//	ftmc-serve [-addr :8080] [-cache 65536] [-queue 1024]
+//	           [-shard-contexts 0] [-quota-rate 0] [-quota-burst 0]
 //
 // Endpoints:
 //
@@ -44,9 +44,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	cache := flag.Int("cache", serve.DefaultCacheEntries, "verdict-cache entry bound")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "micro-batch width cap (1 disables batching)")
-	linger := flag.Duration("linger", time.Duration(serve.DefaultLingerNs), "micro-batch linger window")
-	queue := flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth (full queue sheds with 503)")
+	queue := flag.Int("queue", serve.DefaultQueueDepth, "admitted cache misses, waiting plus running (beyond it requests shed with 503)")
 	shardContexts := flag.Int("shard-contexts", 0, "per-shard adaptation-context cap (0 = safety default)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant quota in verdicts/sec (0 disables)")
 	quotaBurst := flag.Int("quota-burst", 0, "per-tenant token-bucket depth (0 derives from rate)")
@@ -58,8 +56,6 @@ func main() {
 
 	pipe := serve.NewPipeline(serve.Options{
 		CacheEntries:  *cache,
-		MaxBatch:      *maxBatch,
-		LingerNs:      int64(*linger),
 		QueueDepth:    *queue,
 		ShardContexts: *shardContexts,
 	})

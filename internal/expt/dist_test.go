@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,14 +69,51 @@ func TestDistributedCampaignMatchesSingleProcess(t *testing.T) {
 type killAfter struct {
 	net.Conn
 	writes atomic.Int32
+	dead   chan struct{} // closed once the budget is spent
+	once   sync.Once
 }
 
 func (k *killAfter) Write(b []byte) (int, error) {
 	if k.writes.Add(-1) < 0 {
 		k.Conn.Close()
+		k.once.Do(func() { close(k.dead) })
 		return 0, errors.New("worker killed")
 	}
 	return k.Conn.Write(b)
+}
+
+// holdUntil holds a worker's writes, handshake included, until release
+// is closed.
+type holdUntil struct {
+	net.Conn
+	release <-chan struct{}
+}
+
+func (h holdUntil) Write(b []byte) (int, error) {
+	<-h.release
+	return h.Conn.Write(b)
+}
+
+// workerLossConns returns the coordinator ends of two pipe workers: a
+// survivor, and a doomed worker killed after `writes` writes. The
+// survivor's writes are held until the doomed worker has died, so the
+// loss always happens mid-run; unheld, a fast survivor could drain
+// every lease before the doomed worker reached its last write.
+func workerLossConns(writes int32) []io.ReadWriteCloser {
+	doomed := &killAfter{dead: make(chan struct{})}
+	doomed.writes.Store(writes)
+	c0, w0 := net.Pipe()
+	go func() {
+		defer w0.Close()
+		ServeWorker(holdUntil{Conn: w0, release: doomed.dead})
+	}()
+	c1, w1 := net.Pipe()
+	doomed.Conn = w1
+	go func() {
+		defer w1.Close()
+		ServeWorker(doomed)
+	}()
+	return []io.ReadWriteCloser{c0, c1}
 }
 
 // TestDistributedCampaignWorkerLoss kills one of two workers after it
@@ -88,15 +126,7 @@ func TestDistributedCampaignWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns := PipeWorkers(1)
-	c, w := net.Pipe()
-	doomed := &killAfter{Conn: w}
-	doomed.writes.Store(3) // ready + two results, then dead
-	go func() {
-		defer w.Close()
-		ServeWorker(doomed)
-	}()
-	conns = append(conns, c)
+	conns := workerLossConns(3) // ready + two results, then dead
 
 	got, rep, err := DistCampaign(cfg, conns, DistOptions{LeaseSets: 5})
 	if err != nil {

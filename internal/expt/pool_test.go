@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,12 +220,12 @@ func TestWorkersBadEnv(t *testing.T) {
 		}
 	}
 	t.Setenv("FTMC_WORKERS", "junk")
-	ran := 0
-	if err := ForEach(3, func(i int) error { ran++; return nil }); err != nil {
+	var ran atomic.Int64
+	if err := ForEach(3, func(i int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 3 {
-		t.Fatalf("pool ran %d of 3 items under invalid FTMC_WORKERS", ran)
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("pool ran %d of 3 items under invalid FTMC_WORKERS", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"strings"
 	"testing"
 )
@@ -212,15 +211,7 @@ func TestDistCampaignBinaryJSONWorkerLoss(t *testing.T) {
 	}
 	wantB := resultBytes(t, want)
 	for _, proto := range []WireProto{WireJSON, WireBinary} {
-		conns := PipeWorkers(1)
-		c, w := net.Pipe()
-		doomed := &killAfter{Conn: w}
-		doomed.writes.Store(3) // ready + two results, then dead
-		go func() {
-			defer w.Close()
-			ServeWorker(doomed)
-		}()
-		conns = append(conns, c)
+		conns := workerLossConns(3) // ready + two results, then dead
 		got, rep, err := DistCampaign(cfg, conns, DistOptions{Proto: proto, LeaseSets: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)

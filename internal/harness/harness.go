@@ -8,17 +8,20 @@
 // (seed + run index, addressed exactly like a campaign draw via
 // gen.SimulationKey) plus the configuration cell of the cross-product.
 // Executing a run materializes the workload, analyzes it through every
-// verdict path the repository has — scalar core.FTS, batched
-// core.FTSBatch, the safety.CacheShards-shared path and the serve
-// pipeline — simulates it twice under the spec's fault regime, and
-// checks:
+// verdict path the repository has — scalar core.FTS, the
+// safety.CacheShards-shared path and the serve pipeline (the same
+// request twice at once, so identical misses meet in flight) —
+// simulates it twice under the spec's fault regime, and checks:
 //
 //   - conservation: released = completed + late + round-failed +
 //     killed + pending, per task, plus the busy-time / attempt-count /
 //     suppression side conditions (sim);
-//   - verdict agreement: all four analysis paths produce bit-identical
-//     results (the batched and shared paths on the drawn task order,
-//     the serve path against a direct analysis of the canonical order);
+//   - verdict agreement: all analysis paths produce bit-identical
+//     results (the shared path on the drawn task order, both serve
+//     answers against a direct analysis of the canonical order), and
+//     on a successful kill verdict the batched eq. (5) kernel
+//     (safety.Config.KillingBatch) reproduces the scalar bound at the
+//     chosen (n²_HI, n_LO);
 //   - determinism: re-running the identical spec reproduces the
 //     simulation statistics exactly, and the whole sweep digest is
 //     invariant under worker count and lease (chunk) shape;
@@ -252,7 +255,7 @@ func singleTaskSet(rng *rand.Rand, failProb float64) (*task.Set, error) {
 // Violation is one failed invariant in one run.
 type Violation struct {
 	// Invariant names the violated property (e.g. "sim-conservation",
-	// "verdict-batch-agreement", "panic").
+	// "kill-batch-agreement", "panic").
 	Invariant string `json:"invariant"`
 	// Detail describes the concrete divergence.
 	Detail string `json:"detail"`

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"sync"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -38,8 +39,8 @@ type RunEnv struct {
 // that the sweep's workload diversity (hundreds of distinct sets in
 // flight) forces continuous multi-context eviction, the concurrency
 // regime the single-threaded benchmarks never reach. The serve pipeline
-// is likewise configured tiny (256 verdict entries, micro-batches of 8,
-// a 50µs linger) so its cache and batcher churn instead of saturating.
+// is likewise configured tiny (256 verdict entries) so its cache churns
+// instead of saturating.
 func NewRunEnv(shardContexts int, checks ...Check) *RunEnv {
 	if shardContexts <= 0 {
 		shardContexts = 2
@@ -47,8 +48,6 @@ func NewRunEnv(shardContexts int, checks ...Check) *RunEnv {
 	return &RunEnv{
 		Pipeline: serve.NewPipeline(serve.Options{
 			CacheEntries:  256,
-			MaxBatch:      8,
-			LingerNs:      50_000,
 			ShardContexts: shardContexts,
 		}),
 		Shards: safety.NewCacheShardsCap(shardContexts),
@@ -56,7 +55,8 @@ func NewRunEnv(shardContexts int, checks ...Check) *RunEnv {
 	}
 }
 
-// Close releases the environment (drains the pipeline's dispatcher).
+// Close releases the environment (waits for the pipeline's admitted
+// analyses).
 func (e *RunEnv) Close() {
 	if e.Pipeline != nil {
 		e.Pipeline.Close()
@@ -264,17 +264,12 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 		return out
 	}
 
-	// Batched tier must agree bit for bit — width 2 with a duplicated
-	// set also exercises the batch kernel's intra-batch sharing.
-	if batch, berr := core.FTSBatch([]*task.Set{set, set}, opt, nil); berr != nil {
-		out.Violations = violationf(out.Violations, "verdict-batch-agreement", "FTSBatch error: %v", berr)
-	} else {
-		for bi, br := range batch {
-			if !resultsEqual(br, out.Scalar) {
-				out.Violations = violationf(out.Violations, "verdict-batch-agreement",
-					"batch[%d] %v != scalar %v", bi, br, out.Scalar)
-			}
-		}
+	// Batched eq. (5) kernel: on a successful kill verdict, KillingBatch
+	// at the run's (n²_HI, n_LO) must reproduce the scalar cached bound
+	// bit for bit — width 2 with a duplicated job also exercises the
+	// kernel's intra-batch sharing.
+	if out.Scalar.OK && opt.Mode == safety.Kill {
+		out.Violations = checkKillBatch(out.Violations, set, opt.Safety, out.Scalar)
 	}
 
 	// Shared-cache route (safety.CacheShards): same contract, plus this
@@ -304,20 +299,39 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 		out.Violations = violationf(out.Violations, "analysis", "canonical FTS error: %v", err)
 		return out
 	}
-	if v, verr := env.Pipeline.Verdict(serve.Request{
+	// The set goes in twice at once, so identical misses meet in
+	// flight and the pipeline's single-flight path runs under the
+	// sweep's concurrency; both answers must match.
+	req := serve.Request{
 		Tasks:  set.Tasks(),
 		Safety: opt.Safety,
 		Mode:   opt.Mode,
 		DF:     spec.DF,
 		Test:   spec.Backend,
-	}); verr != nil {
-		out.Violations = violationf(out.Violations, "verdict-serve-agreement", "pipeline error: %v", verr)
-	} else {
-		out.Serve = v
-		if !verdictMatches(v, canonRef) {
+	}
+	var twin serve.Verdict
+	var twinErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		twin, twinErr = env.Pipeline.Verdict(req)
+	}()
+	v, verr := env.Pipeline.Verdict(req)
+	wg.Wait()
+	for _, r := range []struct {
+		v   serve.Verdict
+		err error
+	}{{v, verr}, {twin, twinErr}} {
+		if r.err != nil {
+			out.Violations = violationf(out.Violations, "verdict-serve-agreement", "pipeline error: %v", r.err)
+		} else if !verdictMatches(r.v, canonRef) {
 			out.Violations = violationf(out.Violations, "verdict-serve-agreement",
-				"serve %+v != canonical scalar %v", v, canonRef)
+				"serve %+v != canonical scalar %v", r.v, canonRef)
 		}
+	}
+	if verr == nil {
+		out.Serve = v
 	}
 
 	// Checkpoint-model bounds ride along on ckpt runs: q(k, m) is a
@@ -358,6 +372,31 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 		}
 	}
 	return out
+}
+
+// checkKillBatch asserts that the batched eq. (5) kernel
+// (safety.Config.KillingBatch) reproduces the scalar cached bound
+// (AdaptationCache.PFHLOUniform) at the successful verdict's
+// (n²_HI, n_LO), and that both equal the verdict's own pfh(LO).
+func checkKillBatch(vs []Violation, set *task.Set, cfg safety.Config, res core.Result) []Violation {
+	hi, lo := set.ByClass(criticality.HI), set.ByClass(criticality.LO)
+	n2, nLO := res.Profiles.NPrime, res.Profiles.NLO
+	scalar, err := safety.NewAdaptationCache(cfg, hi, lo).PFHLOUniform(safety.Kill, nLO, n2, 0)
+	if err != nil {
+		return violationf(vs, "kill-batch-agreement", "scalar PFHLOUniform error: %v", err)
+	}
+	if math.Float64bits(scalar) != math.Float64bits(res.PFHLO) {
+		vs = violationf(vs, "kill-batch-agreement", "scalar PFHLOUniform %v != FTS pfh(LO) %v", scalar, res.PFHLO)
+	}
+	job := safety.KillJob{HI: hi, LO: lo, NPrime: n2, NLO: nLO}
+	vals := make([]float64, 2)
+	cfg.KillingBatch([]safety.KillJob{job, job}, vals, nil)
+	for i, v := range vals {
+		if math.Float64bits(v) != math.Float64bits(scalar) {
+			vs = violationf(vs, "kill-batch-agreement", "KillingBatch[%d] %v != scalar PFHLOUniform %v", i, v, scalar)
+		}
+	}
+	return vs
 }
 
 // checkConservation asserts the released-job accounting identities on

@@ -11,9 +11,9 @@ import (
 )
 
 // The batched kernel's contract is BIT identity with the scalar path,
-// not just 1e-12 agreement: batched engines (core.FTSBatch, the campaign
-// chunks) mix batch and scalar/cached evaluations of the same quantities
-// and the worker-invariance guarantees require the mix to be invisible.
+// not just 1e-12 agreement: batched engines (the campaign chunks) mix
+// batch and scalar/cached evaluations of the same quantities and the
+// worker-invariance guarantees require the mix to be invisible.
 // Every comparison below is therefore ==, not relDiff.
 
 // batchCase draws one uniform-profile eq. (5) instance reusing the

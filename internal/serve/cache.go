@@ -21,17 +21,22 @@ type ckey struct {
 	opt  optKey
 }
 
-// ventry is one cached verdict with its collision guard (the canonical
-// task tuples the verdict was computed from).
+// ventry is one verdict with its collision guard (the canonical task
+// tuples the verdict was computed from). An entry is born in flight,
+// when a miss claims the analysis, and joins the shard's LRU list once
+// settle stores the verdict; until then requests for the same multiset
+// wait on wg instead of starting a second analysis.
 type ventry struct {
 	key   ckey
 	tasks []task.Task
 	v     Verdict
-	elem  *list.Element // position in the shard's LRU list
+	err   error          // set by a failed analysis, whose entry is removed
+	elem  *list.Element  // position in the shard's LRU list; nil in flight
+	wg    sync.WaitGroup // done when the analysis settles
 }
 
 // vshard is one verdict-cache shard: a key-chained map plus an LRU
-// list (front = most recent).
+// list (front = most recent) of the settled entries.
 type vshard struct {
 	mu        sync.Mutex
 	m         map[ckey][]*ventry
@@ -41,7 +46,9 @@ type vshard struct {
 	evictions uint64
 }
 
-// verdictCache is the sharded LRU verdict cache. cap is per shard.
+// verdictCache is the sharded LRU verdict cache. cap is per shard and
+// counts settled entries only; in-flight entries are bounded by the
+// pipeline's admission limit.
 type verdictCache struct {
 	shards [vshardCount]vshard
 	cap    int
@@ -62,45 +69,75 @@ func newVerdictCache(totalEntries int) *verdictCache {
 	return c
 }
 
-// get probes the cache. ts is the request's task slice in the
-// submitter's order; the guard is order-insensitive, so permutations of
-// a cached multiset hit.
-func (c *verdictCache) get(hash uint64, opt optKey, ts []task.Task) (Verdict, bool) {
-	sh := &c.shards[hash&(vshardCount-1)]
-	k := ckey{hash: hash, opt: opt}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// find returns the entry of the multiset ts under k, or nil. ts may be
+// in any order: the guard is order-insensitive, so permutations match.
+// Called with the shard lock held.
+func (sh *vshard) find(k ckey, ts []task.Task) *ventry {
 	for _, e := range sh.m[k] {
 		if task.SameTasksCanonical(e.tasks, ts) {
-			sh.lru.MoveToFront(e.elem)
-			sh.hits++
-			return e.v, true
+			return e
 		}
 	}
-	sh.misses++
-	return Verdict{}, false
+	return nil
 }
 
-// add inserts a verdict computed for the canonical tasks ts (which the
-// entry aliases; callers pass the canonicalized set's own slice, owned
-// by the set and never mutated). Racing inserts of the same key are
-// harmless: the duplicate is found and skipped.
-func (c *verdictCache) add(hash uint64, opt optKey, ts []task.Task, v Verdict) {
+// get probes the cache: a settled verdict is a hit (hit true, v set);
+// otherwise e is the in-flight entry to wait for, or nil when there is
+// none.
+func (c *verdictCache) get(hash uint64, opt optKey, ts []task.Task) (v Verdict, e *ventry, hit bool) {
+	sh := &c.shards[hash&(vshardCount-1)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e = sh.find(ckey{hash: hash, opt: opt}, ts)
+	if e == nil || e.elem == nil {
+		return Verdict{}, e, false
+	}
+	sh.lru.MoveToFront(e.elem)
+	sh.hits++
+	return e.v, nil, true
+}
+
+// claim returns the entry of the canonical tasks ts if one exists
+// (settled or in flight; lead false). Otherwise, if admit allows, it
+// creates an in-flight entry that aliases ts — the canonicalized set's
+// own slice, never mutated — and returns it with lead true: the caller
+// must analyze and settle it. A refused admission returns nil.
+func (c *verdictCache) claim(hash uint64, opt optKey, ts []task.Task, admit func() bool) (e *ventry, lead bool) {
 	sh := &c.shards[hash&(vshardCount-1)]
 	k := ckey{hash: hash, opt: opt}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, e := range sh.m[k] {
-		if task.SameTasksCanonical(e.tasks, ts) {
-			return // lost a benign race; the existing entry is identical
-		}
+	if e = sh.find(k, ts); e != nil {
+		return e, false
 	}
-	if sh.lru.Len() >= c.cap {
-		sh.evictOldest()
+	if !admit() {
+		return nil, false
 	}
-	e := &ventry{key: k, tasks: ts, v: v}
-	e.elem = sh.lru.PushFront(e)
+	e = &ventry{key: k, tasks: ts}
+	e.wg.Add(1)
 	sh.m[k] = append(sh.m[k], e)
+	sh.misses++
+	return e, true
+}
+
+// settle completes the in-flight entry e: on success it becomes a
+// cached verdict at the front of the LRU list; on failure it is
+// removed, so the next request analyzes afresh. Either way the
+// requests waiting on e are released.
+func (c *verdictCache) settle(e *ventry, v Verdict, err error) {
+	sh := &c.shards[e.key.hash&(vshardCount-1)]
+	sh.mu.Lock()
+	e.v, e.err = v, err
+	if err != nil {
+		sh.unlink(e)
+	} else {
+		if sh.lru.Len() >= c.cap {
+			sh.evictOldest()
+		}
+		e.elem = sh.lru.PushFront(e)
+	}
+	sh.mu.Unlock()
+	e.wg.Done()
 }
 
 // evictOldest removes the shard's LRU entry. Called with the shard lock
@@ -110,8 +147,13 @@ func (sh *vshard) evictOldest() {
 	if back == nil {
 		return
 	}
-	e := back.Value.(*ventry)
 	sh.lru.Remove(back)
+	sh.unlink(back.Value.(*ventry))
+	sh.evictions++
+}
+
+// unlink removes e from its key chain. Called with the shard lock held.
+func (sh *vshard) unlink(e *ventry) {
 	es := sh.m[e.key]
 	for i, cand := range es {
 		if cand == e {
@@ -125,7 +167,6 @@ func (sh *vshard) evictOldest() {
 	} else {
 		sh.m[e.key] = es
 	}
-	sh.evictions++
 }
 
 // stats aggregates hit/miss/eviction counters and current occupancy.
@@ -142,12 +183,15 @@ func (c *verdictCache) stats() (hits, misses, evictions uint64, entries int) {
 	return
 }
 
-// flush empties every shard, keeping the counters.
+// flush empties every shard of its settled entries, keeping the
+// counters and the in-flight entries (their analyses settle normally).
 func (c *verdictCache) flush() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[ckey][]*ventry)
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			sh.unlink(el.Value.(*ventry))
+		}
 		sh.lru.Init()
 		sh.mu.Unlock()
 	}

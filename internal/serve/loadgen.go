@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/criticality"
@@ -27,11 +28,14 @@ type LoadOptions struct {
 	// keeps exactly one request in flight; in open-loop mode the workers
 	// jointly drain the arrival schedule.
 	Concurrency int
-	// Rate selects open-loop mode when > 0: arrivals are scheduled at
-	// this many requests/second regardless of response latency, the
-	// regime where overload actually builds up (a closed loop self-
-	// throttles — it can never drive the server past Concurrency in
-	// flight).
+	// Rate selects open-loop mode when > 0: arrival i is due at
+	// i/Rate seconds after the start, for every i due within Duration,
+	// regardless of response latency — the regime where overload
+	// actually builds up (a closed loop self-throttles: it can never
+	// drive the server past Concurrency in flight). An arrival whose
+	// workers are all busy at its due time is sent late, never dropped,
+	// and is timed from its due time, so a stall is charged to every
+	// request queued behind it.
 	Rate float64
 	// Sets is the number of distinct task sets in the request mix; the
 	// stream cycles through them uniformly at random, so the expected
@@ -49,7 +53,8 @@ type LoadOptions struct {
 
 // LoadReport is the outcome of one load run. Latency quantiles are
 // exact (computed from every recorded sample, not bucketed) and cover
-// accepted (HTTP 200) requests.
+// accepted (HTTP 200) requests; in open-loop mode each latency counts
+// from the request's due time, not its send.
 type LoadReport struct {
 	Requests int     `json:"requests"`
 	OK       int     `json:"ok"`
@@ -85,51 +90,35 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	url := o.Addr + "/v1/verdict"
 
-	// Open-loop arrival schedule: a token channel fed at the target
-	// rate. Closed loop: nil channel, workers fire back-to-back.
-	var arrivals chan struct{}
-	stop := make(chan struct{})
-	if o.Rate > 0 {
-		arrivals = make(chan struct{}, 4*o.Concurrency)
-		go func() {
-			interval := time.Duration(float64(time.Second) / o.Rate)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					select {
-					case arrivals <- struct{}{}:
-					default: // schedule slipped; drop rather than burst later
-					}
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-
 	type workerStats struct {
 		lat                              []int64
 		requests, ok, cached, shed, errs int
 	}
 	stats := make([]workerStats, o.Concurrency)
-	deadline := time.Now().Add(o.Duration)
+	var next atomic.Int64 // open loop: the next unclaimed arrival
 	var wg sync.WaitGroup
 	t0 := time.Now()
+	deadline := t0.Add(o.Duration)
 	for w := 0; w < o.Concurrency; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
 			st := &stats[w]
-			for time.Now().Before(deadline) {
-				if arrivals != nil {
-					select {
-					case <-arrivals:
-					case <-stop:
+			for {
+				// due is when the request should go out; latency counts
+				// from it.
+				due := time.Now()
+				if o.Rate > 0 {
+					i := next.Add(1) - 1
+					at := time.Duration(float64(i) / o.Rate * float64(time.Second))
+					if at >= o.Duration {
 						return
 					}
+					due = t0.Add(at)
+					time.Sleep(time.Until(due))
+				} else if !due.Before(deadline) {
+					return
 				}
 				body := bodies[rng.Intn(len(bodies))]
 				st.requests++
@@ -142,13 +131,11 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 				if o.Tenant != "" {
 					req.Header.Set("X-FTMC-Tenant", o.Tenant)
 				}
-				reqT0 := time.Now()
 				resp, err := client.Do(req)
 				if err != nil {
 					st.errs++
 					continue
 				}
-				lat := time.Since(reqT0).Nanoseconds()
 				switch resp.StatusCode {
 				case http.StatusOK:
 					var v Verdict
@@ -156,7 +143,7 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 						st.cached++
 					}
 					st.ok++
-					st.lat = append(st.lat, lat)
+					st.lat = append(st.lat, time.Since(due).Nanoseconds())
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					st.shed++
 				default:
@@ -168,7 +155,6 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
 	elapsed := time.Since(t0)
 
 	r := LoadReport{Seconds: elapsed.Seconds()}

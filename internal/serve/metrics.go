@@ -4,13 +4,13 @@ import "repro/internal/obsv"
 
 // serveMetrics is the package's instrument bundle (see internal/obsv):
 // request volume and outcome classification, verdict-cache
-// effectiveness, end-to-end verdict latency, and the micro-batcher's
-// amortization profile — dispatches vs jobs is the batch win, and a
-// width histogram collapsing toward 1 means concurrency is too low (or
-// the linger too short) for batches to form. Shed counters split queue
-// overflow (503) from quota rejection (429) so an overload incident is
-// attributable. Fields are nil while metrics are disabled (nil-safe
-// no-op methods).
+// effectiveness, end-to-end verdict latency, and the admission profile
+// — analyses started against single-flight joins (requests that waited
+// on an identical analysis already in flight instead of running their
+// own), plus the admitted-miss gauge that QueueDepth bounds. Shed
+// counters split admission overflow (503) from quota rejection (429) so
+// an overload incident is attributable. Fields are nil while metrics
+// are disabled (nil-safe no-op methods).
 type serveMetrics struct {
 	requests    *obsv.Counter
 	invalid     *obsv.Counter
@@ -18,10 +18,9 @@ type serveMetrics struct {
 	cacheMisses *obsv.Counter
 	verdictNs   *obsv.Histogram
 
-	batchDispatches *obsv.Counter
-	batchJobs       *obsv.Counter
-	batchWidth      *obsv.Histogram
-	queueDepth      *obsv.Gauge
+	analyses   *obsv.Counter
+	joins      *obsv.Counter
+	queueDepth *obsv.Gauge
 
 	shedQueue *obsv.Counter
 	shedQuota *obsv.Counter
@@ -29,16 +28,15 @@ type serveMetrics struct {
 
 var serveView = obsv.NewView(func(r *obsv.Registry) *serveMetrics {
 	return &serveMetrics{
-		requests:        r.Counter("serve.requests"),
-		invalid:         r.Counter("serve.invalid"),
-		cacheHits:       r.Counter("serve.cache.hits"),
-		cacheMisses:     r.Counter("serve.cache.misses"),
-		verdictNs:       r.Histogram("serve.verdict.ns"),
-		batchDispatches: r.Counter("serve.batch.dispatches"),
-		batchJobs:       r.Counter("serve.batch.jobs"),
-		batchWidth:      r.Histogram("serve.batch.width"),
-		queueDepth:      r.Gauge("serve.queue.depth"),
-		shedQueue:       r.Counter("serve.shed.queue"),
-		shedQuota:       r.Counter("serve.shed.quota"),
+		requests:    r.Counter("serve.requests"),
+		invalid:     r.Counter("serve.invalid"),
+		cacheHits:   r.Counter("serve.cache.hits"),
+		cacheMisses: r.Counter("serve.cache.misses"),
+		verdictNs:   r.Histogram("serve.verdict.ns"),
+		analyses:    r.Counter("serve.analyses"),
+		joins:       r.Counter("serve.singleflight.joins"),
+		queueDepth:  r.Gauge("serve.queue.depth"),
+		shedQueue:   r.Counter("serve.shed.queue"),
+		shedQuota:   r.Counter("serve.shed.quota"),
 	}
 })

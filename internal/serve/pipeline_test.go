@@ -82,10 +82,10 @@ func permuted(ts []task.Task, seed int64) []task.Task {
 }
 
 // TestPipelineDifferential is the acceptance pin: every serving path —
-// uncached, cached (including permuted resubmission) and batched-miss —
-// returns verdicts bit-identical to a direct core.FTS run, profiles and
-// PFH bounds included, across kill and degrade modes and explicit
-// schedulability tests.
+// uncached, cached (including permuted resubmission) and concurrent
+// misses — returns verdicts bit-identical to a direct core.FTS run,
+// profiles and PFH bounds included, across kill and degrade modes and
+// explicit schedulability tests.
 func TestPipelineDifferential(t *testing.T) {
 	tasksets := serveCorpus(t, 11, 24)
 	cfg := safety.DefaultConfig()
@@ -137,9 +137,10 @@ func TestPipelineDifferential(t *testing.T) {
 		}
 	}
 
-	// Concurrent pipeline with a wide linger: misses coalesce into
-	// batches, and every batched verdict must still match the reference.
-	pb := NewPipeline(Options{MaxBatch: 8, LingerNs: int64(2 * time.Millisecond)})
+	// Concurrent pipeline: every request a miss at once, analyses
+	// contending for the slots and the shared adaptation shards; every
+	// verdict must still match the reference.
+	pb := NewPipeline(Options{})
 	defer pb.Close()
 	got := make([]Verdict, len(reqs))
 	errs := make([]error, len(reqs))
@@ -157,45 +158,132 @@ func TestPipelineDifferential(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		if !sameVerdict(got[i], want[i]) {
-			t.Fatalf("request %d: batched-miss verdict diverged\n got %+v\nwant %+v", i, got[i], want[i])
+			t.Fatalf("request %d: concurrent-miss verdict diverged\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestPipelineBatchingForms: under concurrency and a generous linger,
-// the dispatcher must actually coalesce misses — far fewer FTSBatch
-// dispatches than jobs.
-func TestPipelineBatchingForms(t *testing.T) {
+// holdSlots takes every analysis slot of p, so admitted misses wait
+// until the returned release is called: saturation becomes a
+// constructed fact rather than a race against running analyses.
+// release is idempotent; tests also defer it, so a failing test frees
+// the slots before a deferred Close waits on the analyses behind them.
+func holdSlots(p *Pipeline) (release func()) {
+	for i := 0; i < cap(p.slots); i++ {
+		p.slots <- struct{}{}
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for i := 0; i < cap(p.slots); i++ {
+				<-p.slots
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a generous
+// deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPipelineSingleFlight: concurrent submissions of one never-seen
+// multiset — some permuted — share a single analysis, and every answer
+// is bit-identical to the direct verdict. The pipeline admits one miss
+// at a time, so a join that took an admission would be shed.
+func TestPipelineSingleFlight(t *testing.T) {
 	reg := obsv.NewRegistry()
 	obsv.SetDefault(reg)
 	defer obsv.SetDefault(nil)
 
-	tasksets := serveCorpus(t, 23, 32)
-	p := NewPipeline(Options{MaxBatch: 8, LingerNs: int64(20 * time.Millisecond)})
-	defer p.Close()
+	const n = 8
+	ts := serveCorpus(t, 23, 1)[0]
 	cfg := safety.DefaultConfig()
+	want := directVerdict(t, Request{Tasks: ts, Safety: cfg, Mode: safety.Kill})
+	p := NewPipeline(Options{QueueDepth: 1})
+	defer p.Close()
+
+	release := holdSlots(p)
+	defer release()
+	got := make([]Verdict, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for _, ts := range tasksets {
+	for i := 0; i < n; i++ {
+		tasks := ts
+		if i%2 == 1 {
+			tasks = permuted(ts, int64(i))
+		}
 		wg.Add(1)
-		go func(ts []task.Task) {
+		go func(i int) {
 			defer wg.Done()
-			if _, err := p.Verdict(Request{Tasks: ts, Safety: cfg, Mode: safety.Kill}); err != nil {
-				t.Error(err)
-			}
-		}(ts)
+			got[i], errs[i] = p.Verdict(Request{Tasks: tasks, Safety: cfg, Mode: safety.Kill})
+		}(i)
 	}
+	joins := reg.Counter("serve.singleflight.joins")
+	waitFor(t, "every submitter to wait on one analysis", func() bool {
+		return p.admitted.Load() == 1 && joins.Value() == n-1
+	})
+	release()
 	wg.Wait()
-	snap := reg.Snapshot()
-	jobs := snap.Counters["serve.batch.jobs"]
-	dispatches := snap.Counters["serve.batch.dispatches"]
-	if jobs != uint64(len(tasksets)) {
-		t.Fatalf("batcher saw %d jobs, want %d", jobs, len(tasksets))
+
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("submitter %d: %v", i, errs[i])
+		}
+		if !sameVerdict(got[i], want) {
+			t.Fatalf("submitter %d: verdict diverged\n got %+v\nwant %+v", i, got[i], want)
+		}
 	}
-	if dispatches*2 > jobs {
-		t.Fatalf("no real coalescing: %d dispatches for %d jobs", dispatches, jobs)
+	if a := reg.Counter("serve.analyses").Value(); a != 1 {
+		t.Fatalf("%d analyses for %d identical submissions, want 1", a, n)
 	}
-	if w := snap.Histograms["serve.batch.width"]; w.MaxNs < 2 {
-		t.Fatalf("max batch width %d, want >= 2", w.MaxNs)
+	if _, misses, _, entries := p.CacheStats(); misses != 1 || entries != 1 {
+		t.Fatalf("cache stats: %d misses, %d entries; want 1 and 1", misses, entries)
+	}
+	if v, err := p.Verdict(Request{Tasks: permuted(ts, 99), Safety: cfg, Mode: safety.Kill}); err != nil || !v.Cached {
+		t.Fatalf("resubmission after the shared analysis: cached %v, err %v", v.Cached, err)
+	}
+}
+
+// TestVerdictCacheFailedLeader: a claimed analysis that fails releases
+// its followers with the error and leaves no entry behind, so the next
+// request claims a fresh analysis.
+func TestVerdictCacheFailedLeader(t *testing.T) {
+	c := newVerdictCache(16)
+	ts := serveCorpus(t, 29, 1)[0]
+	h := task.HashTasksCanonical(ts)
+	var k optKey
+	admit := func() bool { return true }
+	e, lead := c.claim(h, k, ts, admit)
+	if !lead {
+		t.Fatal("first claim did not lead")
+	}
+	_, f, hit := c.get(h, k, permuted(ts, 3))
+	if hit || f != e {
+		t.Fatalf("probe during the analysis: hit %v, entry %p; want the in-flight entry %p", hit, f, e)
+	}
+	boom := errors.New("boom")
+	c.settle(e, Verdict{}, boom)
+	f.wg.Wait()
+	if f.err != boom {
+		t.Fatalf("follower saw %v, want the leader's error", f.err)
+	}
+	if _, f, hit := c.get(h, k, ts); hit || f != nil {
+		t.Fatalf("failed analysis left an entry behind (hit %v, entry %p)", hit, f)
+	}
+	if _, lead := c.claim(h, k, ts, admit); !lead {
+		t.Fatal("claim after a failed analysis did not lead")
+	}
+	if _, misses, _, entries := c.stats(); misses != 2 || entries != 0 {
+		t.Fatalf("cache stats: %d misses, %d settled entries; want 2 and 0", misses, entries)
 	}
 }
 
@@ -204,7 +292,7 @@ func TestPipelineBatchingForms(t *testing.T) {
 // resident.
 func TestPipelineVerdictCacheLRU(t *testing.T) {
 	const entries = 16
-	p := NewPipeline(Options{CacheEntries: entries, MaxBatch: 1})
+	p := NewPipeline(Options{CacheEntries: entries})
 	defer p.Close()
 	cfg := safety.DefaultConfig()
 	tasksets := serveCorpus(t, 37, 5*entries)
@@ -234,26 +322,19 @@ func TestPipelineVerdictCacheLRU(t *testing.T) {
 	}
 }
 
-// TestPipelineShedsWhenQueueFull: with the admission queue full, new
-// misses shed with ErrOverloaded instead of queuing, and admitted work
-// still completes correctly once the dispatcher drains. The pipeline is
-// assembled without its dispatcher so queue saturation is a constructed
-// fact, not a scheduler race (on one core the cooperative scheduler
-// lets a live dispatcher outrun any burst).
+// TestPipelineShedsWhenQueueFull: with the admission bound reached,
+// new misses shed with ErrOverloaded instead of queuing, and admitted
+// work still completes correctly once a slot frees. The test holds
+// every analysis slot, so saturation is constructed, not raced.
 func TestPipelineShedsWhenQueueFull(t *testing.T) {
-	p := &Pipeline{cache: newVerdictCache(64), shards: safety.NewCacheShards()}
-	p.batcher = &batcher{
-		in:       make(chan *admission, 1),
-		maxBatch: 1,
-		linger:   time.Millisecond,
-		done:     make(chan struct{}),
-		blo:      &safety.BatchLO{},
-	}
+	p := NewPipeline(Options{QueueDepth: 1})
 	cfg := safety.DefaultConfig()
 	tasksets := serveCorpus(t, 41, 4)
 	want := directVerdict(t, Request{Tasks: tasksets[0], Safety: cfg, Mode: safety.Kill})
 
-	// First miss occupies the queue's only slot and blocks on its reply.
+	// The first miss takes the only admission and waits for a slot.
+	release := holdSlots(p)
+	defer release()
 	admitted := make(chan error, 1)
 	var got Verdict
 	go func() {
@@ -261,23 +342,21 @@ func TestPipelineShedsWhenQueueFull(t *testing.T) {
 		got, err = p.Verdict(Request{Tasks: tasksets[0], Safety: cfg, Mode: safety.Kill})
 		admitted <- err
 	}()
-	for len(p.batcher.in) == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitFor(t, "the first miss to be admitted", func() bool { return p.admitted.Load() == 1 })
 	// Every further miss must shed immediately.
 	for _, ts := range tasksets[1:] {
 		if _, err := p.Verdict(Request{Tasks: ts, Safety: cfg, Mode: safety.Kill}); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("miss against a full queue: got %v, want ErrOverloaded", err)
+			t.Fatalf("miss against a full pipeline: got %v, want ErrOverloaded", err)
 		}
 	}
-	// Start the dispatcher: the admitted request drains and answers
-	// exactly the direct verdict.
-	go p.batcher.dispatch()
+	// Free the slots: the admitted request answers exactly the direct
+	// verdict.
+	release()
 	if err := <-admitted; err != nil {
 		t.Fatal(err)
 	}
 	if !sameVerdict(got, want) {
-		t.Fatalf("admitted verdict diverged after drain\n got %+v\nwant %+v", got, want)
+		t.Fatalf("admitted verdict diverged\n got %+v\nwant %+v", got, want)
 	}
 	p.Close()
 	if _, err := p.Verdict(Request{Tasks: tasksets[1], Safety: cfg, Mode: safety.Kill}); !errors.Is(err, ErrClosed) {
@@ -328,5 +407,61 @@ func TestPipelineClose(t *testing.T) {
 	}
 	if !v.Cached {
 		t.Fatal("cache hit after Close was not served from cache")
+	}
+}
+
+// TestPipelineCloseWaitsForAnalysis: Close refuses new misses at once
+// but returns only after the analysis admitted before it has settled,
+// and that analysis still answers the exact verdict.
+func TestPipelineCloseWaitsForAnalysis(t *testing.T) {
+	p := NewPipeline(Options{})
+	cfg := safety.DefaultConfig()
+	tasksets := serveCorpus(t, 59, 2)
+	req := Request{Tasks: tasksets[0], Safety: cfg, Mode: safety.Kill}
+	want := directVerdict(t, req)
+
+	release := holdSlots(p)
+	defer release()
+	type answer struct {
+		v   Verdict
+		err error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		v, err := p.Verdict(req)
+		answered <- answer{v, err}
+	}()
+	waitFor(t, "the miss to be admitted", func() bool { return p.admitted.Load() == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to start", func() bool {
+		p.closeMu.RLock()
+		defer p.closeMu.RUnlock()
+		return p.closed
+	})
+	if _, err := p.Verdict(Request{Tasks: tasksets[1], Safety: cfg, Mode: safety.Kill}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("miss during Close: got %v, want ErrClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted analysis was still waiting for a slot")
+	default:
+	}
+
+	release()
+	<-closed
+	if n := p.admitted.Load(); n != 0 {
+		t.Fatalf("Close returned with %d admitted analyses unsettled", n)
+	}
+	a := <-answered
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if !sameVerdict(a.v, want) {
+		t.Fatalf("verdict of the drained analysis diverged\n got %+v\nwant %+v", a.v, want)
 	}
 }

@@ -4,8 +4,7 @@
 // set plus analysis options; the answer is the complete Algorithm 1
 // verdict (profiles, failure classification, achieved PFH bounds).
 //
-// The pipeline has three tiers, each amortizing work the tier below
-// would redo:
+// The pipeline has three parts:
 //
 //   - A sharded LRU verdict cache keyed by the canonical (order-
 //     insensitive) task-set hash and the analysis options. Resubmitted
@@ -13,13 +12,14 @@
 //     analysis at all; a hit is a hash, a shard lock and a multiset
 //     guard, hundreds of times cheaper than an uncached analysis.
 //
-//   - A micro-batching admission stage for cache misses: concurrent
-//     misses coalesce into core.FTSBatch calls (bounded batch size,
-//     bounded linger window), amortizing the eq. (5) kernel and the
-//     dispatch overhead across requests the same way expt.Campaign
-//     amortizes them across a figure. Batches are split over the
-//     work-stealing pool (expt.ForEachWorkerChunked), so multi-core
-//     servers evaluate one batch in parallel.
+//   - Direct admission of cache misses. A miss runs core.FTS on the
+//     request's own goroutine once it holds one of expt.Workers()
+//     analysis slots; Options.QueueDepth bounds the misses admitted at
+//     once (waiting plus running) and sheds the rest. Identical misses
+//     in flight together share one analysis (single-flight): the first
+//     leaves a pending entry in the verdict cache and the others wait
+//     for it, so N concurrent submissions of a new set cost one
+//     analysis.
 //
 //   - The per-context safety.CacheShards pool underneath, shared by
 //     every analysis the pipeline runs, so repeated analysis contexts
@@ -43,8 +43,10 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/mcsched"
 	"repro/internal/safety"
 	"repro/internal/task"
@@ -101,7 +103,9 @@ type Verdict struct {
 	Test string `json:"test"`
 	// Hash is the canonical task-set hash (hex), the verdict-cache key.
 	Hash string `json:"hash"`
-	// Cached reports whether this answer came from the verdict cache.
+	// Cached reports whether this answer came from a verdict already in
+	// the cache; it is false both for the request that ran the analysis
+	// and for requests that waited on that analysis in flight.
 	Cached bool `json:"cached"`
 }
 
@@ -179,23 +183,10 @@ type Options struct {
 	// CacheEntries bounds the verdict cache (total entries across its
 	// shards); <= 0 selects DefaultCacheEntries.
 	CacheEntries int
-	// MaxBatch is the micro-batch width cap: at most this many queued
-	// cache misses are analyzed per core.FTSBatch dispatch. 1 disables
-	// batching (every miss analyzed on its own). <= 0 selects
-	// DefaultMaxBatch.
-	MaxBatch int
-	// LingerNs is the micro-batch linger bound in nanoseconds: a miss
-	// that is still alone after the dispatcher's yield-based cohort
-	// collection parks at most this long waiting for company before it
-	// is analyzed by itself. Cohorts that do form (the queue was
-	// non-empty, or submitters reached their enqueue within the yield
-	// budget) dispatch immediately without consulting the timer. The
-	// tradeoff is documented in DESIGN.md §9: longer lingering widens
-	// batches (more kernel amortization) but adds up to LingerNs to an
-	// isolated miss's latency. <= 0 selects DefaultLingerNs.
-	LingerNs int64
-	// QueueDepth bounds the admission queue of cache misses; a full
-	// queue sheds (ErrOverloaded) instead of growing. <= 0 selects
+	// QueueDepth bounds the cache misses admitted at once: analyses
+	// waiting for a slot plus analyses running. A full pipeline sheds
+	// (ErrOverloaded) instead of queueing more; requests that join an
+	// identical in-flight analysis take no admission. <= 0 selects
 	// DefaultQueueDepth.
 	QueueDepth int
 	// ShardContexts caps the per-shard context count of the underlying
@@ -205,43 +196,36 @@ type Options struct {
 }
 
 // Pipeline defaults, sized for the single-process serve workload: a
-// 64Ki-verdict cache is a few tens of MB at paper set sizes; batch 16
-// with a 200µs linger keeps worst-case added latency far below one
-// uncached analysis while filling batches at even modest concurrency.
+// 64Ki-verdict cache is a few tens of MB at paper set sizes.
 const (
 	DefaultCacheEntries = 1 << 16
-	DefaultMaxBatch     = 16
-	DefaultLingerNs     = 200_000
 	DefaultQueueDepth   = 1024
 )
 
-// Pipeline is the verdict pipeline: cache, batcher, shared adaptation
-// shards. Safe for concurrent use. Create with NewPipeline; Close
-// drains the batcher.
+// Pipeline is the verdict pipeline: cache, admission, shared adaptation
+// shards. Safe for concurrent use. Create with NewPipeline; Close waits
+// for admitted analyses.
 type Pipeline struct {
-	cache   *verdictCache
-	shards  *safety.CacheShards
-	batcher *batcher
+	cache  *verdictCache
+	shards *safety.CacheShards
+	// slots holds one token per running analysis; its capacity,
+	// expt.Workers() at construction, bounds the analyses run at once.
+	slots    chan struct{}
+	depth    int64
+	admitted atomic.Int64 // misses admitted and not yet settled
 
-	// closeMu serializes enqueues against Close: Verdict holds the read
-	// side across the closed-check + enqueue pair, so no admission can
-	// slip into the queue after Close's write lock decides the final
-	// drain.
+	// closeMu orders admissions against Close: a miss holds the read
+	// side across the closed check and its running.Add, so Close's
+	// running.Wait covers every analysis admitted before it.
 	closeMu sync.RWMutex
 	closed  bool
+	running sync.WaitGroup
 }
 
-// NewPipeline builds and starts a pipeline (its dispatcher goroutine
-// runs until Close).
+// NewPipeline builds a pipeline.
 func NewPipeline(o Options) *Pipeline {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = DefaultCacheEntries
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.LingerNs <= 0 {
-		o.LingerNs = DefaultLingerNs
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = DefaultQueueDepth
@@ -252,18 +236,18 @@ func NewPipeline(o Options) *Pipeline {
 	} else {
 		shards = safety.NewCacheShards()
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		cache:  newVerdictCache(o.CacheEntries),
 		shards: shards,
+		slots:  make(chan struct{}, expt.Workers()),
+		depth:  int64(o.QueueDepth),
 	}
-	p.batcher = newBatcher(o.MaxBatch, o.LingerNs, o.QueueDepth)
-	return p
 }
 
-// Verdict answers one request: cache hit, or batched analysis on miss.
-// Errors are ErrInvalid (bad request), ErrOverloaded (admission queue
-// full) or ErrClosed; analysis itself cannot fail on a validated
-// request.
+// Verdict answers one request: a cache hit, a wait on the identical
+// analysis already in flight, or an analysis of its own. Errors are
+// ErrInvalid (bad request), ErrOverloaded (admission full) or
+// ErrClosed; analysis itself cannot fail on a validated request.
 func (p *Pipeline) Verdict(req Request) (Verdict, error) {
 	m := serveView.Get()
 	sp := m.verdictNs.Start()
@@ -276,53 +260,102 @@ func (p *Pipeline) Verdict(req Request) (Verdict, error) {
 		return Verdict{}, err
 	}
 	h := task.HashTasksCanonical(req.Tasks)
-	if v, ok := p.cache.get(h, key, req.Tasks); ok {
+	v, e, hit := p.cache.get(h, key, req.Tasks)
+	if hit {
 		m.cacheHits.Inc()
 		v.Cached = true
 		return v, nil
 	}
 	m.cacheMisses.Inc()
-
-	// Miss: canonicalize the execution order, validate, and enqueue.
-	ts := append([]task.Task(nil), req.Tasks...)
-	task.SortCanonical(ts)
-	set, err := task.NewSet(ts)
-	if err != nil {
-		m.invalid.Inc()
-		return Verdict{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	if e == nil {
+		// Canonicalize the execution order, validate, and claim the
+		// analysis — unless an identical request claimed it since get.
+		ts := append([]task.Task(nil), req.Tasks...)
+		task.SortCanonical(ts)
+		set, err := task.NewSet(ts)
+		if err != nil {
+			m.invalid.Inc()
+			return Verdict{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
+		var lead bool
+		if e, lead, err = p.claim(h, key, set.Tasks()); err != nil {
+			return Verdict{}, err
+		}
+		if lead {
+			df := req.DF
+			if req.Mode == safety.Kill {
+				df = 0
+			}
+			p.analyze(e, set, core.Options{
+				Safety: req.Safety,
+				Mode:   req.Mode,
+				DF:     df,
+				Test:   test,
+				Shared: p.shards,
+			})
+			return e.v, e.err
+		}
 	}
-	df := req.DF
-	if req.Mode == safety.Kill {
-		df = 0
-	}
-	opt := core.Options{
-		Safety: req.Safety,
-		Mode:   req.Mode,
-		DF:     df,
-		Test:   test,
-		Shared: p.shards,
-	}
-	a := &admission{set: set, opt: opt, key: key, reply: make(chan reply, 1)}
-
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
-		return Verdict{}, ErrClosed
-	}
-	ok := p.batcher.tryEnqueue(a)
-	p.closeMu.RUnlock()
-	if !ok {
-		m.shedQueue.Inc()
-		return Verdict{}, ErrOverloaded
-	}
-	r := <-a.reply
-	if r.err != nil {
-		return Verdict{}, r.err
-	}
-	v := verdictOf(r.res, h)
-	p.cache.add(h, key, set.Tasks(), v)
-	return v, nil
+	m.joins.Inc()
+	e.wg.Wait()
+	return e.v, e.err
 }
+
+// claim admits a miss: it returns the entry an identical request
+// created since the cache probe (lead false), or a new in-flight entry
+// the caller must analyze (lead true). A closed pipeline refuses with
+// ErrClosed, a full one with ErrOverloaded.
+func (p *Pipeline) claim(h uint64, key optKey, ts []task.Task) (e *ventry, lead bool, err error) {
+	p.closeMu.RLock()
+	defer p.closeMu.RUnlock()
+	if p.closed {
+		return nil, false, ErrClosed
+	}
+	e, lead = p.cache.claim(h, key, ts, p.admit)
+	if e == nil {
+		serveView.Get().shedQueue.Inc()
+		return nil, false, ErrOverloaded
+	}
+	if lead {
+		p.running.Add(1)
+	}
+	return e, lead, nil
+}
+
+// admit takes one admission unless QueueDepth misses are already
+// admitted.
+func (p *Pipeline) admit() bool {
+	n := p.admitted.Add(1)
+	if n > p.depth {
+		p.admitted.Add(-1)
+		return false
+	}
+	serveView.Get().queueDepth.Set(n)
+	return true
+}
+
+// analyze runs Algorithm 1 for the claimed entry e once an analysis
+// slot is free, then settles e for every request waiting on it. The
+// deferred settle also runs if the analysis panics, so followers and
+// Close never wait on an entry that cannot complete.
+func (p *Pipeline) analyze(e *ventry, set *task.Set, opt core.Options) {
+	v, err := Verdict{}, errAborted
+	defer func() {
+		p.cache.settle(e, v, err)
+		serveView.Get().queueDepth.Set(p.admitted.Add(-1))
+		p.running.Done()
+	}()
+	p.slots <- struct{}{}
+	defer func() { <-p.slots }()
+	serveView.Get().analyses.Inc()
+	res, err := core.FTS(set, opt)
+	if err == nil {
+		v = verdictOf(res, e.key.hash)
+	}
+}
+
+// errAborted settles an analysis that panicked.
+var errAborted = errors.New("serve: analysis aborted")
 
 // verdictOf projects a core.Result onto the wire verdict.
 func verdictOf(res core.Result, hash uint64) Verdict {
@@ -337,7 +370,10 @@ func verdictOf(res core.Result, hash uint64) Verdict {
 	}
 }
 
-// CacheStats reports the verdict cache's effectiveness and occupancy.
+// CacheStats reports the verdict cache's effectiveness and occupancy:
+// hits on completed verdicts, misses that started an analysis (a
+// request that joins an identical in-flight analysis is neither),
+// evictions and live entries.
 func (p *Pipeline) CacheStats() (hits, misses, evictions uint64, entries int) {
 	return p.cache.stats()
 }
@@ -351,16 +387,12 @@ func (p *Pipeline) Contexts() int { return p.shards.Contexts() }
 // administration). In-flight analyses are unaffected.
 func (p *Pipeline) FlushCache() { p.cache.flush() }
 
-// Close stops the batcher after draining already-admitted requests;
-// subsequent Verdict calls that need analysis return ErrClosed (cache
-// hits are still answered — the cache needs no goroutine). Idempotent.
+// Close rejects new analyses and waits for the admitted ones to finish;
+// afterwards Verdict calls that need analysis return ErrClosed (cache
+// hits are still answered). Idempotent.
 func (p *Pipeline) Close() {
 	p.closeMu.Lock()
-	if p.closed {
-		p.closeMu.Unlock()
-		return
-	}
 	p.closed = true
 	p.closeMu.Unlock()
-	p.batcher.stop()
+	p.running.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -25,7 +26,7 @@ type ServerOptions struct {
 	// rate (at least one).
 	QuotaBurst int
 	// ShedRetryAfter is the Retry-After hint on 503 responses (admission
-	// queue full or server draining); <= 0 selects one second.
+	// full or server draining); <= 0 selects one second.
 	ShedRetryAfter time.Duration
 }
 
@@ -38,9 +39,10 @@ type ServerOptions struct {
 //	GET  /metrics/prom  — the default obsv registry in Prometheus text
 //	                      exposition format, for stock scrapers
 //
-// Overload surfaces as fast failure, never as queueing: a tenant over
-// its quota gets 429, a full admission queue gets 503, both with a
-// Retry-After. Create with NewServer; Close drains the pipeline.
+// Overload surfaces as fast failure, never as unbounded queueing: a
+// tenant over its quota gets 429, a miss beyond the pipeline's
+// admission bound gets 503, both with a Retry-After. Create with
+// NewServer; Close drains the pipeline.
 type Server struct {
 	pipe       *Pipeline
 	quotas     *quotaTable
@@ -117,30 +119,55 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, wireError{Error: "tenant quota exhausted"})
 		return
 	}
-	var in wireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&in); err != nil {
-		serveView.Get().invalid.Inc()
-		writeJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("decoding request: %v", err)})
-		return
-	}
-	req, err := in.toRequest()
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		serveView.Get().invalid.Inc()
-		writeJSON(w, http.StatusBadRequest, wireError{Error: err.Error()})
+		writeJSON(w, statusOf(err), wireError{Error: err.Error()})
 		return
 	}
 	v, err := s.pipe.Verdict(req)
+	if err != nil {
+		status := statusOf(err)
+		if status == http.StatusServiceUnavailable {
+			setRetryAfter(w, s.retryAfter)
+		}
+		writeJSON(w, status, wireError{Error: err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// decodeRequest is the decode-and-validate step of POST /v1/verdict:
+// the JSON body, the paper defaults (toRequest), the analysis options
+// (keyOf) and the task set (task.NewSet). Every error it returns wraps
+// ErrInvalid, so a body it rejects is always answered 400.
+func decodeRequest(body io.Reader) (Request, error) {
+	var in wireRequest
+	if err := json.NewDecoder(body).Decode(&in); err != nil {
+		return Request{}, fmt.Errorf("%w: decoding request: %v", ErrInvalid, err)
+	}
+	req, err := in.toRequest()
+	if err != nil {
+		return Request{}, err
+	}
+	if _, _, err := keyOf(req); err != nil {
+		return Request{}, err
+	}
+	if _, err := task.NewSet(req.Tasks); err != nil {
+		return Request{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return req, nil
+}
+
+// statusOf maps a pipeline or decoding error to its HTTP status.
+func statusOf(err error) int {
 	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, v)
 	case errors.Is(err, ErrInvalid):
-		writeJSON(w, http.StatusBadRequest, wireError{Error: err.Error()})
+		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):
-		setRetryAfter(w, s.retryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, wireError{Error: err.Error()})
+		return http.StatusServiceUnavailable
 	default:
-		writeJSON(w, http.StatusInternalServerError, wireError{Error: err.Error()})
+		return http.StatusInternalServerError
 	}
 }
 
@@ -154,7 +181,7 @@ func (in *wireRequest) toRequest() (Request, error) {
 	case "degrade":
 		mode = safety.Degrade
 	default:
-		return Request{}, fmt.Errorf("unknown mode %q (want \"kill\" or \"degrade\")", in.Mode)
+		return Request{}, fmt.Errorf("%w: unknown mode %q (want \"kill\" or \"degrade\")", ErrInvalid, in.Mode)
 	}
 	cfg := safety.DefaultConfig()
 	if in.OSHours != 0 {

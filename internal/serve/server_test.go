@@ -177,26 +177,21 @@ func TestServerQuota(t *testing.T) {
 	}
 }
 
-// TestServerOverload: with the admission queue saturated, verdict
-// requests fail fast with 503 + Retry-After (no queueing), the admitted
-// request still completes with the exact verdict once the dispatcher
-// drains, and the server leaks neither goroutines nor analysis
-// contexts. Queue saturation is constructed (dispatcher started late),
-// not raced — see TestPipelineShedsWhenQueueFull.
+// TestServerOverload: with the pipeline's admission bound reached,
+// verdict requests fail fast with 503 + Retry-After (no queueing), the
+// admitted request still completes with the exact verdict once a slot
+// frees, and the server leaks neither goroutines nor analysis
+// contexts. The test holds every analysis slot, so saturation is
+// constructed, not raced — see TestPipelineShedsWhenQueueFull.
 func TestServerOverload(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	p := &Pipeline{cache: newVerdictCache(64), shards: safety.NewCacheShards()}
-	p.batcher = &batcher{
-		in:       make(chan *admission, 1),
-		maxBatch: 1,
-		linger:   time.Millisecond,
-		done:     make(chan struct{}),
-		blo:      &safety.BatchLO{},
-	}
+	p := NewPipeline(Options{CacheEntries: 64, QueueDepth: 1})
 	srv := httptest.NewServer(NewServer(p, ServerOptions{}))
 	tasksets := serveCorpus(t, 73, 4)
 	want := directVerdict(t, Request{Tasks: tasksets[0], Safety: safety.DefaultConfig(), Mode: safety.Kill})
 
+	release := holdSlots(p)
+	defer release()
 	admitted := make(chan Verdict, 1)
 	go func() {
 		resp := postVerdict(t, srv.Client(), srv.URL, tasksets[0], nil, "")
@@ -205,9 +200,7 @@ func TestServerOverload(t *testing.T) {
 		}
 		admitted <- decodeVerdict(t, resp)
 	}()
-	for len(p.batcher.in) == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitFor(t, "the first request to be admitted", func() bool { return p.admitted.Load() == 1 })
 
 	var accepted time.Duration
 	for _, ts := range tasksets[1:] {
@@ -218,7 +211,7 @@ func TestServerOverload(t *testing.T) {
 			accepted = d
 		}
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("request against full queue: status %d, want 503", resp.StatusCode)
+			t.Fatalf("request against a full pipeline: status %d, want 503", resp.StatusCode)
 		}
 		if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 			t.Fatalf("503 without a usable Retry-After (%q)", ra)
@@ -229,7 +222,7 @@ func TestServerOverload(t *testing.T) {
 		t.Fatalf("shed responses took %v; shedding must not queue", accepted)
 	}
 
-	go p.batcher.dispatch()
+	release()
 	if got := <-admitted; !sameVerdict(got, want) {
 		t.Fatalf("drained verdict diverged\n got %+v\nwant %+v", got, want)
 	}
@@ -260,4 +253,49 @@ func TestQuotaTableBounded(t *testing.T) {
 			t.Fatalf("quota table grew to %d tenants, cap is %d", len(q.m), maxTenants)
 		}
 	}
+}
+
+// FuzzVerdictRequest feeds arbitrary bytes to the POST /v1/verdict
+// decode-and-validate step. It must never panic; every rejection must
+// classify as a 400; and every accepted request must survive the
+// pipeline's own canonicalization and set validation.
+func FuzzVerdictRequest(f *testing.F) {
+	ts := serveCorpus(f, 79, 1)[0]
+	s, err := task.NewSet(ts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	set, err := json.Marshal(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"set":` + string(set) + `}`,
+		`{"set":` + string(set) + `,"mode":"degrade","df":1.3,"test":"edf-vd-degrade","os_hours":2,"full_wcet":false}`,
+		`{"set":` + string(set) + `,"mode":"degrade","df":1}`,
+		`{"set":` + string(set) + `,"test":"no-such-test"}`,
+		`{"set":` + string(set) + `,"os_hours":-3}`,
+		`{"set":{"tasks":[]}}`,
+		`{"set":{"tasks":[{"T":"10ms","C":"20ms","level":"B","f":1e-5}]}}`,
+		`{"mode":"panic"}`,
+		`{not json`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRequest(bytes.NewReader(body))
+		if err != nil {
+			if got := statusOf(err); got != http.StatusBadRequest {
+				t.Fatalf("rejection %q classified as %d, want 400", err, got)
+			}
+			return
+		}
+		canon := append([]task.Task(nil), req.Tasks...)
+		task.SortCanonical(canon)
+		if _, err := task.NewSet(canon); err != nil {
+			t.Fatalf("accepted request fails set validation once canonicalized: %v", err)
+		}
+	})
 }
