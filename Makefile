@@ -49,7 +49,7 @@ race-pool:
 		./internal/expt/ ./internal/safety/ ./internal/serve/
 
 benchcheck:
-	$(GO) test -run '^$$' -bench='SafetyKillingPFH|KillingBatch|DistCampaign|PoolStealSkewed|PoolFixedSkewed' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench='SafetyKillingPFH|DistCampaign|PoolStealSkewed|PoolFixedSkewed' -benchtime=1x ./...
 
 # bench first runs the pooled-engine micro-benchmarks with allocation
 # counts (Fig. 3 point, FT-S with/without scratch, one simulator
@@ -145,6 +145,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/task
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/timeunit
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime $(FUZZTIME) ./internal/expt
+	$(GO) test -run '^$$' -fuzz '^FuzzDistJournal$$' -fuzztime $(FUZZTIME) ./internal/expt
 
 # profile writes pprof CPU and heap profiles of the benchmark suite;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

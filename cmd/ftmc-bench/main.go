@@ -116,9 +116,6 @@ type Report struct {
 	// CacheHitRate is the process-wide adaptation-cache hit rate over the
 	// whole run.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// BatchKernel compares the batched SoA eq. (5) kernel against the
-	// scalar kernel on the same 64-set paper corpus, in ns per set.
-	BatchKernel *BatchKernelSection `json:"batch_kernel,omitempty"`
 	// StealPool compares the work-stealing pool against the retired
 	// fixed atomic-cursor scheduler on a skewed synthetic workload.
 	StealPool *StealPoolSection `json:"steal_pool,omitempty"`
@@ -139,17 +136,6 @@ type Report struct {
 	// Metrics is the internal/obsv instrument snapshot of the run;
 	// present only with -metrics.
 	Metrics *obsv.Snapshot `json:"metrics,omitempty"`
-}
-
-// BatchKernelSection is the scalar-vs-batched eq. (5) comparison at the
-// acceptance batch width: the same KillingBatch64 corpus through one
-// batched call and through per-set scalar evaluations with prebuilt
-// adaptation state.
-type BatchKernelSection struct {
-	Width          int     `json:"width"`
-	ScalarNsPerSet float64 `json:"scalar_ns_per_set"`
-	BatchNsPerSet  float64 `json:"batch_ns_per_set"`
-	Speedup        float64 `json:"speedup"`
 }
 
 // StealPoolSection compares the stealing scheduler against the fixed
@@ -326,7 +312,6 @@ func main() {
 	var fastNs, naiveNs float64
 	var fig3Pooled, fig3Ref BenchResult
 	var campaign, perCurve BenchResult
-	var batchKernel, batchScalar BenchResult
 	var poolSteal, poolFixed, shardGet BenchResult
 	var dist1, dist2, dist4 BenchResult
 	for _, bench := range benches() {
@@ -352,10 +337,6 @@ func main() {
 			campaign = br
 		case "Fig3CampaignPerCurve":
 			perCurve = br
-		case "KillingBatch64":
-			batchKernel = br
-		case "KillingBatchScalar64":
-			batchScalar = br
 		case "PoolStealSkewed":
 			poolSteal = br
 		case "PoolFixedSkewed":
@@ -386,14 +367,6 @@ func main() {
 	}
 	if campaign.NsPerOp > 0 {
 		rep.CampaignSpeedup = perCurve.NsPerOp / campaign.NsPerOp
-	}
-	if batchKernel.NsPerOp > 0 {
-		rep.BatchKernel = &BatchKernelSection{
-			Width:          batchBenchWidth,
-			ScalarNsPerSet: batchScalar.NsPerOp / batchBenchWidth,
-			BatchNsPerSet:  batchKernel.NsPerOp / batchBenchWidth,
-			Speedup:        batchScalar.NsPerOp / batchKernel.NsPerOp,
-		}
 	}
 	if poolSteal.NsPerOp > 0 {
 		rep.StealPool = &StealPoolSection{
@@ -465,10 +438,6 @@ func main() {
 			rep.Fig3PoolSpeedup, rep.Fig3AllocsPerSetRef, rep.Fig3AllocsPerSetPooled, rep.Fig3AllocReduction)
 		fmt.Printf("ftmc-bench: campaign engine %.1fx wall-clock on the full figure (per-curve %.0fms vs campaign %.1fms)\n",
 			rep.CampaignSpeedup, perCurve.NsPerOp/1e6, campaign.NsPerOp/1e6)
-		if rep.BatchKernel != nil {
-			fmt.Printf("ftmc-bench: batched eq.(5) kernel %.2fx ns/set at width %d (scalar %.0fns vs batch %.0fns)\n",
-				rep.BatchKernel.Speedup, rep.BatchKernel.Width, rep.BatchKernel.ScalarNsPerSet, rep.BatchKernel.BatchNsPerSet)
-		}
 		if rep.StealPool != nil {
 			fmt.Printf("ftmc-bench: stealing pool %.2fx vs fixed cursor on the skewed workload\n", rep.StealPool.Speedup)
 		}
@@ -543,36 +512,6 @@ func benches() []namedBench {
 			for i := 0; i < b.N; i++ {
 				if cfg.KillingPFHLONaive(lo, ns, adapt) <= 0 {
 					b.Fatal("bad bound")
-				}
-			}
-		}},
-		{"KillingBatch64", func(b *testing.B) {
-			jobs := batchBenchCorpus()
-			out := make([]float64, len(jobs))
-			bl := safety.NewBatchLO()
-			scfg := safety.DefaultConfig()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scfg.KillingBatch(jobs, out, bl)
-			}
-		}},
-		{"KillingBatchScalar64", func(b *testing.B) {
-			jobs := batchBenchCorpus()
-			scfg := safety.DefaultConfig()
-			adapts := make([]*safety.Adaptation, len(jobs))
-			for j, jb := range jobs {
-				a, err := safety.NewUniformAdaptation(scfg, jb.HI, jb.NPrime)
-				if err != nil {
-					b.Fatal(err)
-				}
-				adapts[j] = a
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, jb := range jobs {
-					if scfg.KillingPFHLOUniform(jb.LO, jb.NLO, adapts[j]) <= 0 {
-						b.Fatal("bad bound")
-					}
 				}
 			}
 		}},
@@ -721,32 +660,6 @@ func singleWorker(fn func(*testing.B)) func(*testing.B) {
 		b.Setenv("FTMC_WORKERS", "1")
 		fn(b)
 	}
-}
-
-// batchBenchWidth is the batched-kernel benchmark width — the batch
-// acceptance floor of the PR that introduced the SoA tier.
-const batchBenchWidth = 64
-
-// batchBenchCorpus draws batchBenchWidth Appendix C sets at U = 0.8,
-// f = 1e-5 (the campaign's hard operating point) as uniform-profile kill
-// jobs, the shared workload of the KillingBatch64/KillingBatchScalar64
-// pair behind the report's batch_kernel section.
-func batchBenchCorpus() []safety.KillJob {
-	rng := rand.New(rand.NewSource(99))
-	jobs := make([]safety.KillJob, 0, batchBenchWidth)
-	for len(jobs) < batchBenchWidth {
-		s, err := gen.TaskSet(rng, gen.PaperParams(criticality.LevelB, criticality.LevelC, 0.8, 1e-5))
-		if err != nil {
-			continue
-		}
-		hi := append([]task.Task(nil), s.ByClass(criticality.HI)...)
-		lo := append([]task.Task(nil), s.ByClass(criticality.LO)...)
-		if len(hi) == 0 || len(lo) == 0 {
-			continue
-		}
-		jobs = append(jobs, safety.KillJob{HI: hi, LO: lo, NPrime: 2, NLO: 2})
-	}
-	return jobs
 }
 
 // poolBench drives one scheduler implementation over a skewed synthetic

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -29,8 +30,24 @@ func diffSets(tb testing.TB) []*task.Set {
 	return sets
 }
 
+// minAdaptLinear is the reference linear scan of line 4 over the public
+// single-profile probe: the first n′ whose pfh(LO) meets the
+// requirement, at most MaxProfile probes.
+func minAdaptLinear(cache *safety.AdaptationCache, mode safety.AdaptMode, nLO int, df, requirement float64) (int, error) {
+	for n := 1; n <= safety.MaxProfile; n++ {
+		pfh, err := cache.PFHLOUniform(mode, nLO, n, df)
+		if err != nil {
+			return 0, err
+		}
+		if pfh < requirement {
+			return n, nil
+		}
+	}
+	return 0, fmt.Errorf("no adaptation profile <= %d keeps pfh(LO) below %g", safety.MaxProfile, requirement)
+}
+
 // ftsLinearRef mirrors FTS with both inner scans linear: the line-4
-// search via MinAdaptProfileLinear and the line-8 search via
+// search via minAdaptLinear and the line-8 search via
 // maxSchedProfileLinear, each conversion a full rebuild.
 func ftsLinearRef(s *task.Set, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
@@ -57,7 +74,7 @@ func ftsLinearRef(s *task.Set, opt Options) (Result, error) {
 	}
 	res.NLO = nLO
 
-	n1, err := cache.MinAdaptProfileLinear(opt.Mode, nLO, opt.DF, dual.Requirement(criticality.LO))
+	n1, err := minAdaptLinear(cache, opt.Mode, nLO, opt.DF, dual.Requirement(criticality.LO))
 	if err != nil {
 		res.N1HI = safety.MaxProfile + 1
 		res.Reason = FailSafetyAdapt

@@ -376,19 +376,3 @@ func maxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (
 	}
 	return lo, nil
 }
-
-// maxSchedProfileLinear is the reference linear scan of line 8: one full
-// conversion and test per candidate, from n_HI downwards. Kept verbatim
-// so differential tests pin the bisected search to it.
-func maxSchedProfileLinear(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (int, error) {
-	for n := p.NHI; n >= 1; n-- {
-		conv, err := scr.convert(s, Profiles{NHI: p.NHI, NLO: p.NLO, NPrime: n})
-		if err != nil {
-			return 0, err
-		}
-		if test.Schedulable(conv) {
-			return n, nil
-		}
-	}
-	return 0, nil
-}

@@ -142,15 +142,12 @@ func PaperCampaign(setsPerPoint int, seed int64) CampaignConfig {
 // line-8 schedulability search keyed by (n_HI, n_LO, test).
 //
 // Parallelism is at chunk granularity through ForEachWorkerChunked (the
-// stealing pool): a worker claims a contiguous run of sets, evaluates
-// everything but the kill-mode eq. (5) probes set by set, and then
-// evaluates all of the chunk's deferred probes — every kill panel, every
-// f — in a single safety.KillingBatch call. Verdicts are filled by
-// (set, config) index and reduced serially, so results are deterministic
-// in Seed and byte-identical across every FTMC_WORKERS value (the
-// batched kernel is bit-identical to the cached scalar path). Per-
-// (panel, f) verdicts equal the per-curve Fig3/Fig3Ref paths on the
-// paired configs returned by PanelFig3Config (differential tests).
+// stealing pool): a worker claims a contiguous run of sets and
+// evaluates them set by set. Verdicts are filled by (set, config) index
+// and reduced serially, so results are deterministic in Seed and
+// byte-identical across every FTMC_WORKERS value. Per-(panel, f)
+// verdicts equal the per-curve Fig3/Fig3Ref paths on the paired configs
+// returned by PanelFig3Config (differential tests).
 func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return CampaignResult{}, err
@@ -261,11 +258,11 @@ func newCampaignRunner(cfg *CampaignConfig) *campaignRunner {
 }
 
 // evalPool recycles campaignEval state — drawer arenas, conversion
-// scratch, adaptation caches, batch kernels — across runners. The win
-// is per-lease on the distributed worker: without the pool, every
-// DistCampaign (and every ServeWorker) rebuilds the arenas from
-// scratch; with it, steady-state runs reuse them like the single
-// -process Campaign reuses its evals across utilization points.
+// scratch, adaptation caches — across runners. The win is per-lease on
+// the distributed worker: without the pool, every DistCampaign (and
+// every ServeWorker) rebuilds the arenas from scratch; with it,
+// steady-state runs reuse them like the single-process Campaign reuses
+// its evals across utilization points.
 var evalPool sync.Pool
 
 // acquireEval returns a pooled eval built for k, or a fresh one. A
@@ -321,7 +318,6 @@ func (r *campaignRunner) evalRange(ui, lo, hi int, out []verdict) error {
 				first = err
 			}
 		}
-		ev.flushKills()
 		return first
 	})
 }
@@ -344,27 +340,11 @@ type loProfile struct {
 	bad   bool
 }
 
-// pendingKill is one deferred kill-mode verdict probe: pfh(LO) under
-// (nLO, n′ = n2) decides out.adapt against reqLO once the chunk's batch
-// flushes. The task copies live in the worker's killArena at the
-// recorded offsets (offsets, not subslices: the arena reallocates as it
-// grows within a chunk).
-type pendingKill struct {
-	out          *verdict
-	reqLO        float64
-	nLO, n2      int
-	hiOff, hiLen int
-	loOff, loLen int
-}
-
 // campaignEval is the per-worker pooled state of the campaign engine: a
 // drawer arena retargeted along the utilization axis, an FT-S conversion
 // scratch, a private AdaptationCache (private so FTS's resolveCache
 // discipline of rebinding per call cannot wipe memos between
-// configurations), the line-8 memo, the per-f-group LO profiles, and the
-// chunk-scoped batch state of the deferred kill probes (the drawer arena
-// is recycled per set and restamped per f, so deferred jobs copy their
-// tasks into killArena).
+// configurations), the line-8 memo and the per-f-group LO profiles.
 type campaignEval struct {
 	key    evalKey
 	drawer *gen.Drawer
@@ -372,12 +352,6 @@ type campaignEval struct {
 	cache  *safety.AdaptationCache
 	sched  map[schedKey]int
 	los    []loProfile
-
-	pending   []pendingKill
-	killArena []task.Task
-	kjobs     []safety.KillJob
-	kvals     []float64
-	batch     *safety.BatchLO
 }
 
 // evalSet draws the set addressed by key at utilization u and fills
@@ -477,62 +451,11 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 				v.adapt = true // n¹_HI = 1 ≤ n²_HI, as in MinAdaptProfile
 				continue
 			}
-			if p.Mode == safety.Kill {
-				// Defer the eq. (5) probe to the chunk's KillingBatch
-				// flush (bit-identical to the cached scalar evaluation).
-				// The drawer arena is recycled and restamped, so the
-				// probe copies its tasks.
-				hiOff := len(ev.killArena)
-				ev.killArena = append(ev.killArena, hi...)
-				loOff := len(ev.killArena)
-				ev.killArena = append(ev.killArena, lo...)
-				ev.pending = append(ev.pending, pendingKill{
-					out: v, reqLO: reqLO, nLO: nLO, n2: n2,
-					hiOff: hiOff, hiLen: len(hi), loOff: loOff, loLen: len(lo),
-				})
-				continue
-			}
 			pfh, err := ev.cache.PFHLOUniform(p.Mode, nLO, n2, p.DF)
 			v.adapt = err == nil && pfh < reqLO
 		}
 	}
 	return nil
-}
-
-// flushKills evaluates every kill probe the worker deferred over its
-// chunk in one KillingBatch call and settles the owning verdicts. The
-// batch value is bit-identical to the scalar ev.cache.PFHLOUniform the
-// per-set path would have computed (KillingBatch's contract), so
-// deferral is invisible in the acceptance ratios.
-func (ev *campaignEval) flushKills() {
-	if len(ev.pending) == 0 {
-		return
-	}
-	exptView.Get().campaignBatchedProbes.Add(uint64(len(ev.pending)))
-	ev.kjobs = ev.kjobs[:0]
-	for i := range ev.pending {
-		p := &ev.pending[i]
-		ev.kjobs = append(ev.kjobs, safety.KillJob{
-			HI:     ev.killArena[p.hiOff : p.hiOff+p.hiLen],
-			LO:     ev.killArena[p.loOff : p.loOff+p.loLen],
-			NPrime: p.n2,
-			NLO:    p.nLO,
-		})
-	}
-	if cap(ev.kvals) < len(ev.kjobs) {
-		ev.kvals = make([]float64, len(ev.kjobs))
-	}
-	ev.kvals = ev.kvals[:len(ev.kjobs)]
-	if ev.batch == nil {
-		ev.batch = safety.NewBatchLO()
-	}
-	safety.DefaultConfig().KillingBatch(ev.kjobs, ev.kvals, ev.batch)
-	for i := range ev.pending {
-		p := &ev.pending[i]
-		p.out.adapt = ev.kvals[i] < p.reqLO
-	}
-	ev.pending = ev.pending[:0]
-	ev.killArena = ev.killArena[:0]
 }
 
 // minReexecLO returns the f group's memoized minimal LO re-execution

@@ -143,6 +143,26 @@ func TestDistributedCampaignWorkerLoss(t *testing.T) {
 	}
 }
 
+// wireHandshake plays a worker's side of the binary handshake on
+// (br, w): it reads the preamble and hello and answers ready.
+func wireHandshake(br *bufio.Reader, w io.Writer) (*frameDec, *frameEnc, bool) {
+	var pre [2]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return nil, nil, false
+	}
+	dec := newFrameDec(br)
+	if t, _, err := dec.next(); err != nil || t != frameHello {
+		return nil, nil, false
+	}
+	mf := obsv.NewManifest()
+	mb, _ := json.Marshal(&mf)
+	enc := newFrameEnc(w)
+	enc.begin(frameReady)
+	enc.uvarint(wireV1)
+	enc.lenBytes(mb)
+	return dec, enc, enc.flush() == nil
+}
+
 // hangingWorker handshakes on whichever protocol the coordinator
 // speaks (the same sniff ServeWorker performs), accepts leases and
 // then never answers — the failure mode the lease deadline exists for.
@@ -156,21 +176,8 @@ func hangingWorker() io.ReadWriteCloser {
 			return
 		}
 		if first[0] == wireMagic {
-			var pre [2]byte
-			if _, err := io.ReadFull(br, pre[:]); err != nil {
-				return
-			}
-			dec := newFrameDec(br)
-			if t, _, err := dec.next(); err != nil || t != frameHello {
-				return
-			}
-			mf := obsv.NewManifest()
-			mb, _ := json.Marshal(&mf)
-			enc := newFrameEnc(w)
-			enc.begin(frameReady)
-			enc.uvarint(wireV1)
-			enc.lenBytes(mb)
-			if enc.flush() != nil {
+			dec, _, ok := wireHandshake(br, w)
+			if !ok {
 				return
 			}
 			dec.next()             // take a lease...
@@ -229,6 +236,85 @@ func TestDistributedCampaignLeaseTimeout(t *testing.T) {
 				t.Fatalf("report %+v: want 1 worker failure and >= 1 reassignment", rep)
 			}
 		})
+	}
+}
+
+// corruptWorker handshakes on the binary protocol and answers its
+// first lease with a one-word result, which a lease of more than one
+// set cannot decode, then drains its connection until closed.
+func corruptWorker() io.ReadWriteCloser {
+	c, w := net.Pipe()
+	go func() {
+		defer w.Close()
+		br := bufio.NewReader(w)
+		dec, enc, ok := wireHandshake(br, w)
+		if !ok {
+			return
+		}
+		t, body, err := dec.next()
+		if err != nil || t != frameLease {
+			return
+		}
+		r := wireBuf{b: body}
+		id, _, _, _, err := r.leaseHeader()
+		if err != nil {
+			return
+		}
+		enc.begin(frameResult)
+		enc.uvarint(uint64(id))
+		enc.appendResultWords([]uint64{0})
+		if enc.flush() != nil {
+			return
+		}
+		io.Copy(io.Discard, br)
+	}()
+	return c
+}
+
+// TestDistributedCampaignCorruptResult pairs a worker whose first
+// result frame does not decode with a healthy one: the coordinator
+// must requeue the lease whose result it could not decode, as well as
+// the rest of that worker's window, and still merge the exact
+// single-process bytes. A lease dropped on a failed decode never
+// completes, so the run hangs; the deadline turns that into a failure.
+func TestDistributedCampaignCorruptResult(t *testing.T) {
+	cfg := smallCampaign()
+	want, err := Campaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The healthy worker starts 50ms late so the corrupt one holds
+	// leases first (see TestDistributedCampaignLeaseTimeout).
+	c, w := net.Pipe()
+	go func() {
+		defer w.Close()
+		time.Sleep(50 * time.Millisecond)
+		ServeWorker(w)
+	}()
+	type outcome struct {
+		res CampaignResult
+		rep DistReport
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, rep, err := DistCampaign(cfg, []io.ReadWriteCloser{corruptWorker(), c}, DistOptions{LeaseSets: 5})
+		done <- outcome{res, rep, err}
+	}()
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("DistCampaign hung after a corrupt result frame")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if gotB, wantB := resultBytes(t, o.res), resultBytes(t, want); string(gotB) != string(wantB) {
+		t.Fatal("result after a corrupt result frame diverged from single-process bytes")
+	}
+	if o.rep.WorkerFailures != 1 || o.rep.Reassigned < 1 {
+		t.Fatalf("report %+v: want 1 worker failure and >= 1 reassignment", o.rep)
 	}
 }
 

@@ -83,15 +83,9 @@ func openDistJournal(path string, cfgJSON []byte, cfg *CampaignConfig, nCfg int)
 	if err != nil {
 		return nil, nil, err
 	}
-	hdr := ckptHeader{
-		Schema: ckptSchema,
-		Config: ckptConfigHash(cfgJSON),
-		Utils:  len(cfg.Utils),
-		Sets:   cfg.SetsPerPoint,
-		NCfg:   nCfg,
-	}
+	hdr := journalHeader(cfgJSON, cfg, nCfg)
 	j := &distJournal{f: f}
-	records, validOff, err := loadDistJournal(f, hdr, cfg)
+	records, validOff, err := loadDistJournal(f, f.Name(), hdr, cfg)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -122,17 +116,29 @@ func openDistJournal(path string, cfgJSON []byte, cfg *CampaignConfig, nCfg int)
 	return j, records, nil
 }
 
-// loadDistJournal reads and validates the journal, returning the intact
-// records and the byte offset of the end of the last intact line.
-func loadDistJournal(f *os.File, want ckptHeader, cfg *CampaignConfig) ([]ckptRecord, int64, error) {
-	r := bufio.NewReader(f)
+// journalHeader is the header line a journal of this campaign carries.
+func journalHeader(cfgJSON []byte, cfg *CampaignConfig, nCfg int) ckptHeader {
+	return ckptHeader{
+		Schema: ckptSchema,
+		Config: ckptConfigHash(cfgJSON),
+		Utils:  len(cfg.Utils),
+		Sets:   cfg.SetsPerPoint,
+		NCfg:   nCfg,
+	}
+}
+
+// loadDistJournal reads and validates the journal named name from rd,
+// returning the intact records and the byte offset of the end of the
+// last intact line.
+func loadDistJournal(rd io.Reader, name string, want ckptHeader, cfg *CampaignConfig) ([]ckptRecord, int64, error) {
+	r := bufio.NewReader(rd)
 	var records []ckptRecord
 	var off int64
 	for lineNo := 0; ; lineNo++ {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
 			if len(bytes.TrimSpace(line)) != 0 && lineNo == 0 {
-				return nil, 0, fmt.Errorf("expt: checkpoint %s: torn header", f.Name())
+				return nil, 0, fmt.Errorf("expt: checkpoint %s: torn header", name)
 			}
 			// A torn (newline-less) final record is the crash signature;
 			// drop it and let the lease run again.
@@ -144,27 +150,27 @@ func loadDistJournal(f *os.File, want ckptHeader, cfg *CampaignConfig) ([]ckptRe
 		if lineNo == 0 {
 			var hdr ckptHeader
 			if err := json.Unmarshal(line, &hdr); err != nil {
-				return nil, 0, fmt.Errorf("expt: checkpoint %s: corrupt header: %w", f.Name(), err)
+				return nil, 0, fmt.Errorf("expt: checkpoint %s: corrupt header: %w", name, err)
 			}
 			if hdr.Schema != want.Schema {
-				return nil, 0, fmt.Errorf("expt: checkpoint %s: schema %q, want %q", f.Name(), hdr.Schema, want.Schema)
+				return nil, 0, fmt.Errorf("expt: checkpoint %s: schema %q, want %q", name, hdr.Schema, want.Schema)
 			}
 			if hdr != want {
 				return nil, 0, fmt.Errorf(
 					"expt: checkpoint %s belongs to a different campaign (config %s grid %dx%dx%d, want %s grid %dx%dx%d)",
-					f.Name(), hdr.Config, hdr.Utils, hdr.Sets, hdr.NCfg, want.Config, want.Utils, want.Sets, want.NCfg)
+					name, hdr.Config, hdr.Utils, hdr.Sets, hdr.NCfg, want.Config, want.Utils, want.Sets, want.NCfg)
 			}
 			off += int64(len(line))
 			continue
 		}
 		var rec ckptRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, 0, fmt.Errorf("expt: checkpoint %s: corrupt record on line %d: %w", f.Name(), lineNo+1, err)
+			return nil, 0, fmt.Errorf("expt: checkpoint %s: corrupt record on line %d: %w", name, lineNo+1, err)
 		}
 		if rec.UI < 0 || rec.UI >= len(cfg.Utils) ||
 			rec.Lo < 0 || rec.Lo >= rec.Hi || rec.Hi > cfg.SetsPerPoint ||
 			len(rec.V) != rec.Hi-rec.Lo {
-			return nil, 0, fmt.Errorf("expt: checkpoint %s: record on line %d outside the campaign grid", f.Name(), lineNo+1)
+			return nil, 0, fmt.Errorf("expt: checkpoint %s: record on line %d outside the campaign grid", name, lineNo+1)
 		}
 		records = append(records, rec)
 		off += int64(len(line))

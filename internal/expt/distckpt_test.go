@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -162,4 +163,71 @@ func TestRemainingWork(t *testing.T) {
 			t.Fatalf("fresh[%d] = %+v, want %+v", i, fresh[i], want[i])
 		}
 	}
+}
+
+// FuzzDistJournal feeds arbitrary bytes to the checkpoint-journal
+// reader and the replay arithmetic behind it. Loading must never
+// panic; a journal it accepts must hold only records inside the grid,
+// report an offset that ends one of the input's lines, and leave fresh
+// spans that are sorted, disjoint and, with the replayed sets, cover
+// the grid exactly.
+func FuzzDistJournal(f *testing.F) {
+	// A tiny grid keeps the seed journals short, and with them the
+	// minimization of every input that finds new coverage.
+	cfg := smallCampaign()
+	cfg.Utils = cfg.Utils[:2]
+	cfg.SetsPerPoint = 6
+	cfgJSON, err := json.Marshal(&cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := journalHeader(cfgJSON, &cfg, len(cfg.Panels)*len(cfg.FailProbs))
+
+	path := filepath.Join(f.TempDir(), "run.ckpt")
+	if _, _, err := DistCampaign(cfg, PipeWorkers(2), DistOptions{LeaseSets: 2, Checkpoint: path}); err != nil {
+		f.Fatal(err)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(journal, []byte("\n"))
+	f.Add(journal)
+	f.Add(append(bytes.Clone(journal), `{"ui":0,"lo":`...)) // torn tail
+	corrupt := bytes.Join([][]byte{lines[0], lines[1], []byte("not json\n"), lines[2]}, nil)
+	f.Add(corrupt)
+
+	total := len(cfg.Utils) * cfg.SetsPerPoint
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, off, err := loadDistJournal(bytes.NewReader(data), "fuzz", want, &cfg)
+		if err != nil {
+			return
+		}
+		if off < 0 || off > int64(len(data)) || (off > 0 && data[off-1] != '\n') {
+			t.Fatalf("offset %d does not end a line of the %d-byte input", off, len(data))
+		}
+		for _, r := range records {
+			if r.UI < 0 || r.UI >= len(cfg.Utils) || r.Lo < 0 || r.Lo >= r.Hi ||
+				r.Hi > cfg.SetsPerPoint || len(r.V) != r.Hi-r.Lo {
+				t.Fatalf("accepted record outside the grid: %+v", r)
+			}
+		}
+		fresh, replayed := remainingWork(&cfg, records)
+		covered := replayed
+		for i, s := range fresh {
+			if s.ui < 0 || s.ui >= len(cfg.Utils) || s.lo < 0 || s.lo >= s.hi || s.hi > cfg.SetsPerPoint {
+				t.Fatalf("fresh span %+v outside the grid", s)
+			}
+			if i > 0 {
+				p := fresh[i-1]
+				if p.ui > s.ui || (p.ui == s.ui && p.hi > s.lo) {
+					t.Fatalf("fresh spans %+v and %+v out of order or overlapping", p, s)
+				}
+			}
+			covered += s.hi - s.lo
+		}
+		if covered != total {
+			t.Fatalf("fresh spans plus %d replayed sets cover %d sets, want %d", replayed, covered, total)
+		}
+	})
 }

@@ -33,10 +33,6 @@ type exptMetrics struct {
 	campaignBaselineHits  *obsv.Counter
 	campaignSchedMemoHits *obsv.Counter
 	campaignSchedSearches *obsv.Counter
-	// campaignBatchedProbes counts kill-mode eq. (5) verdict probes that
-	// were deferred into per-chunk KillingBatch calls instead of running
-	// through the scalar cache path.
-	campaignBatchedProbes *obsv.Counter
 	// Distributed-campaign telemetry, recorded at the coordinator:
 	// leases granted (including regrants), leases requeued after a
 	// worker failure or deadline, workers lost, and per-lease
@@ -77,7 +73,6 @@ var exptView = obsv.NewView(func(r *obsv.Registry) *exptMetrics {
 		campaignBaselineHits:  r.Counter("expt.campaign.baseline_hits"),
 		campaignSchedMemoHits: r.Counter("expt.campaign.sched_memo_hits"),
 		campaignSchedSearches: r.Counter("expt.campaign.sched_searches"),
-		campaignBatchedProbes: r.Counter("expt.campaign.batched_probes"),
 		distLeases:            r.Counter("expt.dist.leases"),
 		distReassigned:        r.Counter("expt.dist.reassigned"),
 		distWorkerFailures:    r.Counter("expt.dist.worker_failures"),

@@ -30,6 +30,12 @@ import (
 // of its grid coordinates, so the regranted lease rewrites the same
 // bytes. Closing first just stops the dead worker from burning cycles.
 //
+// A lease leaves the window (the outst map) exactly once, and whichever
+// goroutine takes it out settles it in the lease table and the
+// in-flight gauge: the reader completes a lease it merged and requeues
+// one whose result it could not decode; the driver requeues whatever
+// is still in the window when it abandons the worker.
+//
 // Adaptive sizing: fresh leases are carved on demand (leaseTable
 // carves at whatever size the driver asks), so each driver can resize
 // its grants toward DistOptions.TargetLeaseLatency using an EWMA of
@@ -211,6 +217,7 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 			omu.Lock()
 			outst[l.id] = grantRec{l: l, at: time.Now()}
 			omu.Unlock()
+			m.distInflight.Add(1)
 			enc.begin(frameLease)
 			enc.uvarint(uint64(l.id))
 			enc.uvarint(uint64(l.ui))
@@ -223,7 +230,6 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 			outstanding++
 			granted = true
 			m.distLeaseSets.Observe(int64(l.hi - l.lo))
-			m.distInflight.Add(1)
 		}
 		if granted {
 			if err := bw.Flush(); err != nil {
@@ -238,9 +244,7 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 				abandonAll()
 				return
 			}
-			outstanding--
-			m.distInflight.Add(-1)
-			d.table.complete()
+			outstanding-- // the reader settled the lease
 			now := time.Now()
 			sizer.observe(ev.sets, now.Sub(lastMark))
 			lastMark = now
@@ -255,8 +259,9 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 // readWire is the driver's reader goroutine: it decodes frames off the
 // connection, merges results straight into the shared verdict vector
 // (no intermediate copy — the grant's range is exclusive to this
-// worker while it is outstanding), journals completed leases, and
-// reports ready/result/error events to the driver loop.
+// worker while it is outstanding), journals and completes merged
+// leases, requeues a lease whose result does not decode, and reports
+// ready/result/error events to the driver loop.
 func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.Mutex, events chan<- wireEvent, quit <-chan struct{}, rdDone chan<- struct{}) {
 	defer close(rdDone)
 	send := func(ev wireEvent) bool {
@@ -335,6 +340,8 @@ func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.M
 				}
 			})
 			if err != nil {
+				d.table.abandon(l)
+				m.distInflight.Add(-1)
 				send(wireEvent{err: err})
 				return
 			}
@@ -345,10 +352,14 @@ func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.M
 					// the run rather than blaming (and cycling through)
 					// every worker.
 					d.table.poison(err)
+					d.table.abandon(l)
+					m.distInflight.Add(-1)
 					send(wireEvent{err: err})
 					return
 				}
 			}
+			d.table.complete()
+			m.distInflight.Add(-1)
 			m.distLeaseNs.Observe(int64(time.Since(g.at)))
 			if !send(wireEvent{typ: frameResult, sets: n}) {
 				return

@@ -91,9 +91,9 @@ func unpackSpan(v uint64) (int, int) {
 
 // ForEachWorkerChunked is the range-claiming core of the worker pool:
 // fn(w, start, end) receives whole contiguous index ranges (at most
-// `chunk` wide) instead of single indices, so batched callers — the
-// campaign's phase engine feeding safety.KillingBatch — can evaluate a
-// claimed range in one kernel call. Scheduling is work-stealing:
+// `chunk` wide) instead of single indices, so callers with per-range
+// state — the campaign engine's per-worker evals — set it up once per
+// claimed range. Scheduling is work-stealing:
 //
 //   - the index space is split evenly into one contiguous span per
 //     worker (the same cache-friendly layout the fixed splitter had);

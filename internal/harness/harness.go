@@ -19,9 +19,8 @@
 //   - verdict agreement: all analysis paths produce bit-identical
 //     results (the shared path on the drawn task order, both serve
 //     answers against a direct analysis of the canonical order), and
-//     on a successful kill verdict the batched eq. (5) kernel
-//     (safety.Config.KillingBatch) reproduces the scalar bound at the
-//     chosen (n²_HI, n_LO);
+//     on a successful kill verdict the cached and uncached eq. (5)
+//     bounds at the chosen (n²_HI, n_LO) equal the verdict's pfh(LO);
 //   - determinism: re-running the identical spec reproduces the
 //     simulation statistics exactly, and the whole sweep digest is
 //     invariant under worker count and lease (chunk) shape;
@@ -255,7 +254,7 @@ func singleTaskSet(rng *rand.Rand, failProb float64) (*task.Set, error) {
 // Violation is one failed invariant in one run.
 type Violation struct {
 	// Invariant names the violated property (e.g. "sim-conservation",
-	// "kill-batch-agreement", "panic").
+	// "kill-bound-agreement", "panic").
 	Invariant string `json:"invariant"`
 	// Detail describes the concrete divergence.
 	Detail string `json:"detail"`

@@ -264,12 +264,11 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 		return out
 	}
 
-	// Batched eq. (5) kernel: on a successful kill verdict, KillingBatch
-	// at the run's (n²_HI, n_LO) must reproduce the scalar cached bound
-	// bit for bit — width 2 with a duplicated job also exercises the
-	// kernel's intra-batch sharing.
+	// Eq. (5) at the run's (n²_HI, n_LO): on a successful kill verdict
+	// the cached and uncached evaluations of the bound must reproduce
+	// the verdict's pfh(LO) bit for bit.
 	if out.Scalar.OK && opt.Mode == safety.Kill {
-		out.Violations = checkKillBatch(out.Violations, set, opt.Safety, out.Scalar)
+		out.Violations = checkKillBound(out.Violations, set, opt.Safety, out.Scalar)
 	}
 
 	// Shared-cache route (safety.CacheShards): same contract, plus this
@@ -374,27 +373,27 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 	return out
 }
 
-// checkKillBatch asserts that the batched eq. (5) kernel
-// (safety.Config.KillingBatch) reproduces the scalar cached bound
-// (AdaptationCache.PFHLOUniform) at the successful verdict's
-// (n²_HI, n_LO), and that both equal the verdict's own pfh(LO).
-func checkKillBatch(vs []Violation, set *task.Set, cfg safety.Config, res core.Result) []Violation {
+// checkKillBound asserts that the cached eq. (5) bound
+// (AdaptationCache.PFHLOUniform, the campaign's probe), an uncached
+// Config.KillingPFHLOUniform on a fresh adaptation model, and the
+// verdict's own pfh(LO) agree bit for bit at the successful verdict's
+// (n²_HI, n_LO).
+func checkKillBound(vs []Violation, set *task.Set, cfg safety.Config, res core.Result) []Violation {
 	hi, lo := set.ByClass(criticality.HI), set.ByClass(criticality.LO)
 	n2, nLO := res.Profiles.NPrime, res.Profiles.NLO
-	scalar, err := safety.NewAdaptationCache(cfg, hi, lo).PFHLOUniform(safety.Kill, nLO, n2, 0)
+	cached, err := safety.NewAdaptationCache(cfg, hi, lo).PFHLOUniform(safety.Kill, nLO, n2, 0)
 	if err != nil {
-		return violationf(vs, "kill-batch-agreement", "scalar PFHLOUniform error: %v", err)
+		return violationf(vs, "kill-bound-agreement", "cached PFHLOUniform error: %v", err)
 	}
-	if math.Float64bits(scalar) != math.Float64bits(res.PFHLO) {
-		vs = violationf(vs, "kill-batch-agreement", "scalar PFHLOUniform %v != FTS pfh(LO) %v", scalar, res.PFHLO)
+	adapt, err := safety.NewUniformAdaptation(cfg, hi, n2)
+	if err != nil {
+		return violationf(vs, "kill-bound-agreement", "NewUniformAdaptation error: %v", err)
 	}
-	job := safety.KillJob{HI: hi, LO: lo, NPrime: n2, NLO: nLO}
-	vals := make([]float64, 2)
-	cfg.KillingBatch([]safety.KillJob{job, job}, vals, nil)
-	for i, v := range vals {
-		if math.Float64bits(v) != math.Float64bits(scalar) {
-			vs = violationf(vs, "kill-batch-agreement", "KillingBatch[%d] %v != scalar PFHLOUniform %v", i, v, scalar)
-		}
+	if uncached := cfg.KillingPFHLOUniform(lo, nLO, adapt); math.Float64bits(uncached) != math.Float64bits(cached) {
+		vs = violationf(vs, "kill-bound-agreement", "uncached KillingPFHLOUniform %v != cached PFHLOUniform %v", uncached, cached)
+	}
+	if math.Float64bits(cached) != math.Float64bits(res.PFHLO) {
+		vs = violationf(vs, "kill-bound-agreement", "cached PFHLOUniform %v != FTS pfh(LO) %v", cached, res.PFHLO)
 	}
 	return vs
 }

@@ -79,26 +79,11 @@ func OneMinusExpFast(x float64) P {
 	if x > 0 {
 		panic(fmt.Sprintf("prob: OneMinusExpFast needs x <= 0, got %g", x))
 	}
-	if x >= OneMinusExpTaylorCutoff {
-		return OneMinusExpTaylor(x)
+	if x >= -1e-3 {
+		// 1 − e^x = −x·(1 + x/2 + x²/6 + x³/24) + O(x⁵).
+		return -x * (1 + x*(0.5+x*((1.0/6)+x*(1.0/24))))
 	}
 	return -math.Expm1(x)
-}
-
-// OneMinusExpTaylorCutoff is the argument threshold above which
-// OneMinusExpFast switches from Expm1 to the Taylor expansion.
-const OneMinusExpTaylorCutoff = -1e-3
-
-// OneMinusExpTaylor is the polynomial fast path of OneMinusExpFast,
-// exposed separately (no domain check, no Expm1 fallback) because the
-// checked function is over the inlining budget: batched kernel loops
-// that have already clamped x to ≤ 0 branch on OneMinusExpTaylorCutoff
-// themselves so the per-α-step polynomial inlines and overlaps across
-// lanes. Only valid for OneMinusExpTaylorCutoff ≤ x ≤ 0; bit identical
-// to OneMinusExpFast there.
-func OneMinusExpTaylor(x float64) P {
-	// 1 − e^x = −x·(1 + x/2 + x²/6 + x³/24) + O(x⁵).
-	return -x * (1 + x*(0.5+x*((1.0/6)+x*(1.0/24))))
 }
 
 // Complement returns 1 − p, clamped to [0, 1] against rounding spill.
@@ -171,23 +156,3 @@ func (k *KahanSum) Add(x float64) {
 
 // Value returns the compensated sum.
 func (k *KahanSum) Value() float64 { return k.sum }
-
-// Parts returns the running sum and compensation term, for kernels that
-// carry the accumulator in plain locals (see KahanStep).
-func (k KahanSum) Parts() (sum, comp float64) { return k.sum, k.c }
-
-// KahanFromParts reassembles a KahanSum from Parts output.
-func KahanFromParts(sum, comp float64) KahanSum { return KahanSum{sum: sum, c: comp} }
-
-// KahanStep adds x to the (sum, comp) pair and returns the updated pair:
-// the value-only twin of (*KahanSum).Add, same operation sequence, so the
-// two interleave bit-identically. Hot loops use it because an
-// address-taken KahanSum local (any inlined method call takes the
-// receiver's address) is pinned to the stack by the compiler, and the
-// resulting load/store round-trip per term dominates the batched eq. (5)
-// sweep; value-in/value-out locals stay in registers.
-func KahanStep(sum, comp, x float64) (float64, float64) {
-	y := x - comp
-	t := sum + y
-	return t, (t - sum) - y
-}

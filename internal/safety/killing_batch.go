@@ -3,66 +3,17 @@ package safety
 import (
 	"fmt"
 
-	"repro/internal/prob"
 	"repro/internal/task"
 )
 
-// This file implements the batched evaluation tier of eq. (5): one
-// KillingBatch call evaluates the killing bound for k task sets, where
-// the scalar path (killing_fast.go) evaluates one.
-//
-// The speedup over calling the scalar kernel k times comes from three
-// restructurings of the generic tail sweep, all invisible at the FP
-// level:
-//
-//   - register-resident accumulators: the sweep's two Kahan pairs are
-//     carried as plain float64 locals through prob.KahanStep (an
-//     address-taken KahanSum local — any inlined method call takes the
-//     receiver's address — is pinned to the stack by the compiler, and
-//     the per-step load/store round-trip is the single largest cost of
-//     the scalar sweep);
-//   - death-free segmentation over the structure-of-arrays staircase
-//     pool (parallel r/φ/rem/base/period/logTerm slices): the next
-//     staircase removal is at least ⌊(r−1)/(base+1)⌋ steps away, so the
-//     segment body needs no per-step death checks, and only segment
-//     boundaries fall back to the scalar check-everything step;
-//   - event-collapsed quiet steps: inside a death-free segment whose
-//     staircases all have base = 0, logR changes only on the steps where
-//     some staircase's φ wraps, and those steps are predictable in
-//     closed form (⌊φ/rem⌋ + 1 steps ahead). Between wraps the eq. (5)
-//     term is bit-identical from step to step, so each quiet step is a
-//     single Kahan add of the cached term — no staircase loop, no
-//     polynomial.
-//
-// An earlier version of this tier interleaved up to four independent
-// tail sweeps in lockstep to overlap their Kahan dependency chains;
-// measured on the Fig. 3 workload that was *slower* than one lane (the
-// accumulator state of n lanes exceeds the FP register file, and the
-// interleaving defeats the branch and loop predictors), so lanes were
-// dropped and the batch advances one job's sweep at a time.
-//
-// Bit identity with the scalar path is a hard invariant, pinned by
-// TestKillingBatchDifferential: every per-set floating-point operation
-// sequence is exactly the scalar one. The load-bearing details:
-//
-//   - jobs are swept one at a time, whole: eq. (5) accumulates all LO
-//     tasks of a set into one Kahan sum in task order;
-//   - the setup phases (head term, staircase construction, the patterned
-//     cycle collapse) run through the same tailEnter code the scalar
-//     kernel uses, then the surviving staircases are copied into the SoA
-//     pool — copying moves data, not arithmetic;
-//   - the logR update happens only when d > 0: adding 0.0 to a Kahan
-//     pair perturbs its compensation term. The event-collapsed sweep is
-//     this guard taken to its limit — quiet steps touch logR not at all;
-//   - a base-0 staircase fires with d = 1 exactly, and float64(-1)*x is
-//     a bitwise sign flip, so the event path's -lt[j] reproduces the
-//     scalar's float64(-d)*logTerm bit for bit.
+// KillingBatch is a loop over the scalar eq. (5) kernel, kept because
+// the repository benchmark (perfbench/) still calls it. The next change
+// to the benchmark times the scalar probe alone and deletes this file.
 
 // KillJob is one eq. (5) evaluation of a batch: the LO tasks of a set
 // under the uniform re-execution profile NLO, with the LO level killed
 // by the uniform adaptation profile NPrime over the HI tasks. The task
-// slices must stay unmutated for the duration of the KillingBatch call
-// (they may alias arenas that are reused afterwards).
+// slices must stay unmutated for the duration of the KillingBatch call.
 type KillJob struct {
 	HI     []task.Task
 	LO     []task.Task
@@ -70,525 +21,39 @@ type KillJob struct {
 	NLO    int // uniform LO re-execution profile n_LO ≥ 1
 }
 
-// batchSlot is the live state of the in-flight tail sweep plus its
-// owning job's accumulator. sum is the job's eq. (5) Kahan accumulator,
-// moved into the slot while the sweep runs and folded back at sweep end;
-// s is the sweep's running logR(α).
-type batchSlot struct {
-	sum    prob.KahanSum
-	s      prob.KahanSum
-	log1mq float64
-	left   int64 // tail points still to emit
-	seg    int64 // death-free steps remaining in the current segment
-	off    int   // sweep's segment start in the SoA stair pool
-	n      int   // live staircases in the segment
-	job    int   // owning job index
-}
-
-// batchJobState is the scalar progress of one job between tail sweeps.
-type batchJobState struct {
-	sum    prob.KahanSum
-	logRt  float64 // log R(N′, t) at the horizon (the ∪{t} member)
-	ltOff  int     // offset of the job's logTerm block in BatchLO.logTerms
-	nextLO int     // next LO task to process
-}
-
-// BatchLO is the reusable structure-of-arrays state of KillingBatch: the
-// staircase pool packing the in-flight sweep's boundaries into parallel
-// slices, the per-job arenas, and the event scratch of the collapsed
-// sweep. The zero value is ready to use; one BatchLO belongs to one
-// goroutine.
+// BatchLO is the reusable state of KillingBatch: one adaptation model
+// and one kernel scratch. The zero value is ready to use; one BatchLO
+// belongs to one goroutine.
 type BatchLO struct {
-	// Staircase pool, the in-flight sweep occupying [0, slot.n).
-	r, phi, rem, base, period []int64
-	logTerm                   []float64
-	// Event scratch of sweepEvents: per staircase, the 1-based step of
-	// its next φ wrap within the current segment run, the step its φ was
-	// last materialized at, and the Bresenham fire-interval state
-	// (⌊T/rem⌋, T mod rem, and the running offset w = T − φ after a wrap)
-	// that schedules successive wraps without a division per fire.
-	nfire, upd       []int64
-	fireQ, fireR, fw []int64
-	stride           int
-
-	slot batchSlot
-
-	jobs     []batchJobState
-	logTerms []float64 // per-job HI logTerm blocks, flattened
-	nprimes  []int     // tailEnter uniform-profile scratch
-	scr      kernelScratch
+	adapt Adaptation
+	scr   kernelScratch
 }
 
-// NewBatchLO returns an empty batch state. Equivalent to new(BatchLO);
-// exists for discoverability.
+// NewBatchLO returns an empty batch state. Equivalent to new(BatchLO).
 func NewBatchLO() *BatchLO { return &BatchLO{} }
 
-// ensure grows the arenas for a batch of nJobs jobs with at most maxHI
-// HI tasks each (totHI in total), keeping prior capacity.
-func (b *BatchLO) ensure(maxHI, totHI, nJobs int) {
-	if b.stride < maxHI {
-		b.stride = maxHI
-		n := b.stride
-		b.r = make([]int64, n)
-		b.phi = make([]int64, n)
-		b.rem = make([]int64, n)
-		b.base = make([]int64, n)
-		b.period = make([]int64, n)
-		b.logTerm = make([]float64, n)
-		b.nfire = make([]int64, n)
-		b.upd = make([]int64, n)
-		b.fireQ = make([]int64, n)
-		b.fireR = make([]int64, n)
-		b.fw = make([]int64, n)
-	}
-	if cap(b.jobs) < nJobs {
-		b.jobs = make([]batchJobState, nJobs)
-	}
-	b.jobs = b.jobs[:nJobs]
-	if cap(b.logTerms) < totHI {
-		b.logTerms = make([]float64, totHI)
-	}
-	b.logTerms = b.logTerms[:totHI]
-	if cap(b.nprimes) < maxHI {
-		b.nprimes = make([]int, maxHI)
-	}
-}
-
 // KillingBatch evaluates eq. (5) for every job of the batch, writing
-// pfh(LO) of job i to out[i]. Each result is bit-identical to the scalar
-// evaluation
+// pfh(LO) of job i to out[i], exactly as
 //
 //	adapt, _ := NewUniformAdaptation(c, jobs[i].HI, jobs[i].NPrime)
 //	out[i] = c.KillingPFHLOUniform(jobs[i].LO, jobs[i].NLO, adapt)
 //
-// (pinned by TestKillingBatchDifferential), so batched engines can mix
-// freely with the scalar and cached paths. The per-set speedup comes
-// from the register-resident, event-collapsed segment sweep (see the
-// file comment); the batch amortizes its setup — arenas, adaptation
-// state, scratch — across the k jobs. A nil b uses transient state.
-// Panics on a malformed batch (profile < 1, len(out) ≠ len(jobs)),
-// mirroring the scalar kernel's contract.
+// A nil b uses transient state. Panics on a malformed batch (profile < 1,
+// len(out) ≠ len(jobs)), mirroring the scalar kernel's contract.
 func (c Config) KillingBatch(jobs []KillJob, out []float64, b *BatchLO) {
 	if len(out) != len(jobs) {
 		panic(fmt.Sprintf("safety: %d outputs for %d batched jobs", len(out), len(jobs)))
 	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	if len(jobs) == 0 {
-		return
-	}
 	if b == nil {
 		b = NewBatchLO()
 	}
-	maxHI, totHI := 0, 0
-	for i := range jobs {
-		if jobs[i].NPrime < 1 {
-			panic(fmt.Sprintf("safety: batched adaptation profile must be >= 1, got %d", jobs[i].NPrime))
+	for i, jb := range jobs {
+		if jb.NLO < 1 {
+			panic(fmt.Sprintf("safety: batched LO re-execution profile must be >= 1, got %d", jb.NLO))
 		}
-		if jobs[i].NLO < 1 {
-			panic(fmt.Sprintf("safety: batched LO re-execution profile must be >= 1, got %d", jobs[i].NLO))
+		if err := b.adapt.resetUniform(c, jb.HI, jb.NPrime); err != nil {
+			panic(err) // NPrime < 1
 		}
-		if h := len(jobs[i].HI); h > maxHI {
-			maxHI = h
-		}
-		totHI += len(jobs[i].HI)
+		out[i] = c.killingPFHLOFast(jb.LO, nil, jb.NLO, &b.adapt, &b.scr)
 	}
-	b.ensure(maxHI, totHI, len(jobs))
-	m := safetyView.Get()
-	m.batchCalls.Inc()
-	m.batchJobs.Add(uint64(len(jobs)))
-	m.batchWidth.Observe(int64(len(jobs)))
-
-	// Per-job adaptation state: the logTerm block (same op order as
-	// Adaptation.resetUniform) and logR at the horizon (same op order as
-	// Adaptation.logR — a plain, not Kahan, accumulation).
-	t := c.Horizon()
-	off := 0
-	for i := range jobs {
-		js := &b.jobs[i]
-		*js = batchJobState{ltOff: off}
-		lt := b.logTerms[off : off+len(jobs[i].HI)]
-		for j := range jobs[i].HI {
-			lt[j] = 0
-			if f := jobs[i].HI[j].FailProb; f > 0 {
-				lt[j] = prob.Log1mPow(f, jobs[i].NPrime)
-			}
-		}
-		logp := 0.0
-		for j := range jobs[i].HI {
-			if lt[j] == 0 {
-				continue
-			}
-			rj := c.Rounds(jobs[i].HI[j], jobs[i].NPrime, t)
-			logp += float64(rj) * lt[j]
-		}
-		js.logRt = logp
-		off += len(jobs[i].HI)
-	}
-
-	// Park the first pending tail sweep in the slot. next is the scan
-	// cursor over jobs not yet started; jobs whose sweeps complete during
-	// setup (patterned fast path, stairless tails) finish inside
-	// batchAdvance without ever occupying the slot.
-	next := 0
-	sl := &b.slot
-	*sl = batchSlot{}
-	live := false
-	for next < len(jobs) {
-		i := next
-		next++
-		if c.batchAdvance(b, jobs, out, i, sl) {
-			live = true
-			break
-		}
-	}
-
-	// Merged-boundary sweep: per round, bring the slot to a death-free
-	// segment (retiring drained sweeps and pulling fresh jobs), then
-	// advance the whole segment with the collapsed kernel.
-	for live && c.batchReady(b, jobs, out, sl, &next) {
-		run := sl.seg
-		b.sweep(run, sl)
-		sl.seg = 0
-		sl.left -= run
-	}
-}
-
-// lane returns the SoA views of sl's staircase segment. All six slices
-// share one bounds expression so the prove pass lifts the per-stair
-// bounds checks out of the sweep inner loops.
-func (b *BatchLO) lane(sl *batchSlot) (phi, rem, per, base, r []int64, lt []float64) {
-	off, end := sl.off, sl.off+sl.n
-	return b.phi[off:end], b.rem[off:end], b.period[off:end],
-		b.base[off:end], b.r[off:end], b.logTerm[off:end]
-}
-
-// sweep advances the slot's tail sweep through one death-free segment
-// of run α steps, dispatching on the segment's fire density: sparse
-// segments (every staircase base = 0 and well under one φ wrap per
-// step in expectation) take the event-collapsed kernel, everything
-// else the classic per-step path.
-func (b *BatchLO) sweep(run int64, sl *batchSlot) {
-	// Expected fires per step is Σ_j rem_j/T_j (a base > 0 staircase
-	// fires every step, and run-of-one segments don't amortize the event
-	// setup divisions). The event path only wins when quiet runs are long
-	// enough that skipping the staircase walk and the term recomputation
-	// pays for its per-event minimum scan — measured on the Fig. 3
-	// workload (fire density ~0.4/step) the classic path is faster, so
-	// the threshold is conservative: below a quarter fire per step.
-	const one = 1 << 16
-	dens := int64(0)
-	for q := 0; q < sl.n; q++ {
-		if b.base[q] != 0 {
-			dens = one
-			break
-		}
-		if b.rem[q] != 0 {
-			dens += b.rem[q] * one / b.period[q]
-		}
-	}
-	if run >= 16 && dens*4 < one {
-		b.sweepEvents(run, sl)
-		return
-	}
-	b.sweepClassic(run, sl)
-}
-
-// sweepClassic is the per-step segment kernel: every staircase is
-// touched every step. The two Kahan accumulators are carried as plain
-// locals through prob.KahanStep so they live in registers across the
-// run; per step and staircase the FP op sequence is exactly the scalar
-// sweep body's for a death-free step (the d > 0 guard around the logR
-// update is load-bearing — adding 0.0 would perturb the compensation
-// term; only the integer φ wrap is branchless).
-func (b *BatchLO) sweepClassic(run int64, sl *batchSlot) {
-	phi, rem, per, base, r, lt := b.lane(sl)
-	s, sc := sl.s.Parts()
-	m, mc := sl.sum.Parts()
-	l := sl.log1mq
-	for ; run > 0; run-- {
-		for q := range phi {
-			p := phi[q] - rem[q]
-			neg := p >> 63 // -1 on wrap, 0 otherwise
-			p += per[q] & neg
-			phi[q] = p
-			if d := base[q] - neg; d > 0 {
-				r[q] -= d
-				x := -lt[q] // d = 1: float64(-1)*lt is a bitwise sign flip
-				if d != 1 {
-					x = float64(-d) * lt[q]
-				}
-				s, sc = prob.KahanStep(s, sc, x)
-			}
-		}
-		x := s + l
-		if x > 0 {
-			x = 0
-		}
-		if x >= prob.OneMinusExpTaylorCutoff {
-			m, mc = prob.KahanStep(m, mc, prob.OneMinusExpTaylor(x))
-		} else {
-			m, mc = prob.KahanStep(m, mc, prob.OneMinusExp(x))
-		}
-	}
-	sl.s = prob.KahanFromParts(s, sc)
-	sl.sum = prob.KahanFromParts(m, mc)
-}
-
-// sweepEvents is the event-collapsed segment kernel for all-base-0
-// segments. A base-0 staircase changes logR only on the steps where its
-// φ wraps, and with φ decreasing by a fixed rem per step the next wrap
-// is ⌊φ/rem⌋+1 steps ahead in closed form. Between wraps the eq. (5)
-// term is bit-identical from step to step — the scalar path recomputes
-// it from an unchanged logR — so each quiet step collapses to a single
-// Kahan add of the cached term, and staircase φ updates are deferred and
-// materialized in bulk. The FP sequence is exactly the scalar one: the
-// scalar's per-step staircase walk does no FP work on non-wrap steps
-// (the d > 0 guard), a wrap fires with d = 1 exactly, and float64(-1)*x
-// is a bitwise sign flip, so -lt[j] reproduces float64(-d)*logTerm.
-func (b *BatchLO) sweepEvents(run int64, sl *batchSlot) {
-	phi, rem, per, _, r, lt := b.lane(sl)
-	nf := b.nfire[:sl.n]
-	up := b.upd[:sl.n]
-	fq := b.fireQ[:sl.n]
-	fr := b.fireR[:sl.n]
-	fw := b.fw[:sl.n]
-	for j := range phi {
-		up[j] = 0
-		if rem[j] == 0 {
-			// φ never moves: rem = roundCost mod T_j = 0 with base = 0
-			// means a zero round cost — the staircase never fires.
-			nf[j] = run + 1
-			continue
-		}
-		// First wrap is ⌊φ/rem⌋+1 steps ahead; after it the φ offset below
-		// the period is w = k·rem − φ ∈ (0, rem]. Successive intervals
-		// follow the Bresenham recurrence on w (fire step below) — the two
-		// divisions here are the only ones in the whole segment.
-		k := phi[j]/rem[j] + 1
-		nf[j] = k
-		fq[j] = per[j] / rem[j]
-		fr[j] = per[j] % rem[j]
-		fw[j] = k*rem[j] - phi[j]
-	}
-	s, sc := sl.s.Parts()
-	m, mc := sl.sum.Parts()
-	l := sl.log1mq
-	x := s + l
-	if x > 0 {
-		x = 0
-	}
-	var term float64
-	if x >= prob.OneMinusExpTaylorCutoff {
-		term = prob.OneMinusExpTaylor(x)
-	} else {
-		term = prob.OneMinusExp(x)
-	}
-	step := int64(0)
-	for step < run {
-		next := run + 1
-		for j := range nf {
-			if nf[j] < next {
-				next = nf[j]
-			}
-		}
-		quiet := next - 1 - step
-		if next > run {
-			quiet = run - step
-		}
-		for i := int64(0); i < quiet; i++ {
-			m, mc = prob.KahanStep(m, mc, term)
-		}
-		step += quiet
-		if next > run {
-			break
-		}
-		// Fire step: every staircase wrapping at this step, in slice
-		// order (the logR Kahan chain order is part of the contract).
-		// The post-wrap φ is T − w directly, and the interval to the
-		// next wrap is ⌊(T−w)/rem⌋+1 = q+1 when w ≤ T mod rem, else q —
-		// the Bresenham two-interval pattern — so no division fires.
-		for j := range nf {
-			if nf[j] != next {
-				continue
-			}
-			w := fw[j]
-			phi[j] = per[j] - w
-			up[j] = next
-			r[j]--
-			s, sc = prob.KahanStep(s, sc, -lt[j])
-			k := fq[j]
-			if w -= fr[j]; w <= 0 {
-				w += rem[j]
-				k++
-			}
-			fw[j] = w
-			nf[j] = next + k
-		}
-		x = s + l
-		if x > 0 {
-			x = 0
-		}
-		if x >= prob.OneMinusExpTaylorCutoff {
-			term = prob.OneMinusExpTaylor(x)
-		} else {
-			term = prob.OneMinusExp(x)
-		}
-		m, mc = prob.KahanStep(m, mc, term)
-		step = next
-	}
-	// Materialize the deferred φ decrements up to the end of the run (no
-	// staircase wraps past its recorded fire step, so no wrap is owed).
-	for j := range phi {
-		phi[j] -= (run - up[j]) * rem[j]
-	}
-	sl.s = prob.KahanFromParts(s, sc)
-	sl.sum = prob.KahanFromParts(m, mc)
-}
-
-// batchAdvance drives job i's scalar phases — head terms and tail setup
-// via the shared tailEnter — until a generic sweep is pending (parked in
-// sl; returns true) or the job completes (out[i] written; returns
-// false). Exactly replicates killingPFHLOFast's per-task sequence.
-func (c Config) batchAdvance(b *BatchLO, jobs []KillJob, out []float64, i int, sl *batchSlot) bool {
-	jb := &jobs[i]
-	js := &b.jobs[i]
-	t := c.Horizon()
-	lts := b.logTerms[js.ltOff : js.ltOff+len(jb.HI)]
-	for js.nextLO < len(jb.LO) {
-		lo := jb.LO[js.nextLO]
-		js.nextLO++
-		r := c.Rounds(lo, jb.NLO, t)
-		if r == 0 {
-			continue
-		}
-		log1mq := 0.0
-		if f := lo.FailProb; f > 0 {
-			log1mq = prob.Log1mPow(f, jb.NLO)
-		}
-		js.sum.Add(prob.OneMinusExp(js.logRt + log1mq))
-		if r > 1 {
-			np := b.nprimes[:len(jb.HI)]
-			for j := range np {
-				np[j] = jb.NPrime
-			}
-			ts := c.tailEnter(lo, c.effectiveRoundCost(lo.WCET, jb.NLO), r, log1mq, jb.HI, np, lts, &b.scr, &js.sum)
-			if ts.m < r {
-				// Park the sweep: copy the surviving staircases into the
-				// slot's SoA segment and move the accumulator in.
-				sl.sum, sl.s = js.sum, ts.s
-				sl.log1mq = log1mq
-				sl.left = r - ts.m
-				sl.seg = 0
-				sl.n = len(ts.stairs)
-				sl.job = i
-				for q := range ts.stairs {
-					st := &ts.stairs[q]
-					p := sl.off + q
-					b.r[p], b.phi[p], b.rem[p] = st.r, st.phi, st.rem
-					b.base[p], b.period[p] = st.base, st.period
-					b.logTerm[p] = st.logTerm
-				}
-				return true
-			}
-		}
-	}
-	out[i] = js.sum.Value() / float64(c.OperationHours)
-	return false
-}
-
-// batchReady brings a slot to a state where at least one death-free
-// lockstep step can run: it retires drained lanes (folding the
-// accumulator back and advancing the owning job, then pulling fresh jobs
-// from the cursor), emits stairless tails as constant runs, recomputes
-// the death-free segment bound, and takes single scalar-order careful
-// steps across staircase deaths. Returns false when the slot is out of
-// work for good.
-func (c Config) batchReady(b *BatchLO, jobs []KillJob, out []float64, sl *batchSlot, next *int) bool {
-	for {
-		if sl.left == 0 {
-			// Lane complete: the job resumes its scalar phases.
-			b.jobs[sl.job].sum = sl.sum
-			if c.batchAdvance(b, jobs, out, sl.job, sl) {
-				continue
-			}
-			refilled := false
-			for *next < len(jobs) {
-				i := *next
-				*next++
-				if c.batchAdvance(b, jobs, out, i, sl) {
-					refilled = true
-					break
-				}
-			}
-			if !refilled {
-				return false
-			}
-			continue
-		}
-		if sl.n == 0 {
-			// No staircase left: logR is constant over the rest of the
-			// tail (the scalar path's emitRun shortcut).
-			emitRun(&sl.sum, sl.left, &sl.s, sl.log1mq)
-			sl.left = 0
-			continue
-		}
-		// Death-free bound: a staircase at r survives k steps when each
-		// step drops at most base+1, so ⌊(r−1)/(base+1)⌋ steps are safe.
-		// Conservative (the true drop averages base + rem/period) but
-		// division-free per segment rather than per step.
-		seg := sl.left
-		for q := sl.off; q < sl.off+sl.n; q++ {
-			if k := (b.r[q] - 1) / (b.base[q] + 1); k < seg {
-				seg = k
-			}
-		}
-		if seg > 0 {
-			sl.seg = seg
-			return true
-		}
-		// A staircase may die this step: one careful step in exact
-		// scalar order (death check + swap-with-last removal).
-		c.batchCarefulStep(b, sl)
-		sl.left--
-	}
-}
-
-// batchCarefulStep advances one lane by one α step with full death
-// checks, replicating the scalar sweep body — including the
-// swap-with-last removal order, which the Kahan accumulation sequence
-// depends on.
-func (c Config) batchCarefulStep(b *BatchLO, sl *batchSlot) {
-	q := sl.off
-	end := sl.off + sl.n
-	for q < end {
-		phi := b.phi[q] - b.rem[q]
-		d := b.base[q]
-		if phi < 0 {
-			phi += b.period[q]
-			d++
-		}
-		b.phi[q] = phi
-		if b.r[q] <= d {
-			sl.s.Add(float64(-b.r[q]) * b.logTerm[q])
-			last := end - 1
-			b.r[q], b.phi[q], b.rem[q] = b.r[last], b.phi[last], b.rem[last]
-			b.base[q], b.period[q] = b.base[last], b.period[last]
-			b.logTerm[q] = b.logTerm[last]
-			end = last
-			continue
-		}
-		if d > 0 {
-			b.r[q] -= d
-			sl.s.Add(float64(-d) * b.logTerm[q])
-		}
-		q++
-	}
-	sl.n = end - sl.off
-	x := sl.s.Value() + sl.log1mq
-	if x > 0 {
-		x = 0
-	}
-	sl.sum.Add(prob.OneMinusExpFast(x))
 }

@@ -126,7 +126,7 @@ func (c Config) killingPFHLOFast(loTasks []task.Task, ns []int, uniform int, ada
 // than once per adaptation candidate. scr provides the staircase and
 // pattern buffers.
 func (c Config) mergeTail(lo task.Task, roundCost timeunit.Time, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) {
-	ts := c.tailEnter(lo, roundCost, r, log1mq, adapt.hi, adapt.nprime, adapt.logTerm, scr, sum)
+	ts := c.tailEnter(lo, roundCost, r, log1mq, adapt, scr, sum)
 	stairs, s, m := ts.stairs, ts.s, ts.m
 
 	// Division-free per-staircase sweep (the generic path, and the tail
@@ -182,13 +182,9 @@ type tailState struct {
 // staircase construction at the first tail point, the first emit, and
 // the patterned cycle collapse when applicable — feeding the emitted
 // eq. (5) terms into sum and returning the generic-sweep resume state.
-// The floating-point operation sequence is exactly the pre-sweep prefix
-// of the merged kernel, so the scalar path (mergeTail) and the batched
-// path (Config.KillingBatch) agree bit for bit. The adaptation model is
-// passed as its three parallel components (Adaptation fields, or the
-// batch jobs' arena-backed equivalents). The returned staircases alias
-// scr.stairs and are valid until the next call on the same scratch.
-func (c Config) tailEnter(lo task.Task, roundCost timeunit.Time, r int64, log1mq float64, hiTasks []task.Task, nprimes []int, logTerms []float64, scr *kernelScratch, sum *prob.KahanSum) tailState {
+// The returned staircases alias scr.stairs and are valid until the next
+// call on the same scratch.
+func (c Config) tailEnter(lo task.Task, roundCost timeunit.Time, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) tailState {
 	t := c.Horizon()
 	T := int64(lo.Period)
 	alpha := t - roundCost - lo.Period + lo.Deadline
@@ -198,6 +194,7 @@ func (c Config) tailEnter(lo task.Task, roundCost timeunit.Time, r int64, log1mq
 	// as α decreases.
 	stairs := scr.stairs[:0]
 	var s prob.KahanSum // running Σ_j r_j·logTerm_j = logR(α)
+	hiTasks, nprimes, logTerms := adapt.hi, adapt.nprime, adapt.logTerm
 	for j := range hiTasks {
 		if logTerms[j] == 0 {
 			continue

@@ -16,14 +16,8 @@ type safetyMetrics struct {
 	minAdaptProbes *obsv.Counter
 	evalRebinds    *obsv.Counter
 	evalReuses     *obsv.Counter
-	// Batched eq. (5) tier: call/job volume (their ratio is the batch
-	// amortization) and the per-call width distribution — a width
-	// histogram collapsing toward 1 means a batched engine degenerated
-	// to scalar dispatch. Sharded-cache effectiveness mirrors the
-	// per-CacheShards counters into the exported snapshot.
-	batchCalls     *obsv.Counter
-	batchJobs      *obsv.Counter
-	batchWidth     *obsv.Histogram
+	// Sharded-cache effectiveness mirrors the per-CacheShards counters
+	// into the exported snapshot.
 	shardHits      *obsv.Counter
 	shardMisses    *obsv.Counter
 	shardEvictions *obsv.Counter
@@ -36,9 +30,6 @@ var safetyView = obsv.NewView(func(r *obsv.Registry) *safetyMetrics {
 		minAdaptProbes: r.Counter("safety.minadapt.probes"),
 		evalRebinds:    r.Counter("safety.adapteval.rebinds"),
 		evalReuses:     r.Counter("safety.adapteval.reuses"),
-		batchCalls:     r.Counter("safety.batch.calls"),
-		batchJobs:      r.Counter("safety.batch.jobs"),
-		batchWidth:     r.Histogram("safety.batch.width"),
 		shardHits:      r.Counter("safety.shards.hits"),
 		shardMisses:    r.Counter("safety.shards.misses"),
 		shardEvictions: r.Counter("safety.shards.evictions"),
