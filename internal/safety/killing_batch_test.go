@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,28 +11,30 @@ import (
 	"repro/internal/timeunit"
 )
 
+// checkKillingBatch runs jobs through KillingBatch on b and requires
+// each answer to equal, bit for bit, the cached scalar probe the
+// campaign engine uses (AdaptationCache.PFHLOUniform).
+func checkKillingBatch(t *testing.T, name string, cfg Config, jobs []KillJob, b *BatchLO) {
+	t.Helper()
+	out := make([]float64, len(jobs))
+	cfg.KillingBatch(jobs, out, b)
+	for i, jb := range jobs {
+		want, err := NewAdaptationCache(cfg, jb.HI, jb.LO).PFHLOUniform(Kill, jb.NLO, jb.NPrime, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i] != want {
+			t.Errorf("%s job %d: batch %.17g != cached scalar %.17g", name, i, out[i], want)
+		}
+	}
+}
+
 // TestKillingBatchDifferential pins KillingBatch to the cached scalar
-// probe the campaign engine uses (AdaptationCache.PFHLOUniform) bit for
-// bit, on randomized shapes (both kernel regimes, degenerate corners)
-// and on Appendix C draws at the campaign's operating points, with one
-// BatchLO reused across batches of varying width.
+// probe on randomized shapes (both kernel regimes, degenerate corners),
+// with one BatchLO reused across batches of varying width.
 func TestKillingBatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	b := NewBatchLO()
-	check := func(name string, cfg Config, jobs []KillJob) {
-		t.Helper()
-		out := make([]float64, len(jobs))
-		cfg.KillingBatch(jobs, out, b)
-		for i, jb := range jobs {
-			want, err := NewAdaptationCache(cfg, jb.HI, jb.LO).PFHLOUniform(Kill, jb.NLO, jb.NPrime, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out[i] != want {
-				t.Errorf("%s job %d: batch %.17g != cached scalar %.17g", name, i, out[i], want)
-			}
-		}
-	}
 	for round := 0; round < 24; round++ {
 		cfg := Config{OperationHours: 1 + rng.Intn(3), AssumeFullWCET: rng.Intn(4) != 0}
 		jobs := make([]KillJob, 1+rng.Intn(24))
@@ -39,8 +42,14 @@ func TestKillingBatchDifferential(t *testing.T) {
 			_, hi, lo, _, _ := diffCase(rng)
 			jobs[i] = KillJob{HI: hi, LO: lo, NPrime: 1 + rng.Intn(5), NLO: 1 + rng.Intn(4)}
 		}
-		check("random", cfg, jobs)
+		checkKillingBatch(t, "random", cfg, jobs, b)
 	}
+}
+
+// TestKillingBatchDifferentialPaper pins KillingBatch to the cached
+// scalar probe on Appendix C draws at the campaign's operating points.
+func TestKillingBatchDifferentialPaper(t *testing.T) {
+	b := NewBatchLO()
 	for _, f := range []float64{1e-3, 1e-5} {
 		prng := rand.New(rand.NewSource(99))
 		var jobs []KillJob
@@ -51,7 +60,7 @@ func TestKillingBatchDifferential(t *testing.T) {
 			}
 			jobs = append(jobs, KillJob{HI: s.ByClass(criticality.HI), LO: s.ByClass(criticality.LO), NPrime: 2, NLO: 2})
 		}
-		check("paper", DefaultConfig(), jobs)
+		checkKillingBatch(t, fmt.Sprintf("f=%g", f), DefaultConfig(), jobs, b)
 	}
 }
 
