@@ -38,18 +38,18 @@ race:
 	$(GO) test -race ./...
 
 # race-pool is the focused race pass over the concurrency-bearing
-# pieces: the work-stealing pool (claim/steal CAS protocol, invariance
-# across worker counts), the sharded adaptation-cache pool and the serve
-# pipeline's admission (single-flight joins, shedding, overload). A
-# repeat count varies goroutine interleavings beyond what one -race run
-# sees.
+# pieces: the worker pool (shared atomic claim cursor, invariance
+# across worker counts, skewed load), the sharded adaptation-cache pool
+# and the serve pipeline's admission (single-flight joins, shedding,
+# overload). A repeat count varies goroutine interleavings beyond what
+# one -race run sees.
 race-pool:
 	$(GO) test -race -count 2 \
 		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
 		./internal/expt/ ./internal/safety/ ./internal/serve/
 
 benchcheck:
-	$(GO) test -run '^$$' -bench='SafetyKillingPFH|DistCampaign|PoolStealSkewed|PoolFixedSkewed' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench='SafetyKillingPFH|DistCampaign|PoolSkewed' -benchtime=1x ./...
 
 # bench first runs the pooled-engine micro-benchmarks with allocation
 # counts (Fig. 3 point, FT-S with/without scratch, one simulator
@@ -83,7 +83,7 @@ bench-smoke:
 # does: build ftmc-report and ftmc-worker as real binaries, then (a)
 # shard a small Fig. 3 campaign across two worker subprocesses over
 # the stdin/stdout lease protocol, (b) run the same campaign over real
-# TCP sockets with ftmc-worker -connect on the binary frame protocol,
+# TCP sockets with ftmc-worker -connect on the same wire v2 frames,
 # and (c) crash the coordinator mid-journal (-dist-crash-after) and
 # restart it from its checkpoint — each byte-diffed against the
 # single-process run. The scenarios live in TestCLIDistCampaign,

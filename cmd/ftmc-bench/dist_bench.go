@@ -35,23 +35,22 @@ type DistributedCampaignSection struct {
 	// scale-out factor over the 1-worker distributed baseline.
 	Speedup2 float64 `json:"speedup_2"`
 	Speedup4 float64 `json:"speedup_4"`
-	// Wire compares the binary frame codec's traffic against the legacy
-	// JSON protocol on the same figure.
+	// Wire is the frame codec's traffic per lease on the same figure.
 	Wire *DistWireSection `json:"wire,omitempty"`
 }
 
-// DistWireSection is the wire-level cost comparison: marginal bytes
-// per lease under each protocol, measured by differencing the total
-// coordinator traffic of a 1-set-per-lease run against a
-// whole-point-per-lease run — the handshake (per run) and the verdict
-// payload (per set) cancel, leaving exactly the per-lease framing the
-// codec controls.
+// DistWireSection is the wire-level cost of a lease: marginal bytes
+// per lease, measured by differencing the total coordinator traffic of
+// a 1-set-per-lease run against a whole-point-per-lease run — the
+// handshake (per run) and the verdict payload (per set) cancel,
+// leaving exactly the per-lease framing the codec controls.
 type DistWireSection struct {
-	JSONBytesPerLease   float64 `json:"json_bytes_per_lease"`
 	BinaryBytesPerLease float64 `json:"binary_bytes_per_lease"`
-	// Ratio is json/binary — how many times cheaper a binary lease is.
-	Ratio float64 `json:"ratio"`
 }
+
+// maxWireBytesPerLease is the wire gate: a lease round-trip (lease
+// frame plus result frame) may cost at most this many bytes.
+const maxWireBytesPerLease = 16
 
 // distCampaignBench shards the campaignBenchConfig figure across procs
 // in-process protocol workers (net.Pipe transports, the full wire
@@ -89,17 +88,15 @@ func distCampaignSection(single, d1, d2, d4 BenchResult) *DistributedCampaignSec
 	}
 }
 
-// distWireMarginal measures one protocol's marginal bytes per lease on
-// the benchmark figure: total coordinator traffic at 1 set per lease
-// minus traffic at one whole point per lease, over the lease-count
+// distWireMarginal measures the marginal bytes per lease on the
+// benchmark figure: total coordinator traffic at 1 set per lease minus
+// traffic at one whole point per lease, over the lease-count
 // difference. Byte counts are exact (every run is deterministic), so
 // this needs one run per lease size, not a benchmark loop.
-func distWireMarginal(proto expt.WireProto) (float64, error) {
+func distWireMarginal() (float64, error) {
 	ccfg := campaignBenchConfig()
 	run := func(leaseSets int) (float64, int, error) {
-		_, rep, err := expt.DistCampaign(ccfg, expt.PipeWorkers(1), expt.DistOptions{
-			LeaseSets: leaseSets, Proto: proto,
-		})
+		_, rep, err := expt.DistCampaign(ccfg, expt.PipeWorkers(1), expt.DistOptions{LeaseSets: leaseSets})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -119,26 +116,14 @@ func distWireMarginal(proto expt.WireProto) (float64, error) {
 	return (bFine - bCoarse) / float64(lFine-lCoarse), nil
 }
 
-// distWireSection compares the two protocols' marginal lease cost;
-// nil if either measurement fails (the gate then has nothing to check,
-// and the campaign benchmarks' own errors surface the cause).
+// distWireSection measures the marginal lease cost; nil if the
+// measurement fails (the gate then has nothing to check, and the
+// campaign benchmarks' own errors surface the cause).
 func distWireSection() *DistWireSection {
-	binPer, err := distWireMarginal(expt.WireBinary)
+	binPer, err := distWireMarginal()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftmc-bench: wire section (binary): %v\n", err)
+		fmt.Fprintf(os.Stderr, "ftmc-bench: wire section: %v\n", err)
 		return nil
 	}
-	jsonPer, err := distWireMarginal(expt.WireJSON)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftmc-bench: wire section (json): %v\n", err)
-		return nil
-	}
-	if binPer <= 0 {
-		return nil
-	}
-	return &DistWireSection{
-		JSONBytesPerLease:   jsonPer,
-		BinaryBytesPerLease: binPer,
-		Ratio:               jsonPer / binPer,
-	}
+	return &DistWireSection{BinaryBytesPerLease: binPer}
 }

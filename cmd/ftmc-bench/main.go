@@ -116,9 +116,6 @@ type Report struct {
 	// CacheHitRate is the process-wide adaptation-cache hit rate over the
 	// whole run.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// StealPool compares the work-stealing pool against the retired
-	// fixed atomic-cursor scheduler on a skewed synthetic workload.
-	StealPool *StealPoolSection `json:"steal_pool,omitempty"`
 	// ShardedCache reports the sharded adaptation-cache pool under
 	// 8-way concurrent access.
 	ShardedCache *ShardedCacheSection `json:"sharded_cache,omitempty"`
@@ -136,16 +133,6 @@ type Report struct {
 	// Metrics is the internal/obsv instrument snapshot of the run;
 	// present only with -metrics.
 	Metrics *obsv.Snapshot `json:"metrics,omitempty"`
-}
-
-// StealPoolSection compares the stealing scheduler against the fixed
-// atomic-cursor baseline (ForEachWorkerFixed) on a workload whose
-// per-index cost is skewed the way the campaign's cheap-test-first
-// ordering skews set evaluation.
-type StealPoolSection struct {
-	FixedNsPerOp float64 `json:"fixed_ns_per_op"`
-	StealNsPerOp float64 `json:"steal_ns_per_op"`
-	Speedup      float64 `json:"speedup"`
 }
 
 // ShardedCacheSection reports the CacheShards pool hammered by 8-way
@@ -204,21 +191,12 @@ func regressions(old, cur Report) []string {
 				b.Name, o.AllocsPerOp, b.AllocsPerOp, 100*(float64(b.AllocsPerOp)/float64(o.AllocsPerOp)-1)))
 		}
 	}
-	// Steal-pool parity gate: the stealing scheduler must stay within
-	// tolerance of the fixed cursor on the skewed workload. On hosts
-	// without real parallelism the steal machinery cannot win, but it
-	// must never collapse (the empty-steal spin once cost 100x here).
-	if sp := cur.StealPool; sp != nil && sp.FixedNsPerOp > 0 &&
-		sp.StealNsPerOp > sp.FixedNsPerOp*(1+regressionTolerance) {
-		msgs = append(msgs, fmt.Sprintf("steal_pool: steal %.0f ns/op vs fixed %.0f (%.2fx, tolerance %.2fx)",
-			sp.StealNsPerOp, sp.FixedNsPerOp, sp.StealNsPerOp/sp.FixedNsPerOp, 1+regressionTolerance))
-	}
 	if dc := cur.DistributedCampaign; dc != nil {
-		// Wire-byte gate (absolute, host-independent): a binary lease
-		// must stay ≥ 5x cheaper than a JSON lease in marginal bytes.
-		if w := dc.Wire; w != nil && w.Ratio < 5 {
-			msgs = append(msgs, fmt.Sprintf("distributed_campaign.wire: binary lease only %.1fx cheaper than json (%.0f vs %.0f B/lease, want >= 5x)",
-				w.Ratio, w.BinaryBytesPerLease, w.JSONBytesPerLease))
+		// Wire-byte gate (absolute, host-independent): a lease
+		// round-trip must stay within maxWireBytesPerLease.
+		if w := dc.Wire; w != nil && w.BinaryBytesPerLease > maxWireBytesPerLease {
+			msgs = append(msgs, fmt.Sprintf("distributed_campaign.wire: %.1f B per lease round-trip, want <= %d",
+				w.BinaryBytesPerLease, maxWireBytesPerLease))
 		}
 		// Scale-out gate (relative, host-aware): 4-worker throughput
 		// over the 1-worker distributed baseline must not regress
@@ -312,7 +290,7 @@ func main() {
 	var fastNs, naiveNs float64
 	var fig3Pooled, fig3Ref BenchResult
 	var campaign, perCurve BenchResult
-	var poolSteal, poolFixed, shardGet BenchResult
+	var shardGet BenchResult
 	var dist1, dist2, dist4 BenchResult
 	for _, bench := range benches() {
 		r := testing.Benchmark(bench.fn)
@@ -337,10 +315,6 @@ func main() {
 			campaign = br
 		case "Fig3CampaignPerCurve":
 			perCurve = br
-		case "PoolStealSkewed":
-			poolSteal = br
-		case "PoolFixedSkewed":
-			poolFixed = br
 		case "ShardedCacheConcurrent8":
 			shardGet = br
 		case "DistCampaign1Worker":
@@ -367,13 +341,6 @@ func main() {
 	}
 	if campaign.NsPerOp > 0 {
 		rep.CampaignSpeedup = perCurve.NsPerOp / campaign.NsPerOp
-	}
-	if poolSteal.NsPerOp > 0 {
-		rep.StealPool = &StealPoolSection{
-			FixedNsPerOp: poolFixed.NsPerOp,
-			StealNsPerOp: poolSteal.NsPerOp,
-			Speedup:      poolFixed.NsPerOp / poolSteal.NsPerOp,
-		}
 	}
 	if shardGet.NsPerOp > 0 {
 		rep.ShardedCache = &ShardedCacheSection{
@@ -438,9 +405,6 @@ func main() {
 			rep.Fig3PoolSpeedup, rep.Fig3AllocsPerSetRef, rep.Fig3AllocsPerSetPooled, rep.Fig3AllocReduction)
 		fmt.Printf("ftmc-bench: campaign engine %.1fx wall-clock on the full figure (per-curve %.0fms vs campaign %.1fms)\n",
 			rep.CampaignSpeedup, perCurve.NsPerOp/1e6, campaign.NsPerOp/1e6)
-		if rep.StealPool != nil {
-			fmt.Printf("ftmc-bench: stealing pool %.2fx vs fixed cursor on the skewed workload\n", rep.StealPool.Speedup)
-		}
 		if rep.ShardedCache != nil {
 			fmt.Printf("ftmc-bench: sharded cache %.0fns/get at %d contexts, memo hit rate %.0f%%\n",
 				rep.ShardedCache.NsPerGet, rep.ShardedCache.Contexts, 100*rep.ShardedCache.MemoHitRate)
@@ -449,8 +413,7 @@ func main() {
 			fmt.Printf("ftmc-bench: distributed campaign %.0f sets/s at 1 worker (%.2fx protocol overhead), %.2fx at 2, %.2fx at 4\n",
 				dc.Dist1SetsPerSec, dc.ProtocolOverhead, dc.Speedup2, dc.Speedup4)
 			if w := dc.Wire; w != nil {
-				fmt.Printf("ftmc-bench: wire marginal bytes/lease: binary %.0f vs json %.0f (%.1fx)\n",
-					w.BinaryBytesPerLease, w.JSONBytesPerLease, w.Ratio)
+				fmt.Printf("ftmc-bench: wire marginal bytes/lease: %.1f\n", w.BinaryBytesPerLease)
 			}
 		}
 		if st := rep.ServeThroughput; st != nil {
@@ -515,12 +478,7 @@ func benches() []namedBench {
 				}
 			}
 		}},
-		{"PoolStealSkewed", func(b *testing.B) {
-			poolBench(b, expt.ForEachWorker)
-		}},
-		{"PoolFixedSkewed", func(b *testing.B) {
-			poolBench(b, expt.ForEachWorkerFixed)
-		}},
+		{"PoolSkewed", poolBench},
 		{"ShardedCacheConcurrent8", benchShardedCache},
 		{"DistCampaign1Worker", distCampaignBench(1)},
 		{"DistCampaign2Workers", distCampaignBench(2)},
@@ -662,21 +620,20 @@ func singleWorker(fn func(*testing.B)) func(*testing.B) {
 	}
 }
 
-// poolBench drives one scheduler implementation over a skewed synthetic
-// workload: every eighth index costs ~16x, the shape the campaign's
-// cheap-test-first ordering produces, so scheduler quality shows as
-// wall clock and scheduler overhead shows on the cheap indices.
-func poolBench(b *testing.B, run func(n, chunk int, fn func(worker, i int) error) error) {
-	// Width pinned above the runner's CPU count so the steal machinery
-	// engages (victim scans, CAS claims, backoff) even on a single-CPU
-	// host; with the host default both schedulers collapse to their
-	// serial paths and the comparison measures nothing.
+// poolBench drives the worker pool over a skewed synthetic workload:
+// every eighth index costs ~16x, the shape the campaign's
+// cheap-test-first ordering produces, so load balance shows as wall
+// clock and claim overhead shows on the cheap indices.
+func poolBench(b *testing.B) {
+	// Width pinned above the runner's CPU count so claims contend even
+	// on a single-CPU host; with the host default a 1-CPU pool runs
+	// serially and measures no claim traffic at all.
 	b.Setenv("FTMC_WORKERS", "4")
 	const n = 256
 	sink := make([]uint64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(n, 2, func(_, i int) error {
+		if err := expt.ForEachWorker(n, 2, func(_, i int) error {
 			iters := 400
 			if i%8 == 0 {
 				iters = 6400

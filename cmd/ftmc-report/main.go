@@ -7,10 +7,7 @@
 //
 //	ftmc-report [-sets 200] [-instances 100] [-seed 1]
 //	            [-distributed 0] [-worker-bin ftmc-worker] [-dist-listen addr]
-//	            [-lease-sets 64] [-lease-timeout 0] [-dist-proto binary]
-//	            [-dist-window 2] [-dist-target-latency 0]
-//	            [-dist-min-lease 0] [-dist-max-lease 0]
-//	            [-dist-checkpoint file]
+//	            [-lease-sets 64] [-lease-timeout 0] [-dist-checkpoint file]
 //
 // With the defaults the full run takes on the order of a minute.
 //
@@ -22,14 +19,12 @@
 // only the report; lease accounting and any worker build-mismatch
 // warnings go to stderr.
 //
-// -dist-proto selects the wire encoding (binary frames by default;
-// json is the legacy protocol for old workers), -dist-window the
-// in-flight leases per worker, -dist-target-latency a lease latency
-// the coordinator sizes grants toward (bounded by -dist-min-lease /
-// -dist-max-lease), and -dist-checkpoint a journal of completed
-// leases: re-running with the same journal resumes the campaign
-// instead of restarting it, with identical final bytes. All of these
-// are scheduling knobs — none of them changes the report.
+// -lease-sets sets the sets per lease, -lease-timeout the deadline
+// after which a silent worker's leases are reassigned, and
+// -dist-checkpoint a journal of completed leases: re-running with the
+// same journal resumes the campaign instead of restarting it, with
+// identical final bytes. All of these are scheduling knobs — none of
+// them changes the report.
 package main
 
 import (
@@ -49,18 +44,13 @@ import (
 
 // distFlags is the scale-out configuration of the Fig. 3 campaign.
 type distFlags struct {
-	procs         int
-	workerBin     string
-	listen        string
-	leaseSets     int
-	leaseTimeout  time.Duration
-	proto         string
-	window        int
-	targetLatency time.Duration
-	minLease      int
-	maxLease      int
-	checkpoint    string
-	crashAfter    int
+	procs        int
+	workerBin    string
+	listen       string
+	leaseSets    int
+	leaseTimeout time.Duration
+	checkpoint   string
+	crashAfter   int
 }
 
 func main() {
@@ -73,11 +63,6 @@ func main() {
 	flag.StringVar(&dist.listen, "dist-listen", "", "accept TCP workers on this address instead of spawning")
 	flag.IntVar(&dist.leaseSets, "lease-sets", 64, "task sets per lease")
 	flag.DurationVar(&dist.leaseTimeout, "lease-timeout", 0, "per-lease deadline before reassignment (0 = none)")
-	flag.StringVar(&dist.proto, "dist-proto", "binary", "wire protocol: binary (frames) or json (legacy workers)")
-	flag.IntVar(&dist.window, "dist-window", 0, "in-flight leases per worker (0 = protocol default)")
-	flag.DurationVar(&dist.targetLatency, "dist-target-latency", 0, "adapt lease sizes toward this latency (0 = fixed -lease-sets)")
-	flag.IntVar(&dist.minLease, "dist-min-lease", 0, "smallest adaptive lease in sets (0 = default)")
-	flag.IntVar(&dist.maxLease, "dist-max-lease", 0, "largest adaptive lease in sets (0 = default)")
 	flag.StringVar(&dist.checkpoint, "dist-checkpoint", "", "journal completed leases here and resume from it on restart")
 	flag.IntVar(&dist.crashAfter, "dist-crash-after", 0, "fault injection: exit(3) after this many journal appends (0 = off)")
 	flag.Parse()
@@ -99,15 +84,6 @@ func (d *distFlags) run(cfg expt.CampaignConfig) (expt.CampaignResult, error) {
 	if d.procs <= 0 {
 		return expt.Campaign(cfg)
 	}
-	var proto expt.WireProto
-	switch d.proto {
-	case "binary", "":
-		proto = expt.WireBinary
-	case "json":
-		proto = expt.WireJSON
-	default:
-		return expt.CampaignResult{}, fmt.Errorf("unknown -dist-proto %q (want binary or json)", d.proto)
-	}
 	var conns []io.ReadWriteCloser
 	var err error
 	switch {
@@ -128,21 +104,16 @@ func (d *distFlags) run(cfg expt.CampaignConfig) (expt.CampaignResult, error) {
 		return expt.CampaignResult{}, err
 	}
 	res, rep, err := expt.DistCampaign(cfg, conns, expt.DistOptions{
-		LeaseSets:          d.leaseSets,
-		LeaseTimeout:       d.leaseTimeout,
-		Proto:              proto,
-		Window:             d.window,
-		TargetLeaseLatency: d.targetLatency,
-		MinLeaseSets:       d.minLease,
-		MaxLeaseSets:       d.maxLease,
-		Checkpoint:         d.checkpoint,
-		CrashAfterLeases:   d.crashAfter,
+		LeaseSets:        d.leaseSets,
+		LeaseTimeout:     d.leaseTimeout,
+		Checkpoint:       d.checkpoint,
+		CrashAfterLeases: d.crashAfter,
 	})
 	if err != nil {
 		return expt.CampaignResult{}, err
 	}
-	fmt.Fprintf(os.Stderr, "ftmc-report: distributed campaign: %d workers (%d lost), %d leases (%d reassigned), %d sets replayed, proto %s, %d B out / %d B in, manifest digest %s\n",
-		rep.Workers, rep.WorkerFailures, rep.Leases, rep.Reassigned, rep.ReplayedSets, rep.Proto, rep.BytesOut, rep.BytesIn, rep.Manifest.Digest)
+	fmt.Fprintf(os.Stderr, "ftmc-report: distributed campaign: %d workers (%d lost), %d leases (%d reassigned), %d sets replayed, %d B out / %d B in, manifest digest %s\n",
+		rep.Workers, rep.WorkerFailures, rep.Leases, rep.Reassigned, rep.ReplayedSets, rep.BytesOut, rep.BytesIn, rep.Manifest.Digest)
 	for _, m := range rep.Manifest.Mismatches {
 		fmt.Fprintf(os.Stderr, "ftmc-report: warning: worker build mismatch: %s\n", m)
 	}

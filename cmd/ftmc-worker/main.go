@@ -2,14 +2,12 @@
 // runner: it speaks the lease protocol of internal/expt and evaluates
 // each leased set range through the same pooled campaign engine the
 // single-process expt.Campaign uses, so its verdicts are bit-identical
-// to a local run. The protocol is auto-detected from the stream's
-// first byte — binary frames (the default coordinator encoding: 0xF7
-// preamble, length-prefixed frames, varint-delta verdict bitmaps) or
-// the legacy line-delimited JSON — so one worker binary serves
-// coordinators of either era with no flag. A coordinator (ftmc-report
-// -distributed, or any expt.DistCampaign caller) owns the grid
-// partitioning and the merge; the worker is stateless across leases
-// beyond its per-pool-worker arenas.
+// to a local run. The protocol is wire v2: a 0xF7 preamble,
+// length-prefixed frames and varint-delta verdict bitmaps; a
+// coordinator speaking any other version is rejected at the handshake.
+// A coordinator (ftmc-report -distributed, or any expt.DistCampaign
+// caller) owns the grid partitioning and the merge; the worker is
+// stateless across leases beyond its per-pool-worker arenas.
 //
 // Usage:
 //

@@ -142,7 +142,7 @@ func PaperCampaign(setsPerPoint int, seed int64) CampaignConfig {
 // line-8 schedulability search keyed by (n_HI, n_LO, test).
 //
 // Parallelism is at chunk granularity through ForEachWorkerChunked (the
-// stealing pool): a worker claims a contiguous run of sets and
+// shared pool): a worker claims a contiguous run of sets and
 // evaluates them set by set. Verdicts are filled by (set, config) index
 // and reduced serially, so results are deterministic in Seed and
 // byte-identical across every FTMC_WORKERS value. Per-(panel, f)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
@@ -26,71 +25,23 @@ import (
 // verdict vector at the set's absolute index, and the final reduction
 // counts exact integer acceptances per configuration. No step depends
 // on which worker evaluated a set, how the grid was cut into leases,
-// when results arrived, how many times a lease was reassigned, how
-// many leases were in flight, how the adaptive sizer resized grants,
-// or which protocol carried the bytes — so the merged CampaignResult
-// (and hence any serialization of it) equals the single-process run
-// bit for bit. Checkpoint replay preserves the same argument: a
-// journaled lease holds the exact verdict words the worker computed,
-// merged at the same absolute indexes.
+// when results arrived, how many times a lease was reassigned or how
+// many leases were in flight — so the merged CampaignResult (and hence
+// any serialization of it) equals the single-process run bit for bit.
+// Checkpoint replay preserves the same argument: a journaled lease
+// holds the exact verdict words the worker computed, merged at the
+// same absolute indexes.
 //
-// Two wire protocols carry the lease traffic. The default is the
-// length-prefixed binary frame protocol of wire.go, driven with a
-// pipelined window of in-flight leases per worker (pipeline.go). The
-// legacy protocol — one JSON object per line, strict request-response
-// — is kept as the differential reference (WireJSON), exactly like
-// Fig3Ref and KillingPFHLONaive shadow their fast paths; the workers
-// auto-detect which one a coordinator speaks.
-
-// distMsg is the single wire message shape of the legacy JSON lease
-// protocol; T selects which fields are meaningful.
-type distMsg struct {
-	// T is "hello", "ready", "lease", "result", "error" or "done".
-	T string `json:"t"`
-	// Config rides on hello.
-	Config *CampaignConfig `json:"config,omitempty"`
-	// Manifest rides on ready.
-	Manifest *obsv.Manifest `json:"manifest,omitempty"`
-	// Lease identifies the lease on lease/result/error; UI, Lo, Hi are
-	// its half-open set range [Lo, Hi) at utilization index UI. Not
-	// omitempty: zero is a valid lease id, index and bound.
-	Lease int `json:"lease"`
-	UI    int `json:"ui"`
-	Lo    int `json:"lo"`
-	Hi    int `json:"hi"`
-	// V rides on result: one packed word per set in [Lo, Hi), bit 2c
-	// the baseline verdict and bit 2c+1 the adapted verdict of
-	// configuration c (panel-major, as in campaignRunner.evalRange).
-	V []uint64 `json:"v,omitempty"`
-	// Err rides on error.
-	Err string `json:"err,omitempty"`
-}
+// The lease traffic is the length-prefixed binary frame protocol of
+// wire.go, driven with a window of two in-flight leases per worker
+// (pipeline.go).
 
 // maxDistConfigs bounds the panel × failure-probability cross-product a
 // result word can carry: 2 bits per configuration in a uint64, with the
 // top two bits left unused so the packed value stays in int64 range for
-// any JSON consumer. The paper's figure needs 8.
+// any JSON consumer of the checkpoint journal. The paper's figure
+// needs 8.
 const maxDistConfigs = 31
-
-// WireProto selects the lease protocol's encoding.
-type WireProto int
-
-const (
-	// WireBinary is the default: length-prefixed frames, varint-delta
-	// verdict bitmaps, pipelined grants (see wire.go / pipeline.go).
-	WireBinary WireProto = iota
-	// WireJSON is the legacy line-delimited JSON protocol with strict
-	// request-response, kept as the differential reference and as the
-	// negotiate-down path for workers that predate frames.
-	WireJSON
-)
-
-func (p WireProto) String() string {
-	if p == WireJSON {
-		return "json"
-	}
-	return "binary"
-}
 
 // DistOptions tunes the lease protocol.
 type DistOptions struct {
@@ -105,27 +56,6 @@ type DistOptions struct {
 	// no result for this long is abandoned — its connection closed so
 	// a late result can never merge — and its leases are reassigned.
 	LeaseTimeout time.Duration
-	// Window is the number of leases the coordinator keeps in flight
-	// per worker on the binary protocol (default 2, double-buffered:
-	// the worker always has the next lease queued while evaluating the
-	// current one, so it never idles on a round-trip). WireJSON is
-	// strict request-response and ignores Window.
-	Window int
-	// Proto selects the wire protocol; the zero value is WireBinary.
-	Proto WireProto
-	// TargetLeaseLatency, when positive, enables adaptive lease sizing:
-	// the coordinator tracks each worker's observed per-set service
-	// time and resizes that worker's next grant toward this duration,
-	// clamped to [MinLeaseSets, MaxLeaseSets]. Slow or distant (WAN)
-	// workers then hold small leases that reassign cheaply, while fast
-	// local workers amortize the round-trip over large ones. Sizing is
-	// a pure scheduling knob: the merged bytes are identical under any
-	// trajectory.
-	TargetLeaseLatency time.Duration
-	// MinLeaseSets / MaxLeaseSets clamp adaptive sizing (defaults:
-	// max(1, LeaseSets/4) and 8×LeaseSets).
-	MinLeaseSets int
-	MaxLeaseSets int
 	// Checkpoint, when non-empty, is the path of the campaign's
 	// checkpoint journal: the coordinator appends one record per
 	// completed lease (schema ftmc/dist-ckpt/v1, see distckpt.go) and
@@ -144,24 +74,6 @@ func (o DistOptions) withDefaults() DistOptions {
 	if o.LeaseSets <= 0 {
 		o.LeaseSets = 64
 	}
-	if o.Window <= 0 {
-		o.Window = 2
-	}
-	if o.Proto == WireJSON {
-		o.Window = 1 // strict request-response
-	}
-	if o.MinLeaseSets <= 0 {
-		o.MinLeaseSets = o.LeaseSets / 4
-		if o.MinLeaseSets < 1 {
-			o.MinLeaseSets = 1
-		}
-	}
-	if o.MaxLeaseSets <= 0 {
-		o.MaxLeaseSets = 8 * o.LeaseSets
-	}
-	if o.MaxLeaseSets < o.MinLeaseSets {
-		o.MaxLeaseSets = o.MinLeaseSets
-	}
 	return o
 }
 
@@ -176,8 +88,6 @@ type DistReport struct {
 	// Reassigned counts requeues after a worker loss.
 	Leases     int `json:"leases"`
 	Reassigned int `json:"reassigned"`
-	// Proto names the wire protocol the run used.
-	Proto string `json:"proto"`
 	// BytesOut / BytesIn / FramesOut / FramesIn count the coordinator's
 	// lease-protocol traffic across all workers (handshake included).
 	// BytesIn/Leases is the wire cost of one result — the number the
@@ -213,9 +123,8 @@ type spanWork struct {
 // intervals, a queue of abandoned leases awaiting regrant, the count
 // of leases currently held by workers, and the count of workers still
 // alive. Fresh leases are carved on demand at the size the driver
-// requests — that is what lets adaptive sizing resize grants without
-// precommitting a partition — while abandoned leases are regranted
-// verbatim (their exact range is what the failed worker owed).
+// requests, while abandoned leases are regranted verbatim (their exact
+// range is what the failed worker owed).
 type leaseTable struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -426,8 +335,7 @@ func (d *distDriver) addTraffic(out, in uint64, fout, fin uint64) {
 // cmd/ftmc-worker subprocess (StartWorkerProcs) or a TCP connection
 // (AcceptWorkers) — and merges the partial results. The returned
 // CampaignResult is byte-identical to Campaign(cfg) for any number of
-// connections, any lease sizing (fixed or adaptive), any pipelining
-// window, either wire protocol, any worker loss short of all of them,
+// connections, any lease size, any worker loss short of all of them,
 // any FTMC_WORKERS setting inside the workers, and any
 // checkpoint/restart cut (see the file comment for why). Connections
 // are closed before returning.
@@ -486,11 +394,7 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		wg.Add(1)
 		go func(conn io.ReadWriteCloser) {
 			defer wg.Done()
-			if opt.Proto == WireJSON {
-				d.runWorkerJSON(conn)
-			} else {
-				d.runWorkerWire(conn)
-			}
+			d.runWorkerWire(conn)
 		}(conn)
 	}
 	wg.Wait()
@@ -500,7 +404,6 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		WorkerFailures: d.failures,
 		Leases:         d.table.grants,
 		Reassigned:     d.table.requeue,
-		Proto:          opt.Proto.String(),
 		BytesOut:       d.bytesOut,
 		BytesIn:        d.bytesIn,
 		FramesOut:      d.framesOut,
@@ -522,155 +425,4 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		reduceCampaignPoint(&res, ui, d.verdicts[ui*stride:(ui+1)*stride])
 	}
 	return res, rep, nil
-}
-
-// countingConn wraps a legacy-protocol connection with the byte
-// accounting the frame codec provides natively. The counters are
-// atomic: the decoder goroutine may still be inside a Read when the
-// driver's deferred accounting reads them.
-type countingConn struct {
-	io.ReadWriteCloser
-	in, out atomic.Uint64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.ReadWriteCloser.Read(p)
-	c.in.Add(uint64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.ReadWriteCloser.Write(p)
-	c.out.Add(uint64(n))
-	return n, err
-}
-
-// runWorkerJSON drives one connection over the legacy JSON protocol:
-// handshake, then strict request-response lease grants until the table
-// drains or the worker is lost. On any failure the connection is
-// closed BEFORE the lease is requeued, so a result that arrives after
-// abandonment has nowhere to land — duplicate merges are impossible by
-// construction. Kept verbatim in spirit as the differential reference
-// for the pipelined binary driver.
-func (d *distDriver) runWorkerJSON(rwc io.ReadWriteCloser) {
-	defer d.table.driverExit()
-	conn := &countingConn{ReadWriteCloser: rwc}
-	defer func() {
-		// JSON "frames" are Encode calls / decoded objects; messages in
-		// equals messages out on this strict protocol, one per Encode.
-		d.addTraffic(conn.out.Load(), conn.in.Load(), 0, 0)
-	}()
-	defer conn.Close()
-
-	enc := json.NewEncoder(conn)
-	msgs := make(chan distMsg)
-	ack := make(chan struct{})
-	rerr := make(chan error, 1)
-	quit := make(chan struct{})
-	defer close(quit)
-	go func() {
-		dec := json.NewDecoder(conn)
-		var m distMsg
-		for {
-			// Reuse the verdict slice across leases: the strict
-			// request-response protocol guarantees at most one undecoded
-			// message per round-trip, and the ack below keeps the decoder
-			// from overwriting V while the driver is still merging it.
-			m = distMsg{V: m.V[:0]}
-			if err := dec.Decode(&m); err != nil {
-				rerr <- err
-				return
-			}
-			select {
-			case msgs <- m:
-			case <-quit:
-				return
-			}
-			select {
-			case <-ack:
-			case <-quit:
-				return
-			}
-		}
-	}()
-	recv := func() (distMsg, error) {
-		var deadline <-chan time.Time
-		if d.opt.LeaseTimeout > 0 {
-			t := time.NewTimer(d.opt.LeaseTimeout)
-			defer t.Stop()
-			deadline = t.C
-		}
-		select {
-		case m := <-msgs:
-			return m, nil
-		case err := <-rerr:
-			return distMsg{}, err
-		case <-deadline:
-			return distMsg{}, fmt.Errorf("expt: lease deadline (%v) exceeded", d.opt.LeaseTimeout)
-		}
-	}
-	release := func() {
-		select {
-		case ack <- struct{}{}:
-		case <-quit:
-		}
-	}
-
-	if err := enc.Encode(distMsg{T: "hello", Config: d.cfg}); err != nil {
-		d.fail()
-		return
-	}
-	ready, err := recv()
-	if err != nil || ready.T != "ready" || ready.Manifest == nil {
-		d.fail()
-		return
-	}
-	d.addManifest(*ready.Manifest)
-	release()
-
-	for {
-		l, ok, _, err := d.table.next(d.opt.LeaseSets, true)
-		if err != nil || !ok {
-			enc.Encode(distMsg{T: "done"}) // best effort; the worker may be gone
-			return
-		}
-		if err := d.serveLease(enc, recv, release, l); err != nil {
-			conn.Close() // close first: a late result must never merge
-			d.table.abandon(l)
-			d.fail()
-			return
-		}
-		d.table.complete()
-	}
-}
-
-// serveLease grants one lease and merges its result into the verdict
-// vector at the sets' absolute indexes.
-func (d *distDriver) serveLease(enc *json.Encoder, recv func() (distMsg, error), release func(), l lease) error {
-	sp := exptView.Get().distLeaseNs.Start()
-	exptView.Get().distLeaseSets.Observe(int64(l.hi - l.lo))
-	if err := enc.Encode(distMsg{T: "lease", Lease: l.id, UI: l.ui, Lo: l.lo, Hi: l.hi}); err != nil {
-		return err
-	}
-	m, err := recv()
-	if err != nil {
-		return err
-	}
-	defer release()
-	if m.T == "error" {
-		return fmt.Errorf("expt: worker failed lease %d: %s", l.id, m.Err)
-	}
-	if m.T != "result" || m.Lease != l.id {
-		return fmt.Errorf("expt: protocol violation: got %q (lease %d) awaiting result of lease %d", m.T, m.Lease, l.id)
-	}
-	if len(m.V) != l.hi-l.lo {
-		return fmt.Errorf("expt: lease %d: got %d result words, want %d", l.id, len(m.V), l.hi-l.lo)
-	}
-	d.mergeLease(l, m.V)
-	if err := d.journal.append(l, m.V); err != nil {
-		d.table.poison(err) // coordinator-side loss, not this worker's fault
-		return err
-	}
-	sp.End()
-	return nil
 }

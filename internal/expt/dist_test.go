@@ -62,10 +62,9 @@ func TestDistributedCampaignMatchesSingleProcess(t *testing.T) {
 }
 
 // killAfter fails a worker's transport after a fixed number of writes.
-// Both protocols issue exactly one Write per message on small leases —
-// json.Encoder per Encode, the frame worker per buffered-writer flush —
-// so the budget is a message count: 1 covers the ready handshake, each
-// further write one lease result.
+// The worker issues exactly one Write per buffered-writer flush, one
+// per frame on small leases, so the budget is a message count: 1
+// covers the ready handshake, each further write one lease result.
 type killAfter struct {
 	net.Conn
 	writes atomic.Int32
@@ -143,7 +142,7 @@ func TestDistributedCampaignWorkerLoss(t *testing.T) {
 	}
 }
 
-// wireHandshake plays a worker's side of the binary handshake on
+// wireHandshake plays a worker's side of the handshake on
 // (br, w): it reads the preamble and hello and answers ready.
 func wireHandshake(br *bufio.Reader, w io.Writer) (*frameDec, *frameEnc, bool) {
 	var pre [2]byte
@@ -158,88 +157,65 @@ func wireHandshake(br *bufio.Reader, w io.Writer) (*frameDec, *frameEnc, bool) {
 	mb, _ := json.Marshal(&mf)
 	enc := newFrameEnc(w)
 	enc.begin(frameReady)
-	enc.uvarint(wireV1)
+	enc.uvarint(wireVersion)
 	enc.lenBytes(mb)
 	return dec, enc, enc.flush() == nil
 }
 
-// hangingWorker handshakes on whichever protocol the coordinator
-// speaks (the same sniff ServeWorker performs), accepts leases and
-// then never answers — the failure mode the lease deadline exists for.
+// hangingWorker handshakes, accepts leases and then never answers —
+// the failure mode the lease deadline exists for.
 func hangingWorker() io.ReadWriteCloser {
 	c, w := net.Pipe()
 	go func() {
 		defer w.Close()
-		br := bufio.NewReader(w)
-		first, err := br.Peek(1)
-		if err != nil {
+		dec, _, ok := wireHandshake(bufio.NewReader(w), w)
+		if !ok {
 			return
 		}
-		if first[0] == wireMagic {
-			dec, _, ok := wireHandshake(br, w)
-			if !ok {
-				return
-			}
-			dec.next()             // take a lease...
-			io.Copy(io.Discard, w) // ...and sit on it until closed
-			return
-		}
-		dec, enc := json.NewDecoder(br), json.NewEncoder(w)
-		var m distMsg
-		if dec.Decode(&m) != nil {
-			return
-		}
-		mf := obsv.NewManifest()
-		if enc.Encode(distMsg{T: "ready", Manifest: &mf}) != nil {
-			return
-		}
-		var l distMsg
-		dec.Decode(&l)         // take the lease...
+		dec.next()             // take a lease...
 		io.Copy(io.Discard, w) // ...and sit on it until closed
 	}()
 	return c
 }
 
 // TestDistributedCampaignLeaseTimeout pairs a hanging worker with a
-// healthy one under a short lease deadline, on both protocols: the
-// stuck leases must be reassigned (the binary worker's whole window)
-// and the merged bytes stay identical.
+// healthy one under a short lease deadline: the stuck leases (the
+// hanging worker's whole window) must be reassigned and the merged
+// bytes stay identical.
 func TestDistributedCampaignLeaseTimeout(t *testing.T) {
 	cfg := smallCampaign()
 	want, err := Campaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []WireProto{WireBinary, WireJSON} {
-		t.Run(proto.String(), func(t *testing.T) {
-			// The healthy worker starts serving 50ms late, so the hanging
-			// worker is guaranteed to be holding leases when the deadline
-			// fires — without the delay a fast survivor can drain the
-			// whole table before the hanging driver wins a single grant.
-			c, w := net.Pipe()
-			go func() {
-				defer w.Close()
-				time.Sleep(50 * time.Millisecond)
-				ServeWorker(w)
-			}()
-			conns := []io.ReadWriteCloser{hangingWorker(), c}
-			got, rep, err := DistCampaign(cfg, conns, DistOptions{
-				Proto: proto, LeaseSets: 5, LeaseTimeout: 200 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotB, wantB := resultBytes(t, got), resultBytes(t, want); string(gotB) != string(wantB) {
-				t.Fatalf("result after lease timeout diverged from single-process bytes")
-			}
-			if rep.WorkerFailures != 1 || rep.Reassigned < 1 {
-				t.Fatalf("report %+v: want 1 worker failure and >= 1 reassignment", rep)
-			}
+	t.Run("binary", func(t *testing.T) {
+		// The healthy worker starts serving 50ms late, so the hanging
+		// worker is guaranteed to be holding leases when the deadline
+		// fires — without the delay a fast survivor can drain the
+		// whole table before the hanging driver wins a single grant.
+		c, w := net.Pipe()
+		go func() {
+			defer w.Close()
+			time.Sleep(50 * time.Millisecond)
+			ServeWorker(w)
+		}()
+		conns := []io.ReadWriteCloser{hangingWorker(), c}
+		got, rep, err := DistCampaign(cfg, conns, DistOptions{
+			LeaseSets: 5, LeaseTimeout: 200 * time.Millisecond,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotB, wantB := resultBytes(t, got), resultBytes(t, want); string(gotB) != string(wantB) {
+			t.Fatalf("result after lease timeout diverged from single-process bytes")
+		}
+		if rep.WorkerFailures != 1 || rep.Reassigned < 1 {
+			t.Fatalf("report %+v: want 1 worker failure and >= 1 reassignment", rep)
+		}
+	})
 }
 
-// corruptWorker handshakes on the binary protocol and answers its
+// corruptWorker handshakes and answers its
 // first lease with a one-word result, which a lease of more than one
 // set cannot decode, then drains its connection until closed.
 func corruptWorker() io.ReadWriteCloser {
@@ -339,10 +315,9 @@ func TestDistributedCampaignAllWorkersFail(t *testing.T) {
 }
 
 // TestDistCampaignInvariance sweeps the scheduling knobs that must all
-// be invisible in the output: worker-process count, lease size, wire
-// protocol, pipelining window, adaptive lease sizing and the in-worker
-// pool width FTMC_WORKERS. Every combination must serialize to the
-// same bytes as the plain single-process campaign.
+// be invisible in the output: worker-process count, lease size and the
+// in-worker pool width FTMC_WORKERS. Every combination must serialize
+// to the same bytes as the plain single-process campaign.
 func TestDistCampaignInvariance(t *testing.T) {
 	cfg := smallCampaign()
 	want, err := Campaign(cfg)
@@ -352,12 +327,9 @@ func TestDistCampaignInvariance(t *testing.T) {
 	wantB := resultBytes(t, want)
 	opts := []DistOptions{
 		{LeaseSets: 1},
+		{LeaseSets: 3},
 		{LeaseSets: 5},
 		{LeaseSets: 1 << 20},
-		{LeaseSets: 5, Proto: WireJSON},
-		{LeaseSets: 2, Window: 4},
-		{LeaseSets: 4, TargetLeaseLatency: 200 * time.Microsecond, MinLeaseSets: 1, MaxLeaseSets: 64},
-		{LeaseSets: 3, Window: 3, TargetLeaseLatency: 2 * time.Millisecond},
 	}
 	for _, env := range []string{"1", "2"} {
 		t.Setenv("FTMC_WORKERS", env)

@@ -22,7 +22,7 @@ import (
 //	...
 //
 // A record's v holds the lease's packed verdict words exactly as the
-// worker computed them (the distMsg.V encoding), so replay merges the
+// worker computed them (the packVerdicts encoding), so replay merges the
 // same bytes a live result would have — restart cannot perturb the
 // merged report. The config hash pins the journal to one campaign: a
 // journal written for a different configuration is rejected rather

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,154 +12,25 @@ import (
 )
 
 // ServeWorker is the worker side of the distributed campaign protocol:
-// it reads the coordinator's hello, answers ready with this process's
-// manifest, and then evaluates leases until done (or EOF, which a
-// coordinator that lost interest presents). The evaluation engine is
-// the same campaignRunner the single-process Campaign uses — one
-// evalRange call per lease over the in-process stealing pool — so a
-// worker's verdicts for a set are bit-identical to what Campaign would
-// have computed for it, at any FTMC_WORKERS setting.
+// it reads the coordinator's preamble and hello, answers ready with
+// this process's manifest, and then evaluates leases until done (or
+// EOF, which a coordinator that lost interest presents). The evaluation
+// engine is the same campaignRunner the single-process Campaign uses —
+// one evalRange call per lease over the in-process pool — so a worker's
+// verdicts for a set are bit-identical to what Campaign would have
+// computed for it, at any FTMC_WORKERS setting.
 //
-// The worker auto-detects the coordinator's protocol from the first
-// byte of the stream: 0xF7 opens the binary frame protocol (wire.go),
-// '{' the legacy line-delimited JSON protocol — one worker binary
-// serves coordinators of either era, and WireJSON coordinators need no
-// worker-side flag.
+// A dedicated reader goroutine decodes incoming frames into a lease
+// queue, so with the coordinator's pipelined window the decode of lease
+// k+1 overlaps the evaluation of lease k and the worker never idles on
+// a round-trip — the worker half of the pipeline pipeline.go drives.
 //
 // rw is typically the process's stdin/stdout (cmd/ftmc-worker) or a TCP
 // connection. ServeWorker returns nil after done and the transport or
 // protocol error otherwise; an evaluation error is reported to the
-// coordinator as an error message before returning.
+// coordinator as an error frame before returning.
 func ServeWorker(rw io.ReadWriter) error {
 	br := getBufReader(rw)
-	first, err := br.Peek(1)
-	if err != nil {
-		putBufReader(br)
-		return fmt.Errorf("expt: worker handshake: %w", err)
-	}
-	if first[0] == wireMagic {
-		return serveWorkerWire(br, rw) // owns br's release (reader goroutine)
-	}
-	defer putBufReader(br)
-	return serveWorkerJSON(br, rw)
-}
-
-// workerConfig validates the campaign a hello carries and returns the
-// configuration count, shared by both protocol loops.
-func workerConfig(cfg *CampaignConfig) (int, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	nCfg := len(cfg.Panels) * len(cfg.FailProbs)
-	if nCfg > maxDistConfigs {
-		return 0, fmt.Errorf("expt: %d configurations exceed the wire format's %d", nCfg, maxDistConfigs)
-	}
-	return nCfg, nil
-}
-
-// checkLease bounds a granted lease against the campaign grid.
-func checkLease(cfg *CampaignConfig, l lease) error {
-	if l.hi-l.lo <= 0 || l.lo < 0 || l.hi > cfg.SetsPerPoint || l.ui < 0 || l.ui >= len(cfg.Utils) {
-		return fmt.Errorf("expt: lease %d out of range: ui=%d sets [%d, %d)", l.id, l.ui, l.lo, l.hi)
-	}
-	return nil
-}
-
-// packVerdicts packs one lease's verdicts into wire words: bit 2c the
-// baseline verdict and bit 2c+1 the adapted verdict of configuration c.
-func packVerdicts(out []verdict, packed []uint64, nCfg int) {
-	for j := range packed {
-		var w uint64
-		for c := 0; c < nCfg; c++ {
-			v := out[j*nCfg+c]
-			if v.base {
-				w |= 1 << (2 * uint(c))
-			}
-			if v.adapt {
-				w |= 1 << (2*uint(c) + 1)
-			}
-		}
-		packed[j] = w
-	}
-}
-
-// serveWorkerJSON is the legacy-protocol worker loop: line-delimited
-// JSON, strict request-response. Kept as the differential reference
-// for the frame protocol.
-func serveWorkerJSON(br *bufio.Reader, rw io.ReadWriter) error {
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(rw)
-
-	var hello distMsg
-	if err := dec.Decode(&hello); err != nil {
-		return fmt.Errorf("expt: worker handshake: %w", err)
-	}
-	if hello.T != "hello" || hello.Config == nil {
-		return fmt.Errorf("expt: worker handshake: got %q, want hello with a config", hello.T)
-	}
-	cfg := *hello.Config
-	nCfg, err := workerConfig(&cfg)
-	if err != nil {
-		enc.Encode(distMsg{T: "error", Err: err.Error()})
-		return err
-	}
-	manifest := obsv.NewManifest()
-	manifest.Seed = cfg.Seed
-	if err := enc.Encode(distMsg{T: "ready", Manifest: &manifest}); err != nil {
-		return err
-	}
-
-	r := newCampaignRunner(&cfg)
-	defer r.release()
-	var m distMsg
-	var out []verdict
-	var packed []uint64
-	for {
-		m = distMsg{}
-		if err := dec.Decode(&m); err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("expt: coordinator hung up without done")
-			}
-			return err
-		}
-		switch m.T {
-		case "done":
-			return nil
-		case "lease":
-			l := lease{id: m.Lease, ui: m.UI, lo: m.Lo, hi: m.Hi}
-			if err := checkLease(&cfg, l); err != nil {
-				enc.Encode(distMsg{T: "error", Lease: l.id, Err: err.Error()})
-				return err
-			}
-			n := l.hi - l.lo
-			if cap(out) < n*nCfg {
-				out = make([]verdict, n*nCfg)
-			}
-			if cap(packed) < n {
-				packed = make([]uint64, n)
-			}
-			out = out[:n*nCfg]
-			packed = packed[:n]
-			if err := r.evalRange(l.ui, l.lo, l.hi, out); err != nil {
-				enc.Encode(distMsg{T: "error", Lease: l.id, Err: err.Error()})
-				return err
-			}
-			packVerdicts(out, packed, nCfg)
-			if err := enc.Encode(distMsg{T: "result", Lease: l.id, UI: l.ui, Lo: l.lo, Hi: l.hi, V: packed}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("expt: worker got unexpected message %q", m.T)
-		}
-	}
-}
-
-// serveWorkerWire is the binary-protocol worker loop. A dedicated
-// reader goroutine decodes incoming frames into a lease queue, so with
-// a pipelining coordinator the decode of lease k+1 overlaps the
-// evaluation of lease k and the worker never idles on a round-trip —
-// the worker half of the pipeline pipeline.go drives.
-func serveWorkerWire(br *bufio.Reader, rw io.ReadWriter) error {
 	// br goes back to the pool only once no goroutine can touch it:
 	// immediately on the pre-reader-goroutine error paths, and at return
 	// if the reader goroutine has already exited (the done path). On
@@ -184,16 +54,11 @@ func serveWorkerWire(br *bufio.Reader, rw io.ReadWriter) error {
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		return fmt.Errorf("expt: worker handshake: %w", err)
 	}
-	offered := int(pre[1])
-	if pre[0] != wireMagic || offered < 1 {
-		return fmt.Errorf("expt: worker handshake: bad preamble %#x version %d", pre[0], offered)
+	if pre[0] != wireMagic {
+		return fmt.Errorf("expt: worker handshake: bad preamble byte %#x, want %#x", pre[0], wireMagic)
 	}
-	// Negotiate down to the newest version both sides speak; v1 is all
-	// this worker knows, and v1 frames stay valid in every later
-	// version (the coordinator reads our answer from ready).
-	version := wireV1
-	if offered < version {
-		version = offered
+	if pre[1] != wireVersion {
+		return fmt.Errorf("expt: worker handshake: coordinator speaks wire version %d, worker speaks %d", pre[1], wireVersion)
 	}
 
 	dec := newFrameDec(br)
@@ -226,8 +91,13 @@ func serveWorkerWire(br *bufio.Reader, rw io.ReadWriter) error {
 		}
 	}
 
-	nCfg, err := workerConfig(&cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
+		sendErr(0, err)
+		return err
+	}
+	nCfg := len(cfg.Panels) * len(cfg.FailProbs)
+	if nCfg > maxDistConfigs {
+		err := fmt.Errorf("expt: %d configurations exceed the wire format's %d", nCfg, maxDistConfigs)
 		sendErr(0, err)
 		return err
 	}
@@ -238,7 +108,7 @@ func serveWorkerWire(br *bufio.Reader, rw io.ReadWriter) error {
 		return err
 	}
 	enc.begin(frameReady)
-	enc.uvarint(uint64(version))
+	enc.uvarint(wireVersion)
 	enc.lenBytes(mb)
 	if err := enc.flush(); err != nil {
 		return err
@@ -340,6 +210,32 @@ func serveWorkerWire(br *bufio.Reader, rw io.ReadWriter) error {
 		}
 	}
 	return nil
+}
+
+// checkLease bounds a granted lease against the campaign grid.
+func checkLease(cfg *CampaignConfig, l lease) error {
+	if l.hi-l.lo <= 0 || l.lo < 0 || l.hi > cfg.SetsPerPoint || l.ui < 0 || l.ui >= len(cfg.Utils) {
+		return fmt.Errorf("expt: lease %d out of range: ui=%d sets [%d, %d)", l.id, l.ui, l.lo, l.hi)
+	}
+	return nil
+}
+
+// packVerdicts packs one lease's verdicts into wire words: bit 2c the
+// baseline verdict and bit 2c+1 the adapted verdict of configuration c.
+func packVerdicts(out []verdict, packed []uint64, nCfg int) {
+	for j := range packed {
+		var w uint64
+		for c := 0; c < nCfg; c++ {
+			v := out[j*nCfg+c]
+			if v.base {
+				w |= 1 << (2 * uint(c))
+			}
+			if v.adapt {
+				w |= 1 << (2*uint(c) + 1)
+			}
+		}
+		packed[j] = w
+	}
 }
 
 // PipeWorkers starts n in-process protocol workers over net.Pipe and

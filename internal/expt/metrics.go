@@ -5,9 +5,7 @@ import "repro/internal/obsv"
 // exptMetrics is the package's instrument bundle (see internal/obsv):
 // the shared worker pool's dispatch volume, chunk claims and per-chunk
 // wall time (chunk throughput = chunks / Σ chunk_ns), the live worker
-// occupancy gauge, the stealing scheduler's successful steal count
-// (high steals = skewed per-index cost; zero under FTMC_WORKERS=1),
-// and the Fig. 3 engine's per-data-point latency —
+// occupancy gauge, and the Fig. 3 engine's per-data-point latency —
 // enough to tell "workers starved" (occupancy low, chunk_ns flat) from
 // "points got slower" (point_ns up) without a profiler. Fields are nil
 // while metrics are disabled; the per-item hot path is untouched
@@ -18,7 +16,6 @@ type exptMetrics struct {
 	poolItems      *obsv.Counter
 	poolActive     *obsv.Gauge
 	poolChunkNs    *obsv.Histogram
-	poolSteals     *obsv.Counter
 	workersBadEnv  *obsv.Counter
 	fig3Points     *obsv.Counter
 	fig3PointNs    *obsv.Histogram
@@ -42,10 +39,9 @@ type exptMetrics struct {
 	distWorkerFailures *obsv.Counter
 	distLeaseNs        *obsv.Histogram
 	// Wire-level telemetry of the lease data plane: bytes and frames in
-	// each direction (both protocols; JSON counts messages as 0 frames),
-	// the in-flight lease gauge across all workers (window utilization),
-	// the granted lease sizes (the adaptive sizer's trajectory), and
-	// sets restored from a checkpoint journal instead of re-evaluated.
+	// each direction, the in-flight lease gauge across all workers
+	// (window utilization), the granted lease sizes, and sets restored
+	// from a checkpoint journal instead of re-evaluated.
 	distBytesOut     *obsv.Counter
 	distBytesIn      *obsv.Counter
 	distFramesOut    *obsv.Counter
@@ -62,7 +58,6 @@ var exptView = obsv.NewView(func(r *obsv.Registry) *exptMetrics {
 		poolItems:             r.Counter("expt.pool.items"),
 		poolActive:            r.Gauge("expt.pool.active_workers"),
 		poolChunkNs:           r.Histogram("expt.pool.chunk_ns"),
-		poolSteals:            r.Counter("expt.pool.steals"),
 		workersBadEnv:         r.Counter("expt.workers.env_invalid"),
 		fig3Points:            r.Counter("expt.fig3.points"),
 		fig3PointNs:           r.Histogram("expt.fig3.point_ns"),

@@ -10,40 +10,32 @@ import (
 	"repro/internal/obsv"
 )
 
-// This file is the pipelined coordinator driver of the binary wire
-// protocol. The legacy JSON driver is strict request-response: the
-// worker idles for a full coordinator round-trip between finishing one
-// lease and receiving the next. Here the coordinator keeps a window of
-// leases in flight per worker (DistOptions.Window, default 2 — double
-// buffering: the worker always has the next lease queued while
-// evaluating the current one), a dedicated reader goroutine merges
-// results as they arrive, and grants are batched through one buffered
-// writer so a window refill costs one transport handoff.
+// This file is the pipelined coordinator driver of the wire protocol.
+// The coordinator keeps a window of leaseWindow leases in flight per
+// worker — double buffering: the worker always has the next lease
+// queued while evaluating the current one, so it never idles on a
+// round-trip — a dedicated reader goroutine merges results as they
+// arrive, and grants are batched through one buffered writer so a
+// window refill costs one transport handoff.
 //
 // Reassignment-on-loss extends to the whole window: when a worker is
 // abandoned (transport error, worker-reported error, protocol
 // violation or lease deadline), the connection is closed first and
-// then every lease in its window is requeued. Unlike the JSON driver,
-// closing first is not needed to prevent a double merge — a result
-// racing the abandonment may already be merging — but a double merge
-// is benign by construction: a set's verdict words are a pure function
-// of its grid coordinates, so the regranted lease rewrites the same
-// bytes. Closing first just stops the dead worker from burning cycles.
+// then every lease in its window is requeued. A result racing the
+// abandonment may already be merging, but a double merge is benign by
+// construction: a set's verdict words are a pure function of its grid
+// coordinates, so the regranted lease rewrites the same bytes. Closing
+// first just stops the dead worker from burning cycles.
 //
 // A lease leaves the window (the outst map) exactly once, and whichever
 // goroutine takes it out settles it in the lease table and the
 // in-flight gauge: the reader completes a lease it merged and requeues
 // one whose result it could not decode; the driver requeues whatever
 // is still in the window when it abandons the worker.
-//
-// Adaptive sizing: fresh leases are carved on demand (leaseTable
-// carves at whatever size the driver asks), so each driver can resize
-// its grants toward DistOptions.TargetLeaseLatency using an EWMA of
-// the worker's observed per-set service time. Fast workers get big
-// leases that amortize the round-trip; slow or WAN workers get small
-// ones that reassign cheaply. Sizing, window depth and grant timing
-// are all scheduling knobs: the merged result is byte-identical under
-// any trajectory, because merges land at absolute set indexes.
+
+// leaseWindow is the number of leases kept in flight per worker: the
+// one being evaluated and the next one queued behind it.
+const leaseWindow = 2
 
 // grantRec is one in-flight lease: what was granted and when, so the
 // reader can validate the result header against the grant and observe
@@ -56,52 +48,13 @@ type grantRec struct {
 // wireEvent is what the reader goroutine reports to the driver loop:
 // a ready or result frame, or the error that ended the connection.
 type wireEvent struct {
-	typ  byte
-	sets int
-	err  error
+	typ byte
+	err error
 }
 
-// leaseSizer adapts grant sizes toward a target lease latency from an
-// EWMA of the worker's per-set service time. With no target (or no
-// observation yet) it grants the fixed base size.
-type leaseSizer struct {
-	base, min, max int
-	target         float64 // ns; 0 disables adaptation
-	perSetNs       float64 // EWMA of observed per-set service time
-}
-
-func (s *leaseSizer) size() int {
-	if s.target <= 0 || s.perSetNs <= 0 {
-		return s.base
-	}
-	n := int(s.target / s.perSetNs)
-	if n < s.min {
-		n = s.min
-	}
-	if n > s.max {
-		n = s.max
-	}
-	return n
-}
-
-// observe folds one completion into the EWMA. took is the time since
-// the previous completion (or since the window opened): under a
-// saturated pipeline that is the worker's service time for those sets.
-func (s *leaseSizer) observe(sets int, took time.Duration) {
-	if sets <= 0 || took <= 0 {
-		return
-	}
-	per := float64(took) / float64(sets)
-	if s.perSetNs == 0 {
-		s.perSetNs = per
-	} else {
-		s.perSetNs = 0.7*s.perSetNs + 0.3*per
-	}
-}
-
-// runWorkerWire drives one worker connection over the binary frame
-// protocol: preamble + hello, then a pipelined window of leases until
-// the table drains or the worker is lost.
+// runWorkerWire drives one worker connection over the frame protocol:
+// preamble + hello, then a pipelined window of leases until the table
+// drains or the worker is lost.
 func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	m := exptView.Get()
 	bw := getBufWriter(conn)
@@ -110,8 +63,8 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	dec := newFrameDec(br)
 
 	var omu sync.Mutex
-	outst := make(map[int]grantRec, d.opt.Window)
-	events := make(chan wireEvent, d.opt.Window+2)
+	outst := make(map[int]grantRec, leaseWindow)
+	events := make(chan wireEvent, leaseWindow+2)
 	quit := make(chan struct{})
 	rdDone := make(chan struct{})
 	defer func() {
@@ -166,7 +119,7 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	}
 
 	// Handshake: preamble, hello, await ready.
-	if _, err := bw.Write([]byte{wireMagic, wireV1}); err != nil {
+	if _, err := bw.Write([]byte{wireMagic, wireVersion}); err != nil {
 		d.fail()
 		return
 	}
@@ -189,20 +142,13 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	}
 	resetTimer()
 
-	sizer := leaseSizer{
-		base:   d.opt.LeaseSets,
-		min:    d.opt.MinLeaseSets,
-		max:    d.opt.MaxLeaseSets,
-		target: float64(d.opt.TargetLeaseLatency),
-	}
-	lastMark := time.Now()
 	for {
 		// Top the window up. Blocking is only allowed with an empty
 		// window: with leases in flight the driver must stay responsive
 		// to results, so it polls and falls through to the event wait.
 		granted := false
-		for outstanding < d.opt.Window {
-			l, ok, done, err := d.table.next(sizer.size(), outstanding == 0)
+		for outstanding < leaseWindow {
+			l, ok, done, err := d.table.next(d.opt.LeaseSets, outstanding == 0)
 			if err != nil || done {
 				// Run complete (or lost): release the worker either way.
 				enc.begin(frameDone)
@@ -245,9 +191,6 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 				return
 			}
 			outstanding-- // the reader settled the lease
-			now := time.Now()
-			sizer.observe(ev.sets, now.Sub(lastMark))
-			lastMark = now
 			resetTimer()
 		case <-deadline:
 			abandonAll()
@@ -288,8 +231,8 @@ func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.M
 				send(wireEvent{err: err})
 				return
 			}
-			if v < 1 || v > wireV1 {
-				send(wireEvent{err: fmt.Errorf("expt: worker negotiated unsupported wire version %d", v)})
+			if v != wireVersion {
+				send(wireEvent{err: fmt.Errorf("expt: worker speaks wire version %d, coordinator speaks %d", v, wireVersion)})
 				return
 			}
 			mb, err := r.lenBytes()
@@ -361,7 +304,7 @@ func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.M
 			d.table.complete()
 			m.distInflight.Add(-1)
 			m.distLeaseNs.Observe(int64(time.Since(g.at)))
-			if !send(wireEvent{typ: frameResult, sets: n}) {
+			if !send(wireEvent{typ: frameResult}) {
 				return
 			}
 		case frameError:

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -13,19 +12,19 @@ import (
 	"time"
 
 	"repro/internal/criticality"
-	"repro/internal/obsv"
 )
 
-// workerWidths is the invariance matrix of the stealing pool: serial,
+// workerWidths is the invariance matrix of the pool: serial,
 // minimal contention, a prime that never divides the index space, and
 // whatever the host really has.
 func workerWidths() []string {
 	return []string{"1", "2", "7", strconv.Itoa(runtime.NumCPU())}
 }
 
-// TestForEachWorkerChunkedPartition checks the stealing scheduler hands
-// out ranges that exactly partition [0, n) with width ≤ chunk, across
-// index-space shapes that exercise uneven initial splits and steals.
+// TestForEachWorkerChunkedPartition checks the cursor hands out ranges
+// that exactly partition [0, n) with width ≤ chunk, across index-space
+// shapes whose last range is short and whose range count is below,
+// at and above the worker count.
 func TestForEachWorkerChunkedPartition(t *testing.T) {
 	t.Setenv("FTMC_WORKERS", "5")
 	type span struct{ start, end int }
@@ -63,9 +62,9 @@ func TestForEachWorkerChunkedPartition(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerLowestError checks the error contract under stealing:
-// every index still runs, and the error reported is the lowest failing
-// index's, regardless of which worker hit it first.
+// TestForEachWorkerLowestError checks the error contract across
+// workers: every index still runs, and the error reported is the
+// lowest failing index's, regardless of which worker hit it first.
 func TestForEachWorkerLowestError(t *testing.T) {
 	t.Setenv("FTMC_WORKERS", "4")
 	const n = 101
@@ -88,15 +87,16 @@ func TestForEachWorkerLowestError(t *testing.T) {
 	}
 }
 
-// TestStealPoolSkewedLoad forces steals: one initial span holds all the
-// slow indices, so its owner straggles and the other workers must take
-// work from it. Every index must still run exactly once.
+// TestStealPoolSkewedLoad puts every slow index in the first quarter
+// of the index space, so the worker that claims them straggles while
+// the others drain the cursor. Every index must still run exactly
+// once.
 func TestStealPoolSkewedLoad(t *testing.T) {
 	t.Setenv("FTMC_WORKERS", "4")
 	const n = 64
 	visits := make([]int, n)
 	if err := ForEachWorker(n, 1, func(_, i int) error {
-		if i < n/4 { // the first worker's initial span
+		if i < n/4 { // the slow quarter
 			time.Sleep(time.Millisecond)
 		}
 		visits[i]++
@@ -108,33 +108,6 @@ func TestStealPoolSkewedLoad(t *testing.T) {
 		if v != 1 {
 			t.Fatalf("index %d visited %d times", i, v)
 		}
-	}
-}
-
-// TestStealPoolBoundedSteals pins the no-empty-steal guarantee: every
-// successful steal transfers at least one pending index, so the total
-// steal count over a run is strictly below n (each steal splits one
-// span into two non-empty parts). Before the guard, a thief could
-// "steal" the empty upper half of a 1-wide span in a spin loop that
-// never yielded the processor — millions of counted steals and a
-// ~100x slowdown on a single-CPU host.
-func TestStealPoolBoundedSteals(t *testing.T) {
-	t.Setenv("FTMC_WORKERS", "4")
-	reg := obsv.NewRegistry()
-	obsv.SetDefault(reg)
-	defer obsv.SetDefault(nil)
-	const n, chunk = 256, 2
-	before := exptView.Get().poolSteals.Value()
-	if err := ForEachWorker(n, chunk, func(_, i int) error {
-		if i%8 == 0 { // skewed: stragglers force steal traffic
-			time.Sleep(50 * time.Microsecond)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if steals := exptView.Get().poolSteals.Value() - before; steals >= n {
-		t.Fatalf("%d steals over %d indices: steals must transfer work", steals, n)
 	}
 }
 
@@ -229,48 +202,17 @@ func TestWorkersBadEnv(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerFixedMatches keeps the A/B baseline honest: the fixed
-// cursor and the stealing pool visit the same indices with the same
-// error semantics.
-func TestForEachWorkerFixedMatches(t *testing.T) {
-	t.Setenv("FTMC_WORKERS", "3")
-	const n = 50
-	for _, impl := range []struct {
-		name string
-		run  func(n, chunk int, fn func(worker, i int) error) error
-	}{{"steal", ForEachWorker}, {"fixed", ForEachWorkerFixed}} {
-		visits := make([]int, n)
-		err := impl.run(n, 4, func(_, i int) error {
-			visits[i]++
-			if i == 20 || i == 33 {
-				return errors.New(strconv.Itoa(i))
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "20" {
-			t.Fatalf("%s: got error %v, want 20", impl.name, err)
-		}
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("%s: index %d visited %d times", impl.name, i, v)
-			}
-		}
-	}
-}
-
-// benchSkewedPool is the scheduler A/B workload of the benchcheck
-// gate: every 8th index is 16x heavier, the skew the campaign's
+// BenchmarkPoolSkewed times the pool on a skewed synthetic workload:
+// every 8th index is 16x heavier, the skew the campaign's
 // cheap-test-first ordering produces. The width is pinned above the
-// host CPU count so the steal machinery engages even on a single-CPU
-// runner — the regime where an empty-transfer steal once spun a thief
-// into a ~100x collapse.
-func benchSkewedPool(b *testing.B, run func(n, chunk int, fn func(worker, i int) error) error) {
+// host CPU count so claims contend even on a single-CPU runner.
+func BenchmarkPoolSkewed(b *testing.B) {
 	b.Setenv("FTMC_WORKERS", "4")
 	const n = 256
 	sink := make([]uint64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(n, 2, func(_, i int) error {
+		if err := ForEachWorker(n, 2, func(_, i int) error {
 			iters := 400
 			if i%8 == 0 {
 				iters = 6400
@@ -288,6 +230,3 @@ func benchSkewedPool(b *testing.B, run func(n, chunk int, fn func(worker, i int)
 		}
 	}
 }
-
-func BenchmarkPoolStealSkewed(b *testing.B) { benchSkewedPool(b, ForEachWorker) }
-func BenchmarkPoolFixedSkewed(b *testing.B) { benchSkewedPool(b, ForEachWorkerFixed) }

@@ -2,8 +2,6 @@ package expt
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,27 +9,18 @@ import (
 	"sync"
 )
 
-// This file is the binary framing layer of the distributed campaign
-// protocol (wire v1). The legacy line-delimited JSON protocol of
-// dist.go remains fully supported — it is the differential reference
-// the binary codec is tested against, the same role Fig3Ref and
-// KillingPFHLONaive play for their fast paths — but the default data
-// plane speaks frames:
+// This file is the framing layer of the distributed campaign protocol
+// (wire v2):
 //
 //	stream   = preamble frame*
 //	preamble = 0xF7 version            (coordinator → worker only)
 //	frame    = uvarint(len(payload)) payload
-//	payload  = type flags body
+//	payload  = type body
 //
-// The worker auto-detects the protocol from the first byte of the
-// stream: 0xF7 opens binary, '{' opens the legacy JSON protocol (a
-// JSON hello always starts with '{'), so one worker binary serves
-// coordinators of either era. The preamble's version byte is the
-// negotiation hook within the binary protocol: the worker answers
-// ready with the highest version it speaks (≤ the offered one) and
-// the coordinator continues at that version; a worker that predates
-// frames entirely cannot parse the preamble and is driven with
-// WireJSON instead — the operator-selected "negotiate down" path.
+// Both sides speak exactly one version. The worker rejects a preamble
+// that offers any other, and the coordinator rejects a ready frame
+// that answers with any other, so a peer from another version fails at
+// the handshake instead of misreading frames.
 //
 // Frame bodies are varint-packed (binary.Uvarint):
 //
@@ -50,15 +39,10 @@ import (
 // zero deltas are elided into a single two-byte token (a literal zero
 // never appears as a delta, which frees 0x00 as the run marker): a
 // lease whose sets all agree costs two bytes of verdicts no matter how
-// many sets it spans, versus the ~7 bytes per word the decimal JSON
-// array costs.
-// flags bit 0 marks a DEFLATE-compressed body (the length prefix
-// covers the compressed bytes); the encoder applies it only when it
-// actually shrinks the body, which in practice is the JSON-carrying
-// handshake frames — the bitmap deltas are already dense. A result
-// carries only its lease id: the coordinator's grant record supplies
-// (ui, lo, hi), and the mandatory word count pins the result to the
-// granted size, so echoing the range would spend bytes to say nothing.
+// many sets it spans. A result carries only its lease id: the
+// coordinator's grant record supplies (ui, lo, hi), and the mandatory
+// word count pins the result to the granted size, so echoing the range
+// would spend bytes to say nothing.
 //
 // Every multi-byte read is bounds-checked and every length field is
 // capped (wireMaxFrame, chunked frame fill) before memory is
@@ -67,13 +51,10 @@ import (
 // FuzzDistFrame exercises.
 
 const (
-	// wireMagic opens a binary-protocol stream; it cannot collide with
-	// the legacy protocol, whose first byte is '{' (0x7B).
+	// wireMagic opens a wire-protocol stream.
 	wireMagic = 0xF7
-	// wireV1 is the only frame version so far. The worker answers ready
-	// with min(offered, wireV1), so a newer coordinator knows to stay
-	// at this version's frame shapes.
-	wireV1 = 1
+	// wireVersion is the frame version both sides must speak.
+	wireVersion = 2
 
 	frameHello  = 0x01
 	frameReady  = 0x02
@@ -82,39 +63,18 @@ const (
 	frameError  = 0x05
 	frameDone   = 0x06
 
-	// flagDeflate marks a DEFLATE-compressed frame body.
-	flagDeflate = 0x01
-
-	// wireMaxFrame caps one frame's payload (and its decompressed
-	// body): far above any real lease — a 10^6-set result is ~1 MiB
-	// worst-case — but low enough that a corrupt length cannot commit
-	// unbounded memory.
+	// wireMaxFrame caps one frame's payload: far above any real lease —
+	// a 10^6-set result is ~1 MiB worst-case — but low enough that a
+	// corrupt length cannot commit unbounded memory.
 	wireMaxFrame = 16 << 20
 	// wireFillChunk is the step the decoder grows a frame buffer by
 	// while reading, so a forged length prefix on a truncated stream
 	// over-allocates by at most one chunk instead of the full claim.
 	wireFillChunk = 64 << 10
-	// wireCompressMin is the smallest body the encoder tries DEFLATE
-	// on; below it the header overhead dominates any win.
-	wireCompressMin = 256
 )
 
 // errFrameTooBig rejects length fields beyond wireMaxFrame.
 var errFrameTooBig = fmt.Errorf("expt: wire frame exceeds %d bytes", wireMaxFrame)
-
-// flate state is pooled process-wide: a flate.Writer alone is several
-// hundred kilobytes of window and huffman tables, far too heavy to
-// build per connection for the handful of handshake-sized frames that
-// ever cross the compression threshold.
-var (
-	flateWriterPool = sync.Pool{New: func() any {
-		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-		return w
-	}}
-	flateReaderPool = sync.Pool{New: func() any {
-		return flate.NewReader(bytes.NewReader(nil))
-	}}
-)
 
 // wireBufSize is the bufio buffer on each side of a wire connection:
 // large enough to coalesce a window refill or a batch of results into
@@ -163,8 +123,7 @@ func putBufWriter(bw *bufio.Writer) {
 // allocates nothing.
 type frameEnc struct {
 	w        io.Writer
-	buf      []byte // frame under construction: 4-byte len, type, flags, body
-	cbuf     bytes.Buffer
+	buf      []byte // frame under construction: 4-byte len, type, body
 	bytesOut uint64
 	frames   uint64
 }
@@ -175,30 +134,18 @@ func newFrameEnc(w io.Writer) *frameEnc {
 
 // begin starts a frame of the given type; body writers append.
 func (e *frameEnc) begin(t byte) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, t, 0)
+	e.buf = append(e.buf[:0], 0, 0, 0, 0, t)
 }
 
 func (e *frameEnc) uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *frameEnc) bytes(b []byte)    { e.buf = append(e.buf, b...) }
 func (e *frameEnc) lenBytes(b []byte) { e.uvarint(uint64(len(b))); e.bytes(b) }
 
-// flush finishes the frame: compresses the body when that wins, stamps
-// the varint length prefix into the tail of the 4-byte reservation and
-// writes the frame in one call. A varint prefix costs one byte on the
-// tiny frames that dominate lease traffic, where a fixed uint32 would
-// be a third of the frame.
+// flush finishes the frame: stamps the varint length prefix into the
+// tail of the 4-byte reservation and writes the frame in one call. A
+// varint prefix costs one byte on the tiny frames that dominate lease
+// traffic, where a fixed uint32 would be a third of the frame.
 func (e *frameEnc) flush() error {
-	body := e.buf[6:]
-	if len(body) >= wireCompressMin {
-		e.cbuf.Reset()
-		fw := flateWriterPool.Get().(*flate.Writer)
-		fw.Reset(&e.cbuf)
-		if _, err := fw.Write(body); err == nil && fw.Close() == nil && e.cbuf.Len() < len(body) {
-			e.buf = append(e.buf[:6], e.cbuf.Bytes()...)
-			e.buf[5] |= flagDeflate
-		}
-		flateWriterPool.Put(fw)
-	}
 	payload := e.buf[4:]
 	if len(payload) > wireMaxFrame {
 		return errFrameTooBig
@@ -213,13 +160,11 @@ func (e *frameEnc) flush() error {
 	return err
 }
 
-// frameDec decodes frames from r into reused buffers. next returns the
-// frame type and its (decompressed) body, valid until the following
-// next call.
+// frameDec decodes frames from r into a reused buffer. next returns
+// the frame type and its body, valid until the following next call.
 type frameDec struct {
 	r       *bufio.Reader
 	payload []byte
-	dbuf    []byte // decompression target, reused
 	bytesIn uint64
 	frames  uint64
 }
@@ -254,8 +199,8 @@ func (d *frameDec) fill(n int) ([]byte, error) {
 }
 
 // next reads one frame. Malformed input — short reads, oversized or
-// undersized lengths, bad compression, unknown flags — returns an
-// error; next never panics on hostile bytes.
+// empty lengths — returns an error; next never panics on hostile
+// bytes.
 func (d *frameDec) next() (t byte, body []byte, err error) {
 	n64, err := binary.ReadUvarint(d.r)
 	if err != nil {
@@ -265,8 +210,8 @@ func (d *frameDec) next() (t byte, body []byte, err error) {
 		return 0, nil, errFrameTooBig
 	}
 	n := int(n64)
-	if n < 2 {
-		return 0, nil, fmt.Errorf("expt: wire frame payload of %d bytes is below the 2-byte header", n)
+	if n < 1 {
+		return 0, nil, errors.New("expt: empty wire frame has no type byte")
 	}
 	payload, err := d.fill(n)
 	if err != nil {
@@ -274,49 +219,7 @@ func (d *frameDec) next() (t byte, body []byte, err error) {
 	}
 	d.bytesIn += uint64(uvarintLen(n64)) + uint64(n)
 	d.frames++
-	t, flags, body := payload[0], payload[1], payload[2:]
-	if flags&^flagDeflate != 0 {
-		return 0, nil, fmt.Errorf("expt: unknown wire frame flags %#x", flags)
-	}
-	if flags&flagDeflate != 0 {
-		if body, err = d.inflate(body); err != nil {
-			return 0, nil, err
-		}
-	}
-	return t, body, nil
-}
-
-// inflate decompresses a frame body into the reused dbuf, bounded by
-// wireMaxFrame.
-func (d *frameDec) inflate(body []byte) ([]byte, error) {
-	fr := flateReaderPool.Get().(io.ReadCloser)
-	defer flateReaderPool.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
-		return nil, err
-	}
-	d.dbuf = d.dbuf[:0]
-	buf := d.dbuf
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			if len(buf) >= wireMaxFrame {
-				return nil, errFrameTooBig
-			}
-			buf = append(buf, 0)[:len(buf)]
-		}
-		m, err := fr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("expt: corrupt compressed wire frame: %w", err)
-		}
-	}
-	d.dbuf = buf
-	return buf, nil
+	return payload[0], payload[1:], nil
 }
 
 // wireBuf is a cursor over a frame body for varint-packed fields.

@@ -5,14 +5,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"strings"
+	"net"
 	"testing"
+	"time"
 )
 
 // TestWireFrameRoundTrip drives the codec over every frame shape:
-// small incompressible bodies, large compressible ones (which must
-// come back byte-identical through the DEFLATE path), and back-to-back
-// frames on one stream.
+// small bodies, a large ready body, a result bitmap and an empty done
+// frame, back to back on one stream.
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := newFrameEnc(&buf)
@@ -27,7 +27,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc.begin(frameReady)
-	enc.uvarint(wireV1)
+	enc.uvarint(wireVersion)
 	enc.lenBytes(big)
 	if err := enc.flush(); err != nil {
 		t.Fatal(err)
@@ -60,11 +60,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 2: type %#x err %v", ft, err)
 	}
 	r = wireBuf{b: body}
-	if v, err := r.uvarint(); err != nil || v != wireV1 {
+	if v, err := r.uvarint(); err != nil || v != wireVersion {
 		t.Fatalf("ready version: %d err %v", v, err)
 	}
 	if got, err := r.lenBytes(); err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("ready body did not round-trip through compression (len %d, err %v)", len(got), err)
+		t.Fatalf("ready body did not round-trip (len %d, err %v)", len(got), err)
 	}
 	ft, body, err = dec.next()
 	if err != nil || ft != frameResult {
@@ -101,13 +101,10 @@ func TestWireDecoderRejects(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"empty payload":      frame(nil),
-		"one-byte payload":   frame([]byte{frameDone}),
 		"oversized length":   binary.AppendUvarint(nil, wireMaxFrame+1),
 		"forged 16MiB claim": binary.AppendUvarint(nil, wireMaxFrame), // then EOF
 		"truncated length":   {0x85},
 		"truncated payload":  frame([]byte{frameLease, 0, 1, 2})[:3],
-		"unknown flags":      frame([]byte{frameLease, 0x80}),
-		"corrupt deflate":    frame([]byte{frameHello, flagDeflate, 0xde, 0xad, 0xbe, 0xef}),
 	}
 	for name, in := range cases {
 		dec := newFrameDec(bufio.NewReader(bytes.NewReader(in)))
@@ -147,32 +144,35 @@ func TestWireResultCountMismatch(t *testing.T) {
 }
 
 // marginalBytesPerLease isolates the wire cost of one lease round-trip
-// for a protocol by differencing two runs of the same campaign at
-// different lease sizes: the handshake (per-run) and the verdict words
-// (per-set, constant across runs) cancel, leaving the per-lease
-// framing — the quantity the codec actually changes.
-func marginalBytesPerLease(t *testing.T, cfg CampaignConfig, proto WireProto, procs int) float64 {
+// by differencing two runs of the same campaign at different lease
+// sizes: the handshake (per-run) and the verdict words (per-set,
+// constant across runs) cancel, leaving the per-lease framing — the
+// quantity the codec actually changes.
+func marginalBytesPerLease(t *testing.T, cfg CampaignConfig, procs int) float64 {
 	t.Helper()
 	bytesAt := func(leaseSets int) (uint64, int) {
-		_, rep, err := DistCampaign(cfg, PipeWorkers(procs), DistOptions{Proto: proto, LeaseSets: leaseSets})
+		_, rep, err := DistCampaign(cfg, PipeWorkers(procs), DistOptions{LeaseSets: leaseSets})
 		if err != nil {
-			t.Fatalf("%s leaseSets=%d: %v", proto, leaseSets, err)
+			t.Fatalf("leaseSets=%d: %v", leaseSets, err)
 		}
 		return rep.BytesIn + rep.BytesOut, rep.Leases
 	}
 	bSmall, lSmall := bytesAt(1)
 	bBig, lBig := bytesAt(cfg.SetsPerPoint)
 	if lSmall <= lBig {
-		t.Fatalf("%s: lease counts %d vs %d cannot difference", proto, lSmall, lBig)
+		t.Fatalf("lease counts %d vs %d cannot difference", lSmall, lBig)
 	}
 	return float64(bSmall-bBig) / float64(lSmall-lBig)
 }
 
+// maxBytesPerLease is the wire budget of one lease round-trip: a lease
+// frame and its result frame, ids and bitmap included.
+const maxBytesPerLease = 16
+
 // TestDistCampaignBinaryJSONDifferential is the codec's differential
-// contract: across lease sizes × worker counts, the binary and legacy
-// JSON protocols merge to the same bytes as the single-process run —
-// and the binary protocol spends at least 5x fewer wire bytes per
-// lease round-trip doing it.
+// contract: across lease sizes × worker counts, the frame protocol
+// merges to the same bytes as the single-process run — and spends at
+// most maxBytesPerLease wire bytes per lease round-trip doing it.
 func TestDistCampaignBinaryJSONDifferential(t *testing.T) {
 	cfg := smallCampaign()
 	want, err := Campaign(cfg)
@@ -182,90 +182,73 @@ func TestDistCampaignBinaryJSONDifferential(t *testing.T) {
 	wantB := resultBytes(t, want)
 	for _, procs := range []int{1, 3} {
 		for _, leaseSets := range []int{1, 7, 50} {
-			for _, proto := range []WireProto{WireJSON, WireBinary} {
-				got, _, err := DistCampaign(cfg, PipeWorkers(procs), DistOptions{Proto: proto, LeaseSets: leaseSets})
-				if err != nil {
-					t.Fatalf("%s procs=%d leaseSets=%d: %v", proto, procs, leaseSets, err)
-				}
-				if gotB := resultBytes(t, got); string(gotB) != string(wantB) {
-					t.Fatalf("%s procs=%d leaseSets=%d diverged from single-process bytes", proto, procs, leaseSets)
-				}
+			got, _, err := DistCampaign(cfg, PipeWorkers(procs), DistOptions{LeaseSets: leaseSets})
+			if err != nil {
+				t.Fatalf("procs=%d leaseSets=%d: %v", procs, leaseSets, err)
+			}
+			if gotB := resultBytes(t, got); string(gotB) != string(wantB) {
+				t.Fatalf("procs=%d leaseSets=%d diverged from single-process bytes", procs, leaseSets)
 			}
 		}
 	}
-	jsonPer := marginalBytesPerLease(t, cfg, WireJSON, 1)
-	binPer := marginalBytesPerLease(t, cfg, WireBinary, 1)
-	if binPer*5 > jsonPer {
-		t.Errorf("binary spends %.1f bytes per lease round-trip vs JSON's %.1f — less than the 5x reduction target", binPer, jsonPer)
+	if per := marginalBytesPerLease(t, cfg, 1); per > maxBytesPerLease {
+		t.Errorf("a lease round-trip costs %.1f wire bytes, want <= %d", per, maxBytesPerLease)
 	}
 }
 
 // TestDistCampaignBinaryJSONWorkerLoss runs the kill-a-worker axis of
-// the differential: both protocols must survive losing a worker
-// mid-run and still merge identically.
+// the differential: the run must survive losing a worker mid-run and
+// still merge identically.
 func TestDistCampaignBinaryJSONWorkerLoss(t *testing.T) {
 	cfg := smallCampaign()
 	want, err := Campaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB := resultBytes(t, want)
-	for _, proto := range []WireProto{WireJSON, WireBinary} {
-		conns := workerLossConns(3) // ready + two results, then dead
-		got, rep, err := DistCampaign(cfg, conns, DistOptions{Proto: proto, LeaseSets: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
-		}
-		if gotB := resultBytes(t, got); string(gotB) != string(wantB) {
-			t.Fatalf("%s: result after worker loss diverged from single-process bytes", proto)
-		}
-		if rep.WorkerFailures != 1 || rep.Reassigned < 1 {
-			t.Fatalf("%s: report %+v: want 1 failure and >= 1 reassignment", proto, rep)
-		}
+	conns := workerLossConns(3) // ready + two results, then dead
+	got, rep, err := DistCampaign(cfg, conns, DistOptions{LeaseSets: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotB, wantB := resultBytes(t, got), resultBytes(t, want); string(gotB) != string(wantB) {
+		t.Fatal("result after worker loss diverged from single-process bytes")
+	}
+	if rep.WorkerFailures != 1 || rep.Reassigned < 1 {
+		t.Fatalf("report %+v: want 1 failure and >= 1 reassignment", rep)
 	}
 }
 
 // TestServeWorkerRejectsBadPreamble pins the worker's handshake guard:
-// a binary-looking stream with a version the worker cannot accept, or
-// garbage after the magic, errors out instead of wedging.
+// a stream with a wire version the worker does not speak (including
+// v1, which framed with a flags byte), a JSON hello from the retired
+// line protocol, or garbage after the magic errors out at once. The
+// coordinator side stays open, so a worker that kept reading instead
+// of rejecting would block.
 func TestServeWorkerRejectsBadPreamble(t *testing.T) {
-	err := ServeWorker(struct {
-		io.Reader
-		io.Writer
-	}{strings.NewReader("\xf7\x00"), io.Discard})
-	if err == nil {
-		t.Fatal("worker accepted wire version 0")
-	}
-}
-
-// TestLeaseSizer pins the adaptive sizing policy: no observations or
-// no target gives the fixed base; observed rates steer toward the
-// target latency; the min/max clamps hold at the extremes.
-func TestLeaseSizer(t *testing.T) {
-	s := leaseSizer{base: 64, min: 4, max: 512, target: 1e6} // 1ms target
-	if got := s.size(); got != 64 {
-		t.Fatalf("unobserved sizer granted %d, want base 64", got)
-	}
-	s.observe(100, 1e6) // 10µs/set steady → 100 sets per ms
-	if got := s.size(); got != 100 {
-		t.Fatalf("sizer granted %d, want 100 at 10µs/set", got)
-	}
-	for i := 0; i < 20; i++ {
-		s.observe(1, 1e6) // 1ms/set: a very slow worker
-	}
-	if got := s.size(); got != s.min {
-		t.Fatalf("sizer granted %d for a slow worker, want the min clamp %d", got, s.min)
-	}
-	for i := 0; i < 40; i++ {
-		s.observe(1000, 1e3) // 1ns/set: impossibly fast
-	}
-	if got := s.size(); got != s.max {
-		t.Fatalf("sizer granted %d for a fast worker, want the max clamp %d", got, s.max)
-	}
-	fixed := leaseSizer{base: 16}
-	fixed.observe(100, 1e6)
-	if got := fixed.size(); got != 16 {
-		t.Fatalf("target-less sizer granted %d, want the fixed base 16", got)
+	for name, in := range map[string]string{
+		"version 0":  "\xf7\x00",
+		"version 1":  "\xf7\x01\x0b\x01\x00\x08{\"seed\":1}",
+		"version 3":  "\xf7\x03",
+		"json hello": `{"t":"hello","config":{}}` + "\n",
+		"bad magic":  "\x00\x02",
+	} {
+		c, w := net.Pipe()
+		go func() {
+			c.Write([]byte(in))
+			io.Copy(io.Discard, c) // hold the stream open; take any reply
+		}()
+		errc := make(chan error, 1)
+		go func() { errc <- ServeWorker(w) }()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Errorf("%s: worker accepted the preamble", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: worker blocked instead of rejecting the preamble", name)
+		}
+		c.Close()
+		w.Close()
 	}
 }
 
@@ -284,10 +267,6 @@ func FuzzDistFrame(f *testing.F) {
 	enc.begin(frameResult)
 	enc.uvarint(3)
 	enc.appendResultWords([]uint64{5, 5, 0, 1 << 60})
-	enc.flush()
-	enc.begin(frameReady)
-	enc.uvarint(1)
-	enc.lenBytes(bytes.Repeat([]byte("{}"), 300)) // compressible: exercises deflate
 	enc.flush()
 	f.Add(seed.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

@@ -17,7 +17,7 @@ type Options struct {
 	// Runs is the number of runs; ≤ 0 selects one full pass over the
 	// space's cross-product.
 	Runs int
-	// Workers pins the stealing-pool width; ≤ 0 selects expt.Workers()
+	// Workers pins the worker-pool width; ≤ 0 selects expt.Workers()
 	// (the FTMC_WORKERS / NumCPU default). The determinism tests sweep
 	// this together with Chunk and require identical digests.
 	Workers int
@@ -95,7 +95,7 @@ func (r Result) String() string {
 }
 
 // Soak executes one sweep: Runs specs derived from (Seed, index) over
-// the space, in parallel on the stealing pool at the requested width
+// the space, in parallel on the worker pool at the requested width
 // and lease shape, all sharing one RunEnv. Per-run outcome digests are
 // collected into a per-index slice and folded serially afterwards —
 // the idiom that makes the sweep digest a pure function of (space,

@@ -37,7 +37,7 @@
 // runs ≥ 10^5 runs via `ftmc-bench -soak` (`make soak-deep`). Both
 // share one serve.Pipeline and one deliberately tiny safety.CacheShards
 // pool across all concurrent runs, so the sweep churns multi-context
-// cache eviction and stealing-pool skew — exactly the concurrent paths
+// cache eviction and worker-pool skew — exactly the concurrent paths
 // a single benchmark box cannot stress.
 package harness
 

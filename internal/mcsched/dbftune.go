@@ -2,7 +2,7 @@ package mcsched
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/criticality"
 	"repro/internal/timeunit"
@@ -59,7 +59,8 @@ type demandTask struct {
 }
 
 // demandFeasible checks Σ dbf(t) ≤ t at all deadline points within the
-// standard bounded interval. Exact for U < 1; for U = 1 it accepts only
+// standard bounded interval. Exact for U < 1 within demandLimit's point
+// budget (beyond it, a conservative reject); for U = 1 it accepts only
 // the closed-form-safe case D ≥ T for every task (then dbf(t) ≤ U·t).
 func demandFeasible(tasks []demandTask) bool {
 	u := 0.0
@@ -77,9 +78,19 @@ func demandFeasible(tasks []demandTask) bool {
 		}
 		return true
 	}
-	limit := demandLimit(tasks, u)
-	points := demandPoints(tasks, limit)
-	for _, at := range points {
+	return demandHolds(tasks, u)
+}
+
+// demandHolds checks Σ dbf(t) ≤ t at every deadline point within the
+// bounded testing interval (see demandLimit); requires U < 1. It is the
+// demand check of both DBFTune and EDFWorstCase, and answers false when
+// the interval holds too many points to enumerate.
+func demandHolds(tasks []demandTask, u float64) bool {
+	limit, ok := demandLimit(tasks, u)
+	if !ok {
+		return false
+	}
+	for _, at := range demandPoints(tasks, limit) {
 		var demand timeunit.Time
 		for _, tk := range tasks {
 			demand += dbfPoint(tk.c, tk.d, tk.t, at)
@@ -91,9 +102,24 @@ func demandFeasible(tasks []demandTask) bool {
 	return true
 }
 
+// maxDemandPoints bounds the deadlines one demand check may enumerate
+// (a few MB of points). The sets the repository's experiments, examples
+// and soak sweeps analyse stay below it — the 10^5-run deep soak tier
+// peaks near 10^5 points — and beyond it the check answers not
+// schedulable instead of enumerating.
+const maxDemandPoints = 1 << 20
+
 // demandLimit is the bounded testing interval
-// max(max_i D_i, Σ_i max(0, T_i − D_i)·U_i / (1 − U)).
-func demandLimit(tasks []demandTask, u float64) timeunit.Time {
+//
+//	L = max(max_i D_i, Σ_i max(0, T_i − D_i)·U_i / (1 − U)),
+//
+// computed in float64. ok is false when L is not finite, does not fit
+// a timeunit.Time, or holds more than maxDemandPoints deadlines
+// k·T_i + D_i (counted, not enumerated). As U nears 1 the interval
+// explodes — at one ulp below 1 it passes 10^18 µs — and then a
+// demand check must answer not schedulable: a schedulability test may
+// reject a feasible set, but it must never accept an infeasible one.
+func demandLimit(tasks []demandTask, u float64) (timeunit.Time, bool) {
 	var maxD timeunit.Time
 	slack := 0.0
 	for _, tk := range tasks {
@@ -102,23 +128,32 @@ func demandLimit(tasks []demandTask, u float64) timeunit.Time {
 			slack += (tk.t - tk.d).Float() * tk.c.Float() / tk.t.Float()
 		}
 	}
-	return maxD.Max(timeunit.Time(math.Ceil(slack / (1 - u))))
+	l := math.Max(maxD.Float(), math.Ceil(slack/(1-u)))
+	if !(l < math.MaxInt64) { // also catches NaN and +Inf
+		return 0, false
+	}
+	points := 0.0
+	for _, tk := range tasks {
+		if d := tk.d.Float(); d <= l {
+			points += math.Floor((l-d)/tk.t.Float()) + 1
+		}
+	}
+	if points > maxDemandPoints {
+		return 0, false
+	}
+	return timeunit.Time(l), true
 }
 
 // demandPoints enumerates k·T + D ≤ limit, deduplicated and sorted.
 func demandPoints(tasks []demandTask, limit timeunit.Time) []timeunit.Time {
-	seen := map[timeunit.Time]bool{}
 	var points []timeunit.Time
 	for _, tk := range tasks {
 		for at := tk.d; at <= limit; at += tk.t {
-			if !seen[at] {
-				seen[at] = true
-				points = append(points, at)
-			}
+			points = append(points, at)
 		}
 	}
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-	return points
+	slices.Sort(points)
+	return slices.Compact(points)
 }
 
 // Schedulable implements Test.
@@ -271,7 +306,10 @@ func (d DBFTune) leastOffset(hi []MCTask, offs []timeunit.Time, i int, uHI float
 		}
 		var limit timeunit.Time
 		if uHI < 1 {
-			limit = demandLimit(tasks, uHI)
+			var ok bool
+			if limit, ok = demandLimit(tasks, uHI); !ok {
+				return 0, false // interval too long to check: conservative reject
+			}
 		} else {
 			limit = off // U = 1: only the carry point matters; final check arbitrates
 		}

@@ -2,6 +2,7 @@ package mcsched
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/criticality"
 	"repro/internal/timeunit"
@@ -168,5 +169,39 @@ func TestDBFTuneVsEDFVD(t *testing.T) {
 func TestDBFTuneName(t *testing.T) {
 	if (DBFTune{}).Name() != "DBF-tune" {
 		t.Error("name wrong")
+	}
+}
+
+// TestDemandTestsUlpBelowFullLoad pins both demand tests on sets whose
+// utilization 1/2 + 1/3 + 1/6 sums to one ulp below 1 in float64, which
+// sends the testing interval Σ(T−D)·U/(1−U) past 10^18 µs. Both sets
+// are infeasible (demand 6 ms in [0, 5 ms]). Unbounded, D3 = 4 ms
+// overflowed the interval's int64 conversion and the check stopped at
+// max D, accepting the set; D3 = 5 ms enumerated deadlines until the
+// runtime ran out of memory. Both must answer false at once.
+func TestDemandTestsUlpBelowFullLoad(t *testing.T) {
+	for _, d3 := range []int64{4, 5} {
+		set := func(first criticality.Class) *MCSet {
+			return MustNewMCSet([]MCTask{
+				single("a", 2, 1, 1, first),
+				single("b", 3, 2, 1, criticality.LO),
+				single("c", 6, d3, 1, criticality.LO),
+			})
+		}
+		for _, tc := range []struct {
+			test Test
+			set  *MCSet
+		}{
+			{EDFWorstCase{}, set(criticality.HI)},
+			{DBFTune{}, set(criticality.LO)},
+		} {
+			start := time.Now()
+			if tc.test.Schedulable(tc.set) {
+				t.Errorf("%s accepted the infeasible set with D3 = %d ms", tc.test.Name(), d3)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("%s took %v on the set with D3 = %d ms", tc.test.Name(), took, d3)
+			}
+		}
 	}
 }

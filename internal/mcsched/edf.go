@@ -1,12 +1,6 @@
 package mcsched
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/criticality"
-	"repro/internal/timeunit"
-)
+import "repro/internal/criticality"
 
 // EDFWorstCase is the non-mixed-criticality baseline: plain EDF with every
 // task budgeted at its own-criticality WCET at all times (HI tasks at
@@ -15,8 +9,10 @@ import (
 // the analysis that rejects Example 3.1 (U = 1.08595 > 1).
 //
 // For implicit-deadline sporadic tasks the test is the exact EDF
-// condition U ≤ 1; otherwise the exact processor-demand criterion
-// dbf(t) ≤ t is checked over the standard bounded testing interval.
+// condition U ≤ 1; otherwise the processor-demand criterion dbf(t) ≤ t
+// is checked over the standard bounded testing interval
+// (Baruah/Mok/Rosier, see demandLimit), with every task at its
+// own-criticality WCET.
 type EDFWorstCase struct{}
 
 // Name implements Test.
@@ -41,71 +37,13 @@ func (e EDFWorstCase) Schedulable(s *MCSet) bool {
 		return true
 	}
 	if u == 1 {
-		// The busy-period bound below needs U < 1; with arbitrary
-		// deadlines and a fully loaded processor we answer conservatively.
+		// The testing interval needs U < 1; with arbitrary deadlines
+		// and a fully loaded processor we answer conservatively.
 		return false
 	}
-	return demandTestHI(s.Tasks(), u)
-}
-
-// dbfHI is the processor demand bound function of the task at its
-// own-criticality WCET: the maximum execution demand of jobs with both
-// release and deadline inside an interval of length t,
-//
-//	dbf(t) = max(0, ⌊(t − D)/T⌋ + 1) · C.
-func dbfHI(tk MCTask, t timeunit.Time) timeunit.Time {
-	if t < tk.Deadline {
-		return 0
+	tasks := make([]demandTask, 0, len(s.Tasks()))
+	for _, tk := range s.Tasks() {
+		tasks = append(tasks, demandTask{c: tk.CHI, d: tk.Deadline, t: tk.Period})
 	}
-	k := (t - tk.Deadline).DivFloor(tk.Period) + 1
-	return timeunit.Time(k) * tk.CHI
-}
-
-// demandTestHI checks dbf(t) ≤ t at every absolute deadline k·T+D within
-// the bounded testing interval
-//
-//	L = max( max_i D_i, Σ_i max(0, T_i − D_i)·U_i / (1 − U) ),
-//
-// the classical bound for sporadic arbitrary-deadline EDF feasibility
-// (Baruah/Mok/Rosier). Requires U < 1.
-func demandTestHI(tasks []MCTask, u float64) bool {
-	var maxD timeunit.Time
-	slack := 0.0
-	for _, tk := range tasks {
-		maxD = maxD.Max(tk.Deadline)
-		if tk.Period > tk.Deadline {
-			slack += (tk.Period - tk.Deadline).Float() * tk.UtilizationAt(criticality.HI)
-		}
-	}
-	bound := timeunit.Time(math.Ceil(slack / (1 - u)))
-	limit := maxD.Max(bound)
-
-	points := deadlinePoints(tasks, limit)
-	for _, t := range points {
-		var demand timeunit.Time
-		for _, tk := range tasks {
-			demand += dbfHI(tk, t)
-		}
-		if demand > t {
-			return false
-		}
-	}
-	return true
-}
-
-// deadlinePoints enumerates the absolute deadlines k·T_i + D_i ≤ limit,
-// deduplicated and sorted — the only points where dbf can jump.
-func deadlinePoints(tasks []MCTask, limit timeunit.Time) []timeunit.Time {
-	seen := map[timeunit.Time]bool{}
-	var points []timeunit.Time
-	for _, tk := range tasks {
-		for t := tk.Deadline; t <= limit; t += tk.Period {
-			if !seen[t] {
-				seen[t] = true
-				points = append(points, t)
-			}
-		}
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-	return points
+	return demandHolds(tasks, u)
 }

@@ -219,6 +219,12 @@ func TestEDFFullUtilizationCases(t *testing.T) {
 	}
 }
 
+// dbfHI is the demand bound function of a task at its own-criticality
+// WCET, the form EDFWorstCase's demand check feeds to dbfPoint.
+func dbfHI(tk MCTask, t timeunit.Time) timeunit.Time {
+	return dbfPoint(tk.CHI, tk.Deadline, tk.Period, t)
+}
+
 func TestDbfHI(t *testing.T) {
 	tk := single("a", 10, 7, 3, criticality.HI)
 	cases := []struct {

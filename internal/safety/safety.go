@@ -23,6 +23,7 @@ package safety
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/timeunit"
 )
@@ -48,10 +49,18 @@ func DefaultConfig() Config {
 	return Config{OperationHours: 1, AssumeFullWCET: true}
 }
 
+// maxOperationHours is the longest OS whose horizon fits int64
+// microseconds (2,562,047,788 h); one hour more wraps Horizon negative.
+const maxOperationHours = math.MaxInt64 / int64(timeunit.Hour)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.OperationHours < 1 {
 		return fmt.Errorf("safety: operation duration must be >= 1 hour, got %d", c.OperationHours)
+	}
+	if int64(c.OperationHours) > maxOperationHours {
+		return fmt.Errorf("safety: operation duration of %d hours overflows the microsecond horizon (max %d)",
+			c.OperationHours, maxOperationHours)
 	}
 	return nil
 }

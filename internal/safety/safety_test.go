@@ -43,6 +43,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateHorizonOverflow pins the upper bound on OS: the
+// longest operation duration whose horizon fits int64 microseconds is
+// valid, and one hour more, which would wrap Horizon negative, is not.
+func TestConfigValidateHorizonOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		hours int
+		valid bool
+	}{
+		{10, true},
+		{2_562_047_788, true},
+		{2_562_047_789, false},
+		{math.MaxInt, false},
+	} {
+		c := Config{OperationHours: tc.hours, AssumeFullWCET: true}
+		err := c.Validate()
+		if (err == nil) != tc.valid {
+			t.Errorf("OS = %d h: Validate() = %v, want valid=%v", tc.hours, err, tc.valid)
+		}
+		if err == nil && c.Horizon() <= 0 {
+			t.Errorf("OS = %d h validated but Horizon() = %d", tc.hours, c.Horizon())
+		}
+	}
+}
+
 func TestHorizon(t *testing.T) {
 	c := Config{OperationHours: 10, AssumeFullWCET: true}
 	if got := c.Horizon(); got != timeunit.Hours(10) {

@@ -93,7 +93,7 @@ type wireRequest struct {
 	Set      task.Set `json:"set"`
 	Mode     string   `json:"mode,omitempty"` // "kill" (default) | "degrade"
 	DF       float64  `json:"df,omitempty"`
-	OSHours  int      `json:"os_hours,omitempty"`  // default 1
+	OSHours  int      `json:"os_hours,omitempty"`  // default 1, at most maxOSHours
 	FullWCET *bool    `json:"full_wcet,omitempty"` // default true
 	Test     string   `json:"test,omitempty"`
 }
@@ -106,6 +106,12 @@ type wireError struct {
 // maxBodyBytes bounds /v1/verdict request bodies; paper-scale sets are
 // a few KB.
 const maxBodyBytes = 1 << 20
+
+// maxOSHours bounds a request's os_hours: 10 h is the longest
+// operation duration the paper uses (the FMS study), and the analysis
+// cost grows with OS — at 1,000 h one Appendix C set takes up to
+// seconds.
+const maxOSHours = 10
 
 func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -182,6 +188,9 @@ func (in *wireRequest) toRequest() (Request, error) {
 		mode = safety.Degrade
 	default:
 		return Request{}, fmt.Errorf("%w: unknown mode %q (want \"kill\" or \"degrade\")", ErrInvalid, in.Mode)
+	}
+	if in.OSHours > maxOSHours {
+		return Request{}, fmt.Errorf("%w: os_hours %d exceeds the %d-hour limit", ErrInvalid, in.OSHours, maxOSHours)
 	}
 	cfg := safety.DefaultConfig()
 	if in.OSHours != 0 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +146,60 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerOSHoursBound: os_hours above maxOSHours is a 400 — both a
+// merely long horizon, whose analysis would run for minutes, and one
+// that wraps the int64 microsecond horizon negative — while the bound
+// itself is still served.
+func TestServerOSHoursBound(t *testing.T) {
+	p := NewPipeline(Options{})
+	srv := httptest.NewServer(NewServer(p, ServerOptions{}))
+	defer srv.Close()
+	defer p.Close()
+	ts := serveCorpus(t, 67, 1)[0]
+	for _, tc := range []struct {
+		hours int
+		want  int
+	}{
+		{maxOSHours, http.StatusOK},
+		{maxOSHours + 1, http.StatusBadRequest},
+		{2_562_047_789, http.StatusBadRequest},
+	} {
+		resp := postVerdict(t, srv.Client(), srv.URL, ts, map[string]any{"os_hours": tc.hours}, "")
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("os_hours %d: status %d, want %d", tc.hours, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestServerDemandIntervalUlp posts a set whose converted utilization
+// 1/2 + 1/3 + 1/6 sums to one ulp below 1 under the arbitrary-deadline
+// EDF test. FT-S converts every task to C = 1 ms, which makes the set
+// infeasible, and the demand test's testing interval passes 10^18 µs.
+// Unbounded, enumerating it exhausted memory and killed the server;
+// the verdict must be a prompt FAILURE.
+func TestServerDemandIntervalUlp(t *testing.T) {
+	p := NewPipeline(Options{})
+	srv := httptest.NewServer(NewServer(p, ServerOptions{}))
+	defer srv.Close()
+	defer p.Close()
+	body := `{"test":"edf","set":{"tasks":[` +
+		`{"T":"2ms","D":"1ms","C":"500us","level":"B","f":1e-9},` +
+		`{"T":"3ms","D":"2ms","C":"500us","level":"C","f":1e-9},` +
+		`{"T":"6ms","D":"5ms","C":"500us","level":"C","f":1e-9}]}}`
+	resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if v := decodeVerdict(t, resp); v.OK {
+		t.Fatalf("verdict %+v: an infeasible set was certified", v)
+	}
+}
+
 // TestServerQuota: a tenant over its token bucket gets 429 with a
 // Retry-After hint; other tenants are unaffected.
 func TestServerQuota(t *testing.T) {
@@ -257,8 +312,9 @@ func TestQuotaTableBounded(t *testing.T) {
 
 // FuzzVerdictRequest feeds arbitrary bytes to the POST /v1/verdict
 // decode-and-validate step. It must never panic; every rejection must
-// classify as a 400; and every accepted request must survive the
-// pipeline's own canonicalization and set validation.
+// classify as a 400; and every accepted request must have an operation
+// duration in [1, maxOSHours] h and survive the pipeline's own
+// canonicalization and set validation.
 func FuzzVerdictRequest(f *testing.F) {
 	ts := serveCorpus(f, 79, 1)[0]
 	s, err := task.NewSet(ts)
@@ -275,6 +331,7 @@ func FuzzVerdictRequest(f *testing.F) {
 		`{"set":` + string(set) + `,"mode":"degrade","df":1}`,
 		`{"set":` + string(set) + `,"test":"no-such-test"}`,
 		`{"set":` + string(set) + `,"os_hours":-3}`,
+		`{"set":` + string(set) + `,"os_hours":11}`,
 		`{"set":{"tasks":[]}}`,
 		`{"set":{"tasks":[{"T":"10ms","C":"20ms","level":"B","f":1e-5}]}}`,
 		`{"mode":"panic"}`,
@@ -291,6 +348,9 @@ func FuzzVerdictRequest(f *testing.F) {
 				t.Fatalf("rejection %q classified as %d, want 400", err, got)
 			}
 			return
+		}
+		if h := req.Safety.OperationHours; h < 1 || h > maxOSHours {
+			t.Fatalf("accepted request with OperationHours %d outside [1, %d]", h, maxOSHours)
 		}
 		canon := append([]task.Task(nil), req.Tasks...)
 		task.SortCanonical(canon)
