@@ -1,5 +1,4 @@
 GO ?= go
-DATE := $(shell date +%F)
 FUZZTIME ?= 30s
 # SOAK_RUNS is the single run-budget knob of both soak tiers: empty
 # selects the tier defaults (two cross-product passes for `soak`,
@@ -8,22 +7,23 @@ FUZZTIME ?= 30s
 SOAK_RUNS ?=
 
 .PHONY: all check ci vet build test race race-pool benchcheck bench \
-	bench-compare bench-smoke serve-smoke dist-smoke soak soak-deep \
-	staticcheck govulncheck fuzz-smoke profile pgo clean
+	serve-smoke dist-smoke soak soak-deep staticcheck govulncheck \
+	fuzz-smoke profile clean
 
 all: check
 
 # check is the pre-commit gate: static analysis, a full build, the test
-# suite under the race detector, and one pass over the safety-kernel
-# benchmarks (so a kernel regression breaks the build loudly even when
+# suite under the race detector, and one iteration of every benchmark
+# (so a benchmark body that fails or panics breaks the build even when
 # nobody reads timings).
 check: vet build race benchcheck
 
 # ci mirrors the GitHub Actions matrix locally: the check gate plus the
 # lint pair, the fuzz smoke, the focused pool/shard race pass and the
-# bench smoke with its exit-code convention (regression tolerated,
-# harness error fatal).
-ci: check staticcheck govulncheck fuzz-smoke race-pool bench-smoke serve-smoke dist-smoke
+# serve and distributed smokes. End-to-end timings are gated by the
+# repository benchmark (bash perfbench/run.sh, bounds in BENCHMARK.json),
+# not here.
+ci: check staticcheck govulncheck fuzz-smoke race-pool serve-smoke dist-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,36 +48,18 @@ race-pool:
 		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
 		./internal/expt/ ./internal/safety/ ./internal/serve/
 
+# benchcheck runs every Benchmark* function in the module once, as the
+# CI benchcheck job does: it checks that each benchmark body still runs
+# and passes its own assertions, so a moved or new benchmark cannot
+# break unnoticed. It measures nothing.
 benchcheck:
-	$(GO) test -run '^$$' -bench='SafetyKillingPFH|DistCampaign|PoolSkewed' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench first runs the pooled-engine micro-benchmarks with allocation
-# counts (Fig. 3 point, FT-S with/without scratch, one simulator
-# hyperperiod), then writes the machine-readable performance report
-# BENCH_$(DATE).json (see cmd/ftmc-bench); commit it to extend the
-# performance history.
+# bench runs every microbenchmark (Benchmark* in the _test.go files) with
+# allocation counts. End-to-end numbers come from the repository
+# benchmark: bash perfbench/run.sh (workloads in BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'Fig3Point|FTSScratch|FTSAllocating|SimulatorHyperperiod' -benchmem ./internal/...
-	$(GO) run ./cmd/ftmc-bench -v -out BENCH_$(DATE).json
-
-# bench-compare runs the suite and diffs it against the newest committed
-# BENCH_*.json: any benchmark regressing by more than 20% in ns/op or
-# allocs/op fails the target (see ftmc-bench -compare).
-bench-compare:
-	$(GO) run ./cmd/ftmc-bench -out /tmp/ftmc-bench-compare.json \
-		-compare $$(ls BENCH_*.json | sort | tail -1)
-
-# bench-smoke is the CI variant of bench-compare: a short-benchtime run
-# that exercises the harness, manifest and metrics emission end to end.
-# ftmc-bench exits 2 when a benchmark regressed beyond the gate — noise
-# at smoke benchtimes, so only other (harness) failures break the
-# target. Built binary, not `go run`: go run collapses any nonzero
-# program exit to 1 and would erase the 2-vs-1 distinction.
-bench-smoke:
-	$(GO) build -o /tmp/ftmc-bench-smoke-bin ./cmd/ftmc-bench
-	/tmp/ftmc-bench-smoke-bin -benchtime 5ms -metrics -out /tmp/ftmc-bench-smoke.json
-	/tmp/ftmc-bench-smoke-bin -benchtime 1ms -out /tmp/ftmc-bench-smoke2.json \
-		-compare /tmp/ftmc-bench-smoke.json || test $$? -eq 2
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # dist-smoke drives the distributed campaign runner end to end as CI
 # does: build ftmc-report and ftmc-worker as real binaries, then (a)
@@ -111,15 +93,15 @@ soak:
 	FTMC_SOAK_RUNS=$(SOAK_RUNS) FTMC_SOAK_TRIAGE=$(CURDIR)/soak-triage \
 		$(GO) test -race -count 1 -v -run '^TestSoakSmoke$$' ./internal/harness/
 
-# soak-deep is the nightly tier: the same sweep through the built
-# ftmc-bench binary at a 10^5-run budget (override with SOAK_RUNS).
-# Minimized repro records for any violation land in soak-triage/; the
-# JSON sweep summary goes to stdout. Built binary, not `go run`, so the
-# exit status reaches make unmangled.
+# soak-deep is the nightly tier: the same test as soak, without the race
+# detector, at a 10^5-run budget (override with SOAK_RUNS). Minimized
+# repro records for any violation land in soak-triage/; the test logs
+# the one-line sweep summary with its digest. The 55-minute test timeout
+# makes a hang print goroutine stacks before the 60-minute CI job is
+# killed.
 soak-deep:
-	$(GO) build -o /tmp/ftmc-bench-soak-bin ./cmd/ftmc-bench
-	/tmp/ftmc-bench-soak-bin -soak $(if $(SOAK_RUNS),-soak-runs $(SOAK_RUNS)) \
-		-soak-triage soak-triage
+	FTMC_SOAK_RUNS=$(or $(SOAK_RUNS),100000) FTMC_SOAK_TRIAGE=$(CURDIR)/soak-triage \
+		$(GO) test -count 1 -timeout 55m -v -run '^TestSoakSmoke$$' ./internal/harness/
 
 # staticcheck / govulncheck run the deeper analyzers when installed
 # (CI installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -148,22 +130,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime $(FUZZTIME) ./internal/expt
 	$(GO) test -run '^$$' -fuzz '^FuzzDistJournal$$' -fuzztime $(FUZZTIME) ./internal/expt
 
-# profile writes pprof CPU and heap profiles of the benchmark suite;
-# inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
+# profile writes pprof CPU and heap profiles of the full Fig. 3 campaign
+# (BenchmarkCampaignFigure: draw, line 2, line 8 and the eq. (5)/(7)
+# probes); inspect with `go tool pprof expt.test cpu.prof` /
+# `go tool pprof expt.test mem.prof`.
 profile:
-	$(GO) run ./cmd/ftmc-bench -out - -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
-	@echo "wrote cpu.prof and mem.prof"
-
-# pgo refreshes the committed profile-guided-optimization input: a CPU
-# profile of the benchmark suite (the safety kernel and sweep engines
-# dominate it) written where `go build`'s default -pgo=auto finds it —
-# default.pgo in the main package directory. Commit the refreshed file;
-# the CI pgo job asserts it stays present and loadable.
-pgo:
-	$(GO) run ./cmd/ftmc-bench -out - -benchtime 250ms \
-		-cpuprofile cmd/ftmc-bench/default.pgo > /dev/null
-	$(GO) build -pgo=auto -o /dev/null ./cmd/ftmc-bench
-	@echo "wrote cmd/ftmc-bench/default.pgo"
+	$(GO) test -run '^$$' -bench '^BenchmarkCampaignFigure$$' \
+		-cpuprofile cpu.prof -memprofile mem.prof ./internal/expt
+	@echo "wrote cpu.prof, mem.prof and expt.test"
 
 clean:
 	$(GO) clean ./...

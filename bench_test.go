@@ -122,7 +122,9 @@ func BenchmarkFig3cAcceptDegradeDE(b *testing.B) { benchFig3(b, "3c") }
 func BenchmarkFig3dAcceptDegradeC(b *testing.B) { benchFig3(b, "3d") }
 
 // BenchmarkSafetyKillingPFH isolates the cost of the eq. (5) bound on the
-// FMS workload (≈ 36 000 π-points per LO task over OS = 10 h).
+// FMS workload (≈ 36 000 π-points per LO task over OS = 10 h). Its naive
+// per-point twin is BenchmarkSafetyKillingPFHNaive in internal/safety,
+// where the reference kernel lives as test code.
 func BenchmarkSafetyKillingPFH(b *testing.B) {
 	s := FMSAt(gen.DefaultFMSKillSeed)
 	cfg := safety.Config{OperationHours: gen.FMSOperationHours, AssumeFullWCET: true}
@@ -134,26 +136,6 @@ func BenchmarkSafetyKillingPFH(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cfg.KillingPFHLOUniform(lo, 2, adapt) <= 0 {
-			b.Fatal("bad bound")
-		}
-	}
-}
-
-// BenchmarkSafetyKillingPFHNaive is the same workload through the naive
-// per-point evaluation the boundary-merge kernel replaced; the ratio to
-// BenchmarkSafetyKillingPFH is the kernel speedup reported by ftmc-bench.
-func BenchmarkSafetyKillingPFHNaive(b *testing.B) {
-	s := FMSAt(gen.DefaultFMSKillSeed)
-	cfg := safety.Config{OperationHours: gen.FMSOperationHours, AssumeFullWCET: true}
-	adapt, err := safety.NewUniformAdaptation(cfg, s.ByClass(HI), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lo := s.ByClass(LO)
-	ns := []int{2, 2, 2, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cfg.KillingPFHLONaive(lo, ns, adapt) <= 0 {
 			b.Fatal("bad bound")
 		}
 	}
@@ -381,6 +363,21 @@ func BenchmarkSimulatorDMHour(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = stats
+	}
+}
+
+// BenchmarkFTSAnalyzeFMS runs Algorithm 1 (FT-EDF-VD, killing) on the FMS
+// case study at OS = 10 h: line 2, the line-4 search over eq. (5) and
+// the line-8 schedulability search on one task set.
+func BenchmarkFTSAnalyzeFMS(b *testing.B) {
+	s := FMSAt(gen.DefaultFMSKillSeed)
+	cfg := safety.Config{OperationHours: gen.FMSOperationHours, AssumeFullWCET: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeEDFVD(s, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -138,8 +138,9 @@ func PaperCampaign(setsPerPoint int, seed int64) CampaignConfig {
 // reusing across configurations everything that does not depend on f, the
 // LO level or the mode — the draw itself, the per-class utilization sums
 // of the baseline EDF bound, the minimal re-execution profiles within an f
-// group, the eq. (3) adaptation models across kill and degrade, and the
-// line-8 schedulability search keyed by (n_HI, n_LO, test).
+// group and the eq. (3) adaptation models across kill and degrade. The
+// line-8 schedulability search runs once per configuration that reaches
+// it.
 //
 // Parallelism is at chunk granularity through ForEachWorkerChunked (the
 // shared pool): a worker claims a contiguous run of sets and
@@ -322,16 +323,6 @@ func (r *campaignRunner) evalRange(ui, lo, hi int, out []verdict) error {
 	})
 }
 
-// schedKey identifies one line-8 schedulability search: the converted set
-// Γ(n_HI, n_LO, n′) depends only on the timing parameters and the
-// profiles, never on f, so within one drawn set the search result is
-// shared across every configuration agreeing on the key.
-type schedKey struct {
-	nHI, nLO int
-	mode     safety.AdaptMode
-	df       float64
-}
-
 // loProfile memoizes one LO-level minimal re-execution profile within an
 // f group (panels sharing an LO level share n_LO).
 type loProfile struct {
@@ -344,13 +335,12 @@ type loProfile struct {
 // drawer arena retargeted along the utilization axis, an FT-S conversion
 // scratch, a private AdaptationCache (private so FTS's resolveCache
 // discipline of rebinding per call cannot wipe memos between
-// configurations), the line-8 memo and the per-f-group LO profiles.
+// configurations) and the per-f-group LO profiles.
 type campaignEval struct {
 	key    evalKey
 	drawer *gen.Drawer
 	scr    *core.Scratch
 	cache  *safety.AdaptationCache
-	sched  map[schedKey]int
 	los    []loProfile
 }
 
@@ -380,7 +370,6 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 		}
 		ev.drawer = d
 		ev.scr = core.NewScratch()
-		ev.sched = make(map[schedKey]int)
 	} else if err := ev.drawer.Retarget(u); err != nil {
 		return err
 	}
@@ -391,7 +380,6 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 	m := exptView.Get()
 	m.campaignSets.Inc()
 	m.campaignConfigs.Add(uint64(len(out)))
-	clear(ev.sched)
 	// The class partition and timing parameters are fixed for the set, so
 	// the baseline bound's utilization sums are computed once and shared by
 	// every configuration.
@@ -435,8 +423,7 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 			if errHI != nil || badLO {
 				continue // no re-execution profile exists: FT-S line 2 fails
 			}
-			// Line 8 first, memoized per (n_HI, n_LO, test) across
-			// configurations: n²_HI caps every acceptable adaptation
+			// Line 8 first: n²_HI caps every acceptable adaptation
 			// profile, so with pfh(LO) non-increasing in n′ a single bound
 			// evaluation at n²_HI settles lines 4–15 — n¹_HI ≤ n²_HI iff
 			// pfh(n²_HI) < PFH_LO — replacing the per-curve path's
@@ -471,18 +458,10 @@ func (ev *campaignEval) minReexecLO(scfg safety.Config, lo []task.Task, level cr
 	return n, err != nil
 }
 
-// maxSched returns the memoized line-8 result n²_HI for this drawn set
-// under the keyed schedulability test (0 when no n′ is schedulable, which
-// is also how an FT-S-level error rejects on the per-curve path).
+// maxSched returns the line-8 result n²_HI for this drawn set under the
+// mode's schedulability test (0 when no n′ is schedulable, which is also
+// how an FT-S-level error rejects on the per-curve path).
 func (ev *campaignEval) maxSched(s *task.Set, nHI, nLO int, mode safety.AdaptMode, df float64, m *exptMetrics) int {
-	if mode != safety.Degrade {
-		df = 0 // EDFVD ignores the degradation factor: widen the memo key
-	}
-	key := schedKey{nHI: nHI, nLO: nLO, mode: mode, df: df}
-	if n2, ok := ev.sched[key]; ok {
-		m.campaignSchedMemoHits.Inc()
-		return n2
-	}
 	var test mcsched.Test
 	if mode == safety.Degrade {
 		test = mcsched.EDFVDDegrade{DF: df}
@@ -492,8 +471,7 @@ func (ev *campaignEval) maxSched(s *task.Set, nHI, nLO int, mode safety.AdaptMod
 	m.campaignSchedSearches.Inc()
 	n2, err := core.MaxSchedProfile(s, ev.scr, test, core.Profiles{NHI: nHI, NLO: nLO, NPrime: nHI})
 	if err != nil {
-		n2 = 0
+		return 0
 	}
-	ev.sched[key] = n2
 	return n2
 }

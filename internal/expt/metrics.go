@@ -21,14 +21,12 @@ type exptMetrics struct {
 	fig3PointNs    *obsv.Histogram
 	// Campaign-engine reuse telemetry: sets drawn once, configurations
 	// served per draw (their ratio is the draw amortization), baseline
-	// short-circuits, and the line-8 memo's hit/search split (hits are
-	// whole bisected schedulability scans skipped).
+	// short-circuits, and line-8 schedulability searches run.
 	campaignPoints        *obsv.Counter
 	campaignPointNs       *obsv.Histogram
 	campaignSets          *obsv.Counter
 	campaignConfigs       *obsv.Counter
 	campaignBaselineHits  *obsv.Counter
-	campaignSchedMemoHits *obsv.Counter
 	campaignSchedSearches *obsv.Counter
 	// Distributed-campaign telemetry, recorded at the coordinator:
 	// leases granted (including regrants), leases requeued after a
@@ -66,7 +64,6 @@ var exptView = obsv.NewView(func(r *obsv.Registry) *exptMetrics {
 		campaignSets:          r.Counter("expt.campaign.sets"),
 		campaignConfigs:       r.Counter("expt.campaign.configs"),
 		campaignBaselineHits:  r.Counter("expt.campaign.baseline_hits"),
-		campaignSchedMemoHits: r.Counter("expt.campaign.sched_memo_hits"),
 		campaignSchedSearches: r.Counter("expt.campaign.sched_searches"),
 		distLeases:            r.Counter("expt.dist.leases"),
 		distReassigned:        r.Counter("expt.dist.reassigned"),

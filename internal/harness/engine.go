@@ -41,9 +41,6 @@ type Options struct {
 	// ShrinkBudget caps the shrinker's re-executions per failure; ≤ 0
 	// selects the triage default.
 	ShrinkBudget int
-	// Progress, when non-nil, receives coarse progress lines (the deep
-	// tier's CLI heartbeat).
-	Progress func(done, total int)
 }
 
 // RunFailure is one failing run of a sweep: the spec as it failed, its
@@ -129,11 +126,9 @@ func Soak(o Options) (Result, error) {
 	start := time.Now()
 	digests := make([]uint64, runs)
 	var (
-		mu         sync.Mutex
-		res        Result
-		kept       []RunFailure
-		done       int
-		lastUpdate int
+		mu   sync.Mutex
+		res  Result
+		kept []RunFailure
 	)
 	_ = expt.ForEachWorkerChunkedN(o.Workers, runs, chunk, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -153,15 +148,6 @@ func Soak(o Options) (Result, error) {
 				}
 				mu.Unlock()
 			}
-		}
-		if o.Progress != nil {
-			mu.Lock()
-			done += hi - lo
-			if done-lastUpdate >= 1000 || done == runs {
-				lastUpdate = done
-				o.Progress(done, runs)
-			}
-			mu.Unlock()
 		}
 		return nil
 	})

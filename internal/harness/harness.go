@@ -32,9 +32,9 @@
 // shorter horizon, simpler fault regime) and emitted as a replayable
 // JSON TriageRecord — see triage.go.
 //
-// The engine ships in two budgeted tiers: the seconds-scale PR tier
-// runs as an ordinary test (TestSoakSmoke, `make soak`), the deep tier
-// runs ≥ 10^5 runs via `ftmc-bench -soak` (`make soak-deep`). Both
+// The engine ships in two budgeted tiers of one test, TestSoakSmoke:
+// the seconds-scale PR tier runs it under -race (`make soak`), the deep
+// tier runs it without -race at ≥ 10^5 runs (`make soak-deep`). Both
 // share one serve.Pipeline and one deliberately tiny safety.CacheShards
 // pool across all concurrent runs, so the sweep churns multi-context
 // cache eviction and worker-pool skew — exactly the concurrent paths

@@ -14,10 +14,10 @@ import (
 	"repro/internal/timeunit"
 )
 
-// smokeRuns resolves the PR-tier budget: FTMC_SOAK_RUNS when set (the
-// Makefile's SOAK_RUNS knob), else two full passes over the
-// cross-product — enough to hit every cell twice with different drawn
-// parameters while staying seconds-scale.
+// smokeRuns resolves the sweep budget: FTMC_SOAK_RUNS when set (the
+// Makefile's SOAK_RUNS knob; `make soak-deep` sets 10^5), else two full
+// passes over the cross-product — enough to hit every cell twice with
+// different drawn parameters while staying seconds-scale.
 func smokeRuns(t *testing.T, space *Space) int {
 	if v := os.Getenv("FTMC_SOAK_RUNS"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -29,9 +29,11 @@ func smokeRuns(t *testing.T, space *Space) int {
 	return 2 * space.Cells()
 }
 
-// TestSoakSmoke is the PR soak tier: a full sweep of the default
-// cross-product with triage armed. Any violated invariant fails the
-// test and leaves its minimized repro record in the test's artifacts.
+// TestSoakSmoke is both soak tiers: a sweep of the default cross-product
+// with triage armed, run under -race at the default budget by `make
+// soak` (every push) and without -race at 10^5 runs by `make soak-deep`
+// (nightly). Any violated invariant fails the test and leaves its
+// minimized repro record in the test's artifacts.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke skipped in -short mode")

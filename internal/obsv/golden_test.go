@@ -13,9 +13,9 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // golden compares got against testdata/<name>, rewriting it under
 // -update. The golden files pin the metrics/manifest JSON schema —
-// key names, key order, schema stamp — so report consumers (the
-// committed BENCH_*.json history, downstream parsers) break loudly in
-// review rather than silently at read time.
+// key names, key order, schema stamp — so report consumers (perfbench's
+// report, the committed BENCH_*.json history, downstream parsers) break
+// loudly in review rather than silently at read time.
 func golden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

@@ -8,11 +8,12 @@ import (
 	"sync"
 )
 
-// Manifest records the environment of one analysis run, so a
-// committed BENCH_*.json or experiment output is a reproducible
-// artifact rather than a bare number: the same binary, worker fan-out
-// and seed re-derive the same result. Field order is the JSON key
-// order; it is part of the schema pinned by the golden-file test.
+// Manifest records the environment of one analysis run, so a benchmark
+// report (perfbench's, or a committed BENCH_*.json) or an experiment
+// output is a reproducible artifact rather than a bare number: the same
+// binary, worker fan-out and seed re-derive the same result. Field order
+// is the JSON key order; it is part of the schema pinned by the
+// golden-file test.
 type Manifest struct {
 	// Schema is SchemaVersion (see its doc for the bump policy).
 	Schema int `json:"schema"`

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/task"
 )
@@ -22,8 +21,7 @@ import (
 // is served entirely from cache.
 //
 // The cache is safe for concurrent use (the experiment sweeps fan FT-S
-// across workers) and keeps hit/miss counters, exposed per cache via
-// Stats and aggregated process-wide via TotalCacheStats.
+// across workers) and keeps hit/miss counters, exposed via Stats.
 type AdaptationCache struct {
 	cfg Config
 	hi  []task.Task
@@ -70,21 +68,6 @@ func (s CacheStats) String() string {
 	return fmt.Sprintf("adaptation cache: %d hits / %d misses (%.1f%%)", s.Hits, s.Misses, 100*s.HitRate())
 }
 
-// Process-wide counters, aggregated across every AdaptationCache so CLIs
-// can report effectiveness without threading cache handles around.
-var totalCacheHits, totalCacheMisses atomic.Uint64
-
-// TotalCacheStats returns the process-wide hit/miss counters.
-func TotalCacheStats() CacheStats {
-	return CacheStats{Hits: totalCacheHits.Load(), Misses: totalCacheMisses.Load()}
-}
-
-// ResetTotalCacheStats zeroes the process-wide counters (benchmarks).
-func ResetTotalCacheStats() {
-	totalCacheHits.Store(0)
-	totalCacheMisses.Store(0)
-}
-
 // NewAdaptationCache builds an empty cache for the given analysis
 // context. The task slices must not be mutated while the cache is live.
 func NewAdaptationCache(cfg Config, hiTasks, loTasks []task.Task) *AdaptationCache {
@@ -128,12 +111,8 @@ func (c *AdaptationCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
-func (c *AdaptationCache) hit() { c.hits++; totalCacheHits.Add(1); safetyView.Get().cacheHits.Inc() }
-func (c *AdaptationCache) miss() {
-	c.misses++
-	totalCacheMisses.Add(1)
-	safetyView.Get().cacheMisses.Inc()
-}
+func (c *AdaptationCache) hit()  { c.hits++; safetyView.Get().cacheHits.Inc() }
+func (c *AdaptationCache) miss() { c.misses++; safetyView.Get().cacheMisses.Inc() }
 
 // Uniform returns the (memoized) uniform-profile Adaptation model for n′.
 func (c *AdaptationCache) Uniform(nprime int) (*Adaptation, error) {

@@ -122,54 +122,12 @@ func (a *Adaptation) AdaptProb(t timeunit.Time) float64 {
 // contributes nothing (the number of summed terms equals the round count).
 //
 // KillingPFHLO evaluates the bound with the O(r_LO + Σ r_i) boundary-merge
-// kernel of killing_fast.go; killingPFHLONaive below is the direct
-// per-point evaluation, kept as the reference for differential tests and
-// baseline benchmarks. The two agree to ≤ 1e-12 relative error
-// (TestKillingKernelDifferential).
+// kernel of killing_fast.go; killingPFHLONaive (killing_naive_test.go) is
+// the direct per-point evaluation, kept as the reference for differential
+// tests and the baseline benchmark. The two agree to ≤ 1e-12 relative
+// error (TestKillingKernelDifferential).
 func (c Config) KillingPFHLO(loTasks []task.Task, ns []int, adapt *Adaptation) float64 {
 	return c.killingPFHLOFast(loTasks, ns, 0, adapt, nil)
-}
-
-// KillingPFHLONaive exposes the naive reference evaluation of eq. (5) for
-// benchmarking the boundary-merge kernel against the original
-// implementation (cmd/ftmc-bench). Analyses should use KillingPFHLO.
-func (c Config) KillingPFHLONaive(loTasks []task.Task, ns []int, adapt *Adaptation) float64 {
-	return c.killingPFHLONaive(loTasks, ns, adapt)
-}
-
-// killingPFHLONaive evaluates eq. (5) point by point: every α ∈ π_i(t)
-// pays one Adaptation.logR call, i.e. one Rounds division per HI task —
-// O(r_LO × |τ_HI|) divisions overall.
-func (c Config) killingPFHLONaive(loTasks []task.Task, ns []int, adapt *Adaptation) float64 {
-	if len(ns) != len(loTasks) {
-		panic(fmt.Sprintf("safety: %d profiles for %d LO tasks", len(ns), len(loTasks)))
-	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	t := c.Horizon()
-	var sum prob.KahanSum
-	for i, lo := range loTasks {
-		r := c.Rounds(lo, ns[i], t)
-		if r == 0 {
-			continue
-		}
-		// 1 − R·(1−q) = −expm1(log R + log(1−q)): one transcendental call
-		// per α, no cancellation even when both factors are within 1e-15
-		// of 1. q = f^n is the round failure probability.
-		log1mq := 0.0
-		if f := lo.FailProb; f > 0 {
-			log1mq = prob.Log1mPow(f, ns[i])
-		}
-		roundCost := c.effectiveRoundCost(lo.WCET, ns[i])
-		// α = t (the ∪{t} member), then m = 1 .. r−1.
-		sum.Add(prob.OneMinusExp(adapt.logR(t) + log1mq))
-		for m := int64(1); m < r; m++ {
-			alpha := t - roundCost - timeunit.Time(m)*lo.Period + lo.Deadline
-			sum.Add(prob.OneMinusExp(adapt.logR(alpha) + log1mq))
-		}
-	}
-	return sum.Value() / float64(c.OperationHours)
 }
 
 // KillingPFHLOLimit returns the n′ → ∞ limit of eq. (5): with the LO

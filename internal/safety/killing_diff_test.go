@@ -87,7 +87,7 @@ func TestKillingKernelDifferential(t *testing.T) {
 			t.Fatalf("case %d: %v", cse, err)
 		}
 		fast := cfg.KillingPFHLO(lo, ns, adapt)
-		naive := cfg.KillingPFHLONaive(lo, ns, adapt)
+		naive := cfg.killingPFHLONaive(lo, ns, adapt)
 		if math.IsNaN(fast) || fast < 0 {
 			t.Fatalf("case %d: fast kernel returned %g", cse, fast)
 		}
@@ -121,7 +121,7 @@ func TestKillingKernelDifferentialFMS(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := cfg.KillingPFHLOUniform(lo, 2, adapt)
-		naive := cfg.KillingPFHLONaive(lo, []int{2, 2, 2, 2}, adapt)
+		naive := cfg.killingPFHLONaive(lo, []int{2, 2, 2, 2}, adapt)
 		if d := relDiff(fast, naive); d > 1e-12 {
 			t.Errorf("n'=%d: fast %.17g vs naive %.17g (rel %.3g)", np, fast, naive, d)
 		}

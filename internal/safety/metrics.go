@@ -3,13 +3,13 @@ package safety
 import "repro/internal/obsv"
 
 // safetyMetrics is the package's instrument bundle (see internal/obsv):
-// adaptation-cache effectiveness (mirroring the process-wide
-// TotalCacheStats counters into the exported snapshot), the line-4
-// search's pfh(LO) probe volume, and how often the incremental
-// AdaptEval state is reused versus rebound — the reuse ratio is the
-// whole point of the incremental inner loop, so a drop here flags a
-// binding-invalidation regression before it shows up as ns/op. Fields
-// are nil while metrics are disabled (nil-safe no-op methods).
+// adaptation-cache effectiveness (hits and misses summed over every
+// AdaptationCache), the line-4 search's pfh(LO) probe volume, and how
+// often the incremental AdaptEval state is reused versus rebound — the
+// reuse ratio is the whole point of the incremental inner loop, so a
+// drop here flags a binding-invalidation regression before it shows up
+// as ns/op. Fields are nil while metrics are disabled (nil-safe no-op
+// methods).
 type safetyMetrics struct {
 	cacheHits      *obsv.Counter
 	cacheMisses    *obsv.Counter

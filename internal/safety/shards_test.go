@@ -2,6 +2,7 @@ package safety
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -160,4 +161,47 @@ func TestContextHashSpread(t *testing.T) {
 	if len(seen) < shardCount/2 {
 		t.Fatalf("128 contexts hit only %d of %d shards", len(seen), shardCount)
 	}
+}
+
+// BenchmarkCacheShardsConcurrent8 hammers one pool with 8-way concurrent
+// resolve+bound traffic over an 8-context universe (paper draws at
+// U = 0.8): the serve/explore sharing pattern the shards exist for. It
+// reports ns per Get+bound cycle and the pooled caches' memo hit rate.
+func BenchmarkCacheShardsConcurrent8(b *testing.B) {
+	const contexts = 8
+	scfg := DefaultConfig()
+	his := make([][]task.Task, 0, contexts)
+	los := make([][]task.Task, 0, contexts)
+	rng := rand.New(rand.NewSource(17))
+	for len(his) < contexts {
+		s, err := gen.TaskSet(rng, gen.PaperParams(criticality.LevelB, criticality.LevelC, 0.8, 1e-3))
+		if err != nil {
+			continue
+		}
+		hi := append([]task.Task(nil), s.ByClass(criticality.HI)...)
+		lo := append([]task.Task(nil), s.ByClass(criticality.LO)...)
+		if len(hi) == 0 || len(lo) == 0 {
+			continue
+		}
+		his = append(his, hi)
+		los = append(los, lo)
+	}
+	pool := NewCacheShards()
+	gomax := runtime.GOMAXPROCS(0)
+	b.SetParallelism((contexts + gomax - 1) / gomax) // ≥ 8 goroutines
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			k := i % contexts
+			i++
+			c := pool.Get(scfg, his[k], los[k])
+			if v, err := c.KillingPFHLOUniform(2, 1+k%3); err != nil || v <= 0 {
+				b.Error("bad pooled bound")
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(pool.Stats().HitRate(), "hit-rate")
 }

@@ -146,11 +146,13 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 // decodeRequest is the decode-and-validate step of POST /v1/verdict:
 // the JSON body, the paper defaults (toRequest), the analysis options
 // (keyOf) and the task set (task.NewSet). Every error it returns wraps
-// ErrInvalid, so a body it rejects is always answered 400.
+// ErrInvalid, so a body it rejects is answered 400 — or 413 when the
+// decoder's error is the handler's body cap (*http.MaxBytesError), which
+// the chain keeps alongside ErrInvalid.
 func decodeRequest(body io.Reader) (Request, error) {
 	var in wireRequest
 	if err := json.NewDecoder(body).Decode(&in); err != nil {
-		return Request{}, fmt.Errorf("%w: decoding request: %v", ErrInvalid, err)
+		return Request{}, fmt.Errorf("%w: decoding request: %w", ErrInvalid, err)
 	}
 	req, err := in.toRequest()
 	if err != nil {
@@ -167,7 +169,10 @@ func decodeRequest(body io.Reader) (Request, error) {
 
 // statusOf maps a pipeline or decoding error to its HTTP status.
 func statusOf(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):

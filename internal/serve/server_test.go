@@ -146,6 +146,31 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerBodyTooLarge: a body one byte over maxBodyBytes is a 413
+// with a JSON error, so a client can tell an oversized body from a
+// malformed one (400).
+func TestServerBodyTooLarge(t *testing.T) {
+	p := NewPipeline(Options{})
+	srv := httptest.NewServer(NewServer(p, ServerOptions{}))
+	defer srv.Close()
+	defer p.Close()
+	// A JSON string that never closes: the decoder reads on until the
+	// cap cuts it off.
+	body := `{"set":"` + strings.Repeat("x", maxBodyBytes+1-len(`{"set":"`))
+	resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	var e wireError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("413 body: %+v, %v; want a JSON error", e, err)
+	}
+}
+
 // TestServerOSHoursBound: os_hours above maxOSHours is a 400 — both a
 // merely long horizon, whose analysis would run for minutes, and one
 // that wraps the int64 microsecond horizon negative — while the bound

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkSimulatorHyperperiod measures the event loop over exactly one
 // hyperperiod of Example 3.1 (lcm of the periods = 12.6 s) under EDF-VD
-// with random faults — the unit the throughput numbers in ftmc-bench are
-// quoted in. allocs/op tracks the job pool: after warm-up, releases must
-// not allocate.
+// with random faults — the unit simulator throughput is quoted in.
+// allocs/op tracks the job pool: after warm-up, releases must not
+// allocate.
 func BenchmarkSimulatorHyperperiod(b *testing.B) {
 	s := example31(1e-3)
 	probs := []float64{1e-3, 1e-3, 1e-3, 1e-3, 1e-3}
