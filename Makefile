@@ -7,8 +7,8 @@ FUZZTIME ?= 30s
 SOAK_RUNS ?=
 
 .PHONY: all check ci vet build test race race-pool benchcheck bench \
-	serve-smoke dist-smoke soak soak-deep staticcheck govulncheck \
-	fuzz-smoke profile clean
+	perfbench-check serve-smoke dist-smoke soak soak-deep staticcheck \
+	govulncheck fuzz-smoke profile clean
 
 all: check
 
@@ -19,11 +19,12 @@ all: check
 check: vet build race benchcheck
 
 # ci mirrors the GitHub Actions matrix locally: the check gate plus the
-# lint pair, the fuzz smoke, the focused pool/shard race pass and the
-# serve and distributed smokes. End-to-end timings are gated by the
-# repository benchmark (bash perfbench/run.sh, bounds in BENCHMARK.json),
-# not here.
-ci: check staticcheck govulncheck fuzz-smoke race-pool serve-smoke dist-smoke
+# lint pair, the fuzz smoke, the focused pool/shard race pass, the
+# perfbench build check and the serve and distributed smokes. End-to-end
+# timings are gated by the repository benchmark (bash perfbench/run.sh,
+# bounds in BENCHMARK.json), not here.
+ci: check staticcheck govulncheck fuzz-smoke race-pool perfbench-check \
+	serve-smoke dist-smoke
 
 vet:
 	$(GO) vet ./...
@@ -54,6 +55,13 @@ race-pool:
 # break unnoticed. It measures nothing.
 benchcheck:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# perfbench-check vets the repository benchmark (perfbench/, a nested
+# module that the root ./... patterns skip) and runs its tests against
+# this tree, as the CI perfbench job does: a change that deletes or
+# renames a name perfbench imports fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # bench runs every microbenchmark (Benchmark* in the _test.go files) with
 # allocation counts. End-to-end numbers come from the repository

@@ -195,7 +195,7 @@ func ftsPerTaskLinearRef(s *task.Set, opt Options) (PerTaskResult, error) {
 		return res, nil
 	}
 
-	n2, err := maxSchedProfilePerTaskLinear(s, nil, test, ns, maxHI)
+	n2, err := maxSchedProfilePerTaskLinear(s, test, ns, maxHI)
 	if err != nil {
 		return PerTaskResult{}, err
 	}
@@ -307,29 +307,6 @@ func TestDeltaPatchMatchesConvert(t *testing.T) {
 			sameSet(i, got, want)
 		}
 
-		// Per-task: random profiles, same arbitrary-order patching.
-		ns := make([]int, s.Len())
-		for j := range ns {
-			ns[j] = 1 + rng.Intn(4)
-		}
-		maxN := 1
-		for _, n := range ns {
-			if n > maxN {
-				maxN = n
-			}
-		}
-		if _, err := scr.convertPerTask(s, ns, maxN); err != nil {
-			t.Fatal(err)
-		}
-		for probe := 0; probe < 5; probe++ {
-			n := 1 + rng.Intn(maxN)
-			got := scr.patchNPrimePerTask(s, ns, n)
-			want, err := ConvertPerTask(s, ns, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSet(i, got, want)
-		}
 	}
 }
 
@@ -379,7 +356,7 @@ func TestOptimizeReexecHeapDifferential(t *testing.T) {
 			default:
 				requirement = math.Pow(10, -4-8*rng.Float64())
 			}
-			got, errH := optimizeReexecProfilesInto(nil, nil, cfg, tasks, requirement)
+			got, errH := OptimizeReexecProfiles(cfg, tasks, requirement)
 			want, errL := optimizeReexecProfilesLinear(nil, cfg, tasks, requirement)
 			if (errH == nil) != (errL == nil) {
 				t.Fatalf("set %d req %g: error divergence: heap %v vs linear %v", i, requirement, errH, errL)

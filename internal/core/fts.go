@@ -25,26 +25,24 @@ type Options struct {
 	Test mcsched.Test
 	// Cache, when non-nil, memoizes the adaptation models and pfh(LO)
 	// bounds across FTS calls. It must have been built with
-	// safety.NewAdaptationCache(Safety, hi, lo) for the same Safety config
-	// and the same HI/LO task partition of the set passed to FTS — sweeps
-	// that vary only the schedulability test S or the degradation factor
-	// df can share one cache across every design point. Nil means a
-	// transient cache per call (correct, no reuse).
+	// safety.NewAdaptationCache(Safety, hi, lo) (or rebound with Reset)
+	// for the same Safety config and the same HI/LO task partition of the
+	// set passed to FTS — sweeps that vary only the schedulability test S
+	// or the degradation factor df can share one cache across every
+	// design point.
 	Cache *safety.AdaptationCache
-	// Shared, when non-nil, resolves the adaptation cache from a
+	// Shared, when Cache is nil, resolves the adaptation cache from a
 	// process-wide sharded pool keyed by the canonical analysis context
 	// (safety.CacheShards), so concurrent workers — and successive design
 	// points — evaluating the same set share one set of memoized bounds.
-	// Precedence: Cache, then Shared, then Scratch; a Scratch may still
-	// be set alongside Shared for the conversion arenas.
+	// With neither Cache nor Shared, each call builds a fresh cache.
 	Shared *safety.CacheShards
-	// Scratch, when non-nil, makes FTS reuse per-worker arenas for the
-	// adaptation cache and the line-8 conversions, so evaluating a stream
-	// of task sets is allocation-free in the steady state (the Monte-Carlo
-	// engine of internal/expt). A Scratch must not be shared across
-	// goroutines. Trade-offs of the pooled path: Result.Converted is left
-	// nil (rebuild it with Convert(s, Result.Profiles) if needed), and
-	// when Cache is also set, Cache wins and the scratch cache is unused.
+	// Scratch, when non-nil, is the conversion arena of line 8 (see
+	// Scratch): FTS and FTSWithSafety rebuild the converted set in it
+	// instead of allocating one per candidate profile, and leave
+	// Result.Converted nil (rebuild it with Convert(s, Result.Profiles)
+	// if needed). A Scratch must not be shared across goroutines.
+	// FTSPerTask does not read it.
 	Scratch *Scratch
 }
 
@@ -114,8 +112,9 @@ type Result struct {
 	// Profiles are the chosen profiles on success (n′_HI = n²_HI).
 	Profiles Profiles
 	// Converted is the conventional MC task set Γ(n_HI, n_LO, n′_HI)
-	// scheduled by S, on success. Left nil when FTS ran with
-	// Options.Scratch (rebuild with Convert(s, Profiles) if needed).
+	// scheduled by S, on success. Left nil when the call ran with
+	// Options.Scratch, whose arena the next call reuses (rebuild with
+	// Convert(s, Profiles) if needed).
 	Converted *mcsched.MCSet
 	// PFHHI and PFHLO are the achieved safety bounds on success.
 	PFHHI, PFHLO float64
@@ -159,7 +158,7 @@ func FTSSafety(s *task.Set, opt Options) (SafetyVerdict, error) {
 	if err := opt.Validate(); err != nil {
 		return SafetyVerdict{}, err
 	}
-	cache, _ := opt.resolveCache(s)
+	cache := opt.resolveCache(s)
 	return ftsSafety(s, opt, cache)
 }
 
@@ -204,23 +203,17 @@ func ftsSafety(s *task.Set, opt Options, cache *safety.AdaptationCache) (SafetyV
 
 // resolveCache picks the adaptation cache FTS evaluates through: the
 // explicit Options.Cache, else the sharded pool's cache for this
-// context, else the scratch-pooled cache rebound to this set, else a
-// transient one. The bool reports whether the scratch cache was
-// (re)bound, so FTS resolves exactly once per call — rebinding resets
-// the memoized bounds.
-func (o Options) resolveCache(s *task.Set) (*safety.AdaptationCache, bool) {
+// context, else a fresh one.
+func (o Options) resolveCache(s *task.Set) *safety.AdaptationCache {
 	if o.Cache != nil {
-		return o.Cache, false
+		return o.Cache
 	}
 	hi := s.ByClass(criticality.HI)
 	lo := s.ByClass(criticality.LO)
 	if o.Shared != nil {
-		return o.Shared.Get(o.Safety, hi, lo), false
+		return o.Shared.Get(o.Safety, hi, lo)
 	}
-	if o.Scratch != nil {
-		return o.Scratch.adaptCache(o.Safety, hi, lo), true
-	}
-	return safety.NewAdaptationCache(o.Safety, hi, lo), false
+	return safety.NewAdaptationCache(o.Safety, hi, lo)
 }
 
 // FTS runs Algorithm 1 on the dual-criticality task set:
@@ -241,7 +234,7 @@ func FTS(s *task.Set, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	cache, _ := opt.resolveCache(s)
+	cache := opt.resolveCache(s)
 	sv, err := ftsSafety(s, opt, cache)
 	if err != nil {
 		return Result{}, err
@@ -260,7 +253,7 @@ func FTSWithSafety(s *task.Set, opt Options, sv SafetyVerdict) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	cache, _ := opt.resolveCache(s)
+	cache := opt.resolveCache(s)
 	return ftsSchedule(s, opt, cache, sv)
 }
 

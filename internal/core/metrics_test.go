@@ -18,41 +18,19 @@ func withLiveRegistry(tb testing.TB) *obsv.Registry {
 }
 
 // TestFTSMetricsZeroAllocs pins the 0 allocs/op contract of the pooled
-// FTS/FTSPerTask paths WITH a live metrics registry: the instrument
+// FTS path (pooledFTS) WITH a live metrics registry: the instrument
 // bundle is resolved once per registry by the obsv.View cache (the
 // warm-up pass below absorbs that one allocation), and every Inc on the
 // hot path is a plain atomic add. A regression here means someone put
 // an allocating instrument call inside the searches.
 func TestFTSMetricsZeroAllocs(t *testing.T) {
 	withLiveRegistry(t)
-	scr := NewScratch()
 	sets := randomSets(t, 5, 0.85)
-	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Scratch: scr}
-	for _, s := range sets {
-		if _, err := FTS(s, opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := FTSPerTask(s, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		for _, s := range sets {
-			if _, err := FTS(s, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}); avg != 0 {
+	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Scratch: NewScratch()}
+	cache := safety.NewAdaptationCache(opt.Safety, nil, nil)
+	pooledFTS(t, sets, opt, cache)
+	if avg := testing.AllocsPerRun(10, func() { pooledFTS(t, sets, opt, cache) }); avg != 0 {
 		t.Errorf("FTS with live metrics allocates %.1f allocs/run", avg)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		for _, s := range sets {
-			if _, err := FTSPerTask(s, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}); avg != 0 {
-		t.Errorf("FTSPerTask with live metrics allocates %.1f allocs/run", avg)
 	}
 }
 

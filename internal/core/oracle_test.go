@@ -110,9 +110,9 @@ func minAdaptPerTaskLinear(cfg safety.Config, opt Options, cache *safety.Adaptat
 
 // maxSchedProfilePerTaskLinear is the reference linear scan of the
 // per-task line 8, kept for the differential tests.
-func maxSchedProfilePerTaskLinear(s *task.Set, scr *Scratch, test mcsched.Test, ns []int, maxHI int) (int, error) {
+func maxSchedProfilePerTaskLinear(s *task.Set, test mcsched.Test, ns []int, maxHI int) (int, error) {
 	for n := maxHI; n >= 1; n-- {
-		conv, err := scr.convertPerTask(s, ns, n)
+		conv, err := ConvertPerTask(s, ns, n)
 		if err != nil {
 			return 0, err
 		}

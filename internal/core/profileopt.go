@@ -31,13 +31,64 @@ import (
 //
 // An +Inf requirement returns all ones. The error mirrors
 // MinReexecProfile: no assignment within safety.MaxProfile attempts.
+//
+// The grant sequence — and with it the returned assignment — is
+// identical to the reference rescan (optimizeReexecProfilesLinear,
+// pinned by TestOptimizeReexecHeapDifferential): the heap pops the same
+// (gain, index) argmax the rescan selects, and the cached cur/next
+// values are the same floats the rescan recomputes.
 func OptimizeReexecProfiles(cfg safety.Config, tasks []task.Task, requirement float64) ([]int, error) {
-	return optimizeReexecProfilesInto(nil, nil, cfg, tasks, requirement)
+	var ns []int
+	for range tasks {
+		ns = append(ns, 1)
+	}
+	if len(tasks) == 0 || math.IsInf(requirement, 1) {
+		return ns, nil
+	}
+	var g reexecGreedy
+	hour := timeunit.Hours(1)
+	contrib := func(i, n int) float64 {
+		return float64(cfg.Rounds(tasks[i], n, hour)) * prob.Pow(tasks[i].FailProb, n)
+	}
+	total := 0.0
+	for i := range tasks {
+		c := contrib(i, 1)
+		total += c
+		g.cur = append(g.cur, c)
+		g.next = append(g.next, contrib(i, 2))
+	}
+	// A task whose drop is ≤ 0 never enters the heap: its contribution
+	// only changes when granted, so it stays ineligible — as in the
+	// reference scan.
+	for i := range tasks {
+		if drop := g.cur[i] - g.next[i]; drop > 0 {
+			g.push(gainEntry{gain: drop / tasks[i].Utilization(), idx: i})
+		}
+	}
+	for steps := 0; total > requirement; steps++ {
+		if steps > safety.MaxProfile*len(tasks) {
+			return nil, fmt.Errorf("core: no per-task profile assignment meets PFH requirement %g (reached %g)", requirement, total)
+		}
+		if len(g.heap) == 0 {
+			return nil, fmt.Errorf("core: per-task profile search stuck at pfh %g > %g", total, requirement)
+		}
+		best := g.pop().idx
+		total += g.next[best] - g.cur[best]
+		ns[best]++
+		g.cur[best] = g.next[best]
+		if ns[best] < safety.MaxProfile {
+			g.next[best] = contrib(best, ns[best]+1)
+			if drop := g.cur[best] - g.next[best]; drop > 0 {
+				g.push(gainEntry{gain: drop / tasks[best].Utilization(), idx: best})
+			}
+		}
+	}
+	return ns, nil
 }
 
-// reexecGreedy is the pooled working state of optimizeReexecProfilesInto:
-// the cached eq. (2) contribution of every task's current profile (cur)
-// and of its next candidate grant (next), plus the max-heap of candidate
+// reexecGreedy is the working state of OptimizeReexecProfiles: the
+// cached eq. (2) contribution of every task's current profile (cur) and
+// of its next candidate grant (next), plus the max-heap of candidate
 // grants keyed on gain. Caching cur/next removes the double contrib
 // evaluation per candidate per step of the reference scan, and the heap
 // replaces its O(tasks) rescan per grant with O(log tasks) — only the
@@ -97,87 +148,18 @@ func (g *reexecGreedy) pop() gainEntry {
 	return top
 }
 
-// optimizeReexecProfilesInto is OptimizeReexecProfiles writing into buf
-// and the greedy working state g (both grown as needed, both nilable),
-// the scratch-buffer path of FTSPerTask. The grant sequence — and with it
-// the returned assignment — is identical to the reference rescan
-// (optimizeReexecProfilesLinear, pinned by
-// TestOptimizeReexecHeapDifferential): the heap pops the same
-// (gain, index) argmax the rescan selects, and the cached cur/next values
-// are the same floats the rescan recomputes.
-func optimizeReexecProfilesInto(buf []int, g *reexecGreedy, cfg safety.Config, tasks []task.Task, requirement float64) ([]int, error) {
-	ns := buf[:0]
-	for range tasks {
-		ns = append(ns, 1)
-	}
-	if len(tasks) == 0 || math.IsInf(requirement, 1) {
-		return ns, nil
-	}
-	if g == nil {
-		g = &reexecGreedy{}
-	}
-	hour := timeunit.Hours(1)
-	contrib := func(i, n int) float64 {
-		return float64(cfg.Rounds(tasks[i], n, hour)) * prob.Pow(tasks[i].FailProb, n)
-	}
-	g.cur, g.next, g.heap = g.cur[:0], g.next[:0], g.heap[:0]
-	total := 0.0
-	for i := range tasks {
-		c := contrib(i, 1)
-		total += c
-		g.cur = append(g.cur, c)
-		g.next = append(g.next, contrib(i, 2))
-	}
-	// A task whose drop is ≤ 0 never enters the heap: its contribution
-	// only changes when granted, so it stays ineligible — as in the
-	// reference scan.
-	for i := range tasks {
-		if drop := g.cur[i] - g.next[i]; drop > 0 {
-			g.push(gainEntry{gain: drop / tasks[i].Utilization(), idx: i})
-		}
-	}
-	for steps := 0; total > requirement; steps++ {
-		if steps > safety.MaxProfile*len(tasks) {
-			return nil, fmt.Errorf("core: no per-task profile assignment meets PFH requirement %g (reached %g)", requirement, total)
-		}
-		if len(g.heap) == 0 {
-			return nil, fmt.Errorf("core: per-task profile search stuck at pfh %g > %g", total, requirement)
-		}
-		best := g.pop().idx
-		total += g.next[best] - g.cur[best]
-		ns[best]++
-		g.cur[best] = g.next[best]
-		if ns[best] < safety.MaxProfile {
-			g.next[best] = contrib(best, ns[best]+1)
-			if drop := g.cur[best] - g.next[best]; drop > 0 {
-				g.push(gainEntry{gain: drop / tasks[best].Utilization(), idx: best})
-			}
-		}
-	}
-	return ns, nil
-}
-
 // ConvertPerTask is the Lemma 4.1 conversion with per-task re-execution
 // profiles ns (in set order) and a uniform adaptation profile n′: HI task
 // i gets C(HI) = ns[i]·C and C(LO) = min(n′, ns[i])·C; LO task i gets
 // both WCETs equal to ns[i]·C.
 func ConvertPerTask(s *task.Set, ns []int, nprime int) (*mcsched.MCSet, error) {
-	out, err := appendConvertedPerTask(make([]mcsched.MCTask, 0, s.Len()), s, ns, nprime)
-	if err != nil {
-		return nil, err
-	}
-	return mcsched.NewMCSet(out)
-}
-
-// appendConvertedPerTask appends the per-task conversion of s to dst and
-// returns the extended slice.
-func appendConvertedPerTask(dst []mcsched.MCTask, s *task.Set, ns []int, nprime int) ([]mcsched.MCTask, error) {
 	if len(ns) != s.Len() {
 		return nil, fmt.Errorf("core: %d profiles for %d tasks", len(ns), s.Len())
 	}
 	if nprime < 1 {
 		return nil, fmt.Errorf("core: adaptation profile must be >= 1, got %d", nprime)
 	}
+	out := make([]mcsched.MCTask, 0, s.Len())
 	for i, t := range s.Tasks() {
 		if ns[i] < 1 {
 			return nil, fmt.Errorf("core: profile of %q must be >= 1, got %d", t.Name, ns[i])
@@ -199,9 +181,9 @@ func appendConvertedPerTask(dst []mcsched.MCTask, s *task.Set, ns []int, nprime 
 			mt.CHI = t.RoundLength(ns[i])
 			mt.CLO = mt.CHI
 		}
-		dst = append(dst, mt)
+		out = append(out, mt)
 	}
-	return dst, nil
+	return mcsched.NewMCSet(out)
 }
 
 // PerTaskResult reports FTSPerTask.
@@ -210,15 +192,12 @@ type PerTaskResult struct {
 	OK bool
 	// Reason classifies failures, as in Result.
 	Reason FailureReason
-	// Reexec holds the per-task re-execution profiles in set order. When
-	// FTSPerTask ran with Options.Scratch it aliases scratch memory,
-	// valid until the next call with the same Scratch.
+	// Reexec holds the per-task re-execution profiles in set order.
 	Reexec []int
 	// N1HI, N2HI and NPrime are as in Result (the adaptation profile
 	// stays uniform over HI tasks).
 	N1HI, N2HI, NPrime int
-	// Converted is the per-task converted MC set on success; nil when
-	// FTSPerTask ran with Options.Scratch.
+	// Converted is the per-task converted MC set on success.
 	Converted *mcsched.MCSet
 	// PFHHI, PFHLO are the achieved bounds on success.
 	PFHHI, PFHLO float64
@@ -239,7 +218,8 @@ func UtilizationAfterReexec(s *task.Set, ns []int) float64 {
 // re-execution profiles (the adaptation profile n′_HI remains uniform).
 // Per-task profiles typically shrink the converted utilization and with
 // it the schedulability pressure; the ablation bench quantifies the gain
-// over uniform FTS.
+// over uniform FTS. The adaptation cache resolves as in FTS; the result
+// is always freshly allocated (Options.Scratch is not read).
 func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 	if err := opt.Validate(); err != nil {
 		return PerTaskResult{}, err
@@ -252,47 +232,21 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 	dual := s.Dual()
 	hi := s.ByClass(criticality.HI)
 	lo := s.ByClass(criticality.LO)
-	scr := opt.Scratch
-	cache := opt.Cache
-	if cache == nil {
-		if scr != nil {
-			cache = scr.adaptCache(cfg, hi, lo)
-		} else {
-			cache = safety.NewAdaptationCache(cfg, hi, lo)
-		}
-	}
+	cache := opt.resolveCache(s)
 
-	// Per-class greedy optimization replaces lines 1–3, into the scratch
-	// class buffers when one is supplied.
-	var bufHI, bufLO []int
-	var greedy *reexecGreedy
-	if scr != nil {
-		bufHI, bufLO = scr.nsHI, scr.nsLO
-		greedy = &scr.greedy
-	}
-	nsHI, err := optimizeReexecProfilesInto(bufHI, greedy, cfg, hi, dual.Requirement(criticality.HI))
-	if scr != nil && nsHI != nil {
-		scr.nsHI = nsHI
-	}
+	// Per-class greedy optimization replaces lines 1–3.
+	nsHI, err := OptimizeReexecProfiles(cfg, hi, dual.Requirement(criticality.HI))
 	if err != nil {
 		res.Reason = FailReexecProfile
 		return res, nil
 	}
-	nsLO, err := optimizeReexecProfilesInto(bufLO, greedy, cfg, lo, dual.Requirement(criticality.LO))
-	if scr != nil && nsLO != nil {
-		scr.nsLO = nsLO
-	}
+	nsLO, err := OptimizeReexecProfiles(cfg, lo, dual.Requirement(criticality.LO))
 	if err != nil {
 		res.Reason = FailReexecProfile
 		return res, nil
 	}
-	// Stitch the class vectors back into set order, into the scratch
-	// vector when one is supplied (PerTaskResult.Reexec then aliases
-	// scratch memory, per its doc).
-	var ns []int
-	if scr != nil {
-		ns = scr.nsAll[:0]
-	}
+	// Stitch the class vectors back into set order.
+	ns := make([]int, 0, s.Len())
 	ih, il := 0, 0
 	maxHI := 1
 	for _, t := range s.Tasks() {
@@ -309,21 +263,11 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 		}
 		ns = append(ns, n)
 	}
-	if scr != nil {
-		scr.nsAll = ns
-	}
 	res.Reexec = ns
 
 	// Line 4: minimal safe adaptation profile with the per-task LO
-	// profiles, through the reusable eq. (5)/(7) evaluation state.
-	var eval *safety.AdaptEval
-	if scr != nil {
-		eval = &scr.adeval
-	} else {
-		eval = &safety.AdaptEval{}
-	}
-	eval.Reset(cfg, lo, nsLO, 0)
-	n1, err := minAdaptPerTask(cfg, opt, cache, eval, lo, nsLO, dual.Requirement(criticality.LO))
+	// profiles.
+	n1, err := minAdaptPerTask(opt, cache, lo, nsLO, dual.Requirement(criticality.LO))
 	if err != nil {
 		res.N1HI = safety.MaxProfile + 1
 		res.Reason = FailSafetyAdapt
@@ -335,10 +279,8 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 		return res, nil
 	}
 
-	// Line 8: maximal schedulable adaptation profile over [1, max n_i],
-	// bisected with delta-patched conversions in the scratch arena when
-	// one is supplied.
-	n2, err := maxSchedProfilePerTask(s, scr, test, ns, maxHI)
+	// Line 8: maximal schedulable adaptation profile over [1, max n_i].
+	n2, err := maxSchedProfilePerTask(s, test, ns, maxHI)
 	if err != nil {
 		return PerTaskResult{}, err
 	}
@@ -350,54 +292,48 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 	res.OK = true
 	m.perTaskSuccess.Inc()
 	res.NPrime = n2
-	if scr == nil {
-		res.Converted, err = ConvertPerTask(s, ns, n2)
-		if err != nil {
-			return PerTaskResult{}, err
-		}
-	}
-	res.PFHHI = cfg.PlainPFH(hi, nsHI)
-	adapt, err := cache.Uniform(n2)
+	res.Converted, err = ConvertPerTask(s, ns, n2)
 	if err != nil {
 		return PerTaskResult{}, err
 	}
-	// eval is still bound to (lo, nsLO); its bounds are the same floats
-	// Config.KillingPFHLO/DegradationPFHLO produce.
-	switch opt.Mode {
-	case safety.Kill:
-		res.PFHLO = eval.KillingPFHLO(adapt)
-	case safety.Degrade:
-		res.PFHLO = eval.DegradationPFHLO(adapt)
+	res.PFHHI = cfg.PlainPFH(hi, nsHI)
+	res.PFHLO, err = pfhLOPerTask(opt, cache, lo, nsLO, n2)
+	if err != nil {
+		return PerTaskResult{}, err
 	}
 	return res, nil
 }
 
+// pfhLOPerTask evaluates the mode's pfh(LO) bound — eq. (5) for killing,
+// eq. (7) for degradation — with the per-task LO profiles nsLO under the
+// uniform adaptation profile n′, whose eq. (3) model the cache memoizes.
+func pfhLOPerTask(opt Options, cache *safety.AdaptationCache, lo []task.Task, nsLO []int, nprime int) (float64, error) {
+	adapt, err := cache.Uniform(nprime)
+	if err != nil {
+		return 0, err
+	}
+	if opt.Mode == safety.Kill {
+		return opt.Safety.KillingPFHLO(lo, nsLO, adapt), nil
+	}
+	return opt.Safety.DegradationPFHLO(lo, nsLO, adapt, opt.DF), nil
+}
+
 // minAdaptPerTask mirrors AdaptationCache.MinAdaptProfile with per-task
 // LO re-execution profiles: the same gallop + bisection over the monotone
-// pfh(LO), evaluated through eval (which the caller has bound to
-// (lo, nsLO)) so each candidate pays only the adaptation-model delta. The
-// per-task pfh(LO) values are not memoizable under the uniform-keyed
-// cache, but the per-n′ Adaptation models are. The linear reference is
-// minAdaptPerTaskLinear, pinned by TestMinAdaptPerTaskBisectionDifferential.
-func minAdaptPerTask(cfg safety.Config, opt Options, cache *safety.AdaptationCache, eval *safety.AdaptEval, lo []task.Task, nsLO []int, requirement float64) (int, error) {
+// pfh(LO). The per-task pfh(LO) values are not memoizable under the
+// uniform-keyed cache, but the per-n′ Adaptation models are. The linear
+// reference is minAdaptPerTaskLinear, pinned by
+// TestFTSPerTaskBisectionDifferential.
+func minAdaptPerTask(opt Options, cache *safety.AdaptationCache, lo []task.Task, nsLO []int, requirement float64) (int, error) {
 	if math.IsInf(requirement, 1) {
 		return 1, nil
 	}
 	if opt.Mode == safety.Kill {
-		if limit := cfg.KillingPFHLOLimit(lo, nsLO); limit >= requirement {
+		if limit := opt.Safety.KillingPFHLOLimit(lo, nsLO); limit >= requirement {
 			return 0, fmt.Errorf("core: killing cannot keep pfh(LO) below %g (limit %g)", requirement, limit)
 		}
 	}
-	pfh := func(n int) (float64, error) {
-		adapt, err := cache.Uniform(n)
-		if err != nil {
-			return 0, err
-		}
-		if opt.Mode == safety.Kill {
-			return eval.KillingPFHLO(adapt), nil
-		}
-		return eval.DegradationPFHLO(adapt), nil
-	}
+	pfh := func(n int) (float64, error) { return pfhLOPerTask(opt, cache, lo, nsLO, n) }
 	// Gallop then bisect (lo, hi]: pfh is non-increasing in n′.
 	lower, upper := 0, 1
 	for {
@@ -432,38 +368,24 @@ func minAdaptPerTask(cfg safety.Config, opt Options, cache *safety.AdaptationCac
 }
 
 // maxSchedProfilePerTask is line 8 over the per-task conversion: the
-// bisected sup of {n ∈ [1, maxHI] : Γ(ns, n) schedulable}, delta-patching
-// the scratch arena between probes as maxSchedProfile does. The linear
-// reference is maxSchedProfilePerTaskLinear.
-func maxSchedProfilePerTask(s *task.Set, scr *Scratch, test mcsched.Test, ns []int, maxHI int) (int, error) {
+// bisected sup of {n ∈ [1, maxHI] : Γ(ns, n) schedulable}, as in
+// maxSchedProfile. The linear reference is maxSchedProfilePerTaskLinear.
+func maxSchedProfilePerTask(s *task.Set, test mcsched.Test, ns []int, maxHI int) (int, error) {
 	m := coreView.Get()
-	conv, err := scr.convertPerTask(s, ns, maxHI)
-	if err != nil {
-		return 0, err
-	}
-	m.fullConverts.Inc()
-	m.line8Probes.Inc()
-	if test.Schedulable(conv) {
-		return maxHI, nil
-	}
-	lo, hi := 0, maxHI
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if scr != nil {
-			conv = scr.patchNPrimePerTask(s, ns, mid)
-			m.deltaPatches.Inc()
-		} else {
-			conv, err = ConvertPerTask(s, ns, mid)
-			if err != nil {
-				return 0, err
-			}
-			m.fullConverts.Inc()
+	// Probe maxHI first, then bisect (lo, hi): schedulable at lo (or
+	// lo = 0, the empty-sup sentinel), not schedulable at hi.
+	lo, hi := 0, maxHI+1
+	for n := maxHI; hi-lo > 1; n = lo + (hi-lo)/2 {
+		conv, err := ConvertPerTask(s, ns, n)
+		if err != nil {
+			return 0, err
 		}
+		m.fullConverts.Inc()
 		m.line8Probes.Inc()
 		if test.Schedulable(conv) {
-			lo = mid
+			lo = n
 		} else {
-			hi = mid
+			hi = n
 		}
 	}
 	return lo, nil

@@ -3,52 +3,33 @@ package core
 import (
 	"repro/internal/criticality"
 	"repro/internal/mcsched"
-	"repro/internal/safety"
 	"repro/internal/task"
 )
 
-// Scratch is the reusable per-worker state of the amortized FT-S
-// evaluation path: one pooled safety.AdaptationCache (rebound per set via
-// Reset) plus the conversion buffers for the converted MC set rebuilt at
-// every candidate adaptation profile of the line-8 search. With a Scratch
-// threaded through Options, repeated FTS calls on a stream of task sets
-// are allocation-free in the steady state — the property the Monte-Carlo
-// experiments (internal/expt, Fig. 3) rely on for throughput.
+// Scratch is the conversion arena of the line-8 search: the buffers of
+// the converted MC set Γ(n_HI, n_LO, n′) that FTS, FTSWithSafety and
+// MaxSchedProfile rebuild (or delta-patch) at every candidate adaptation
+// profile. With a Scratch threaded through Options — and an adaptation
+// cache the caller rebinds per set through Options.Cache — repeated FTS
+// calls on a stream of task sets are allocation-free in the steady
+// state. FTSSafety (lines 1–7) and FTSPerTask do not read it.
 //
 // Ownership rules:
 //
 //   - One Scratch belongs to ONE worker goroutine; it must never be shared
-//     concurrently (the pooled cache is rebound per call).
-//   - Memory reachable from a Result produced with a Scratch (notably the
-//     omitted Converted set, see Options.Scratch) is valid only until the
-//     next FTS/FTSPerTask call with the same Scratch.
+//     concurrently.
+//   - The arena is reused by the next call with the same Scratch, so FTS
+//     leaves Result.Converted nil under a Scratch (see Options.Scratch).
 //
 // The zero value is ready to use.
 type Scratch struct {
-	cache   *safety.AdaptationCache
 	mcTasks []mcsched.MCTask
 	conv    mcsched.MCSet
-	nsHI    []int // FTSPerTask per-class greedy buffers
-	nsLO    []int
-	nsAll   []int            // FTSPerTask stitched set-order profile vector
-	greedy  reexecGreedy     // optimizeReexecProfilesInto working state
-	adeval  safety.AdaptEval // per-task line-4 evaluation state
 }
 
 // NewScratch returns an empty scratch. Equivalent to new(Scratch); exists
 // for discoverability.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// adaptCache returns the pooled AdaptationCache rebound to the given
-// analysis context.
-func (scr *Scratch) adaptCache(cfg safety.Config, hi, lo []task.Task) *safety.AdaptationCache {
-	if scr.cache == nil {
-		scr.cache = safety.NewAdaptationCache(cfg, hi, lo)
-	} else {
-		scr.cache.Reset(cfg, hi, lo)
-	}
-	return scr.cache
-}
 
 // convert is Convert into the scratch-owned MCSet: the returned set
 // aliases scratch memory and is valid until the next convert call. A nil
@@ -61,24 +42,6 @@ func (scr *Scratch) convert(s *task.Set, p Profiles) (*mcsched.MCSet, error) {
 		return nil, err
 	}
 	scr.mcTasks = appendConverted(scr.mcTasks[:0], s, p)
-	if err := scr.conv.Reset(scr.mcTasks); err != nil {
-		return nil, err
-	}
-	return &scr.conv, nil
-}
-
-// convertPerTask is ConvertPerTask into the scratch-owned MCSet, under the
-// same aliasing contract as convert. A nil receiver falls back to the
-// allocating ConvertPerTask.
-func (scr *Scratch) convertPerTask(s *task.Set, ns []int, nprime int) (*mcsched.MCSet, error) {
-	if scr == nil {
-		return ConvertPerTask(s, ns, nprime)
-	}
-	out, err := appendConvertedPerTask(scr.mcTasks[:0], s, ns, nprime)
-	if err != nil {
-		return nil, err
-	}
-	scr.mcTasks = out
 	if err := scr.conv.Reset(scr.mcTasks); err != nil {
 		return nil, err
 	}
@@ -102,23 +65,6 @@ func (scr *Scratch) patchNPrime(s *task.Set, nHI, nprime int) *mcsched.MCSet {
 	for i, t := range s.Tasks() {
 		if s.Class(t) == criticality.HI {
 			scr.mcTasks[i].CLO = t.RoundLength(nprime)
-		}
-	}
-	scr.conv.RefreshUtilAt(criticality.HI, criticality.LO)
-	return &scr.conv
-}
-
-// patchNPrimePerTask is patchNPrime for the per-task conversion: HI task
-// i's C(LO) becomes min(n′, ns[i])·C. Must follow a convertPerTask call
-// on the same set with the same ns.
-func (scr *Scratch) patchNPrimePerTask(s *task.Set, ns []int, nprime int) *mcsched.MCSet {
-	for i, t := range s.Tasks() {
-		if s.Class(t) == criticality.HI {
-			np := nprime
-			if np > ns[i] {
-				np = ns[i]
-			}
-			scr.mcTasks[i].CLO = t.RoundLength(np)
 		}
 	}
 	scr.conv.RefreshUtilAt(criticality.HI, criticality.LO)

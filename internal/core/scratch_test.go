@@ -53,8 +53,9 @@ func TestFTSScratchMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestFTSPerTaskScratchMatchesAllocating is the per-task relaxation's
-// counterpart.
+// TestFTSPerTaskScratchMatchesAllocating pins that FTSPerTask does not
+// read Options.Scratch: with and without one, the results are deeply
+// equal, Converted included.
 func TestFTSPerTaskScratchMatchesAllocating(t *testing.T) {
 	scr := NewScratch()
 	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Degrade, DF: 2}
@@ -69,73 +70,58 @@ func TestFTSPerTaskScratchMatchesAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Converted != nil {
-			t.Fatal("scratch mode must leave Converted nil")
-		}
-		got.Converted = want.Converted
-		if len(got.Reexec) != len(want.Reexec) {
-			t.Fatalf("profile length mismatch: %v vs %v", got.Reexec, want.Reexec)
-		}
-		for i := range got.Reexec {
-			if got.Reexec[i] != want.Reexec[i] {
-				t.Fatalf("scratch FTSPerTask diverged at profile %d:\n got %+v\nwant %+v", i, got, want)
-			}
-		}
-		got.Reexec, want.Reexec = nil, nil
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scratch FTSPerTask diverged:\n got %+v\nwant %+v", got, want)
+			t.Fatalf("FTSPerTask with a Scratch diverged:\n got %+v\nwant %+v", got, want)
 		}
 	}
 }
 
-// TestFTSScratchZeroAllocs asserts the pooled paths are allocation-free
-// in the steady state — including the per-task path, whose stitched
-// profile vector, greedy working state and line-4 evaluation state all
-// live in the Scratch.
+// pooledFTS runs FTS over the sets the way the Monte-Carlo engines do:
+// one Scratch for the line-8 conversions and one adaptation cache,
+// rebound to each set with Reset, passed as Options.Cache.
+func pooledFTS(tb testing.TB, sets []*task.Set, opt Options, cache *safety.AdaptationCache) {
+	for _, s := range sets {
+		cache.Reset(opt.Safety, s.ByClass(criticality.HI), s.ByClass(criticality.LO))
+		opt.Cache = cache
+		if _, err := FTS(s, opt); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestFTSScratchZeroAllocs asserts the pooled FTS path — a Scratch for
+// the conversions plus a caller-bound cache rebound per set — is
+// allocation-free in the steady state.
 // (Degrade mode pays a fixed 3 allocs/call outside the arenas — the
 // interface boxing of the default EDFVDDegrade test and its Sprintf-built
 // Name() — so the assertion runs on the kill path, where the default test
 // is the zero-size EDFVD.)
 func TestFTSScratchZeroAllocs(t *testing.T) {
-	scr := NewScratch()
 	sets := randomSets(t, 5, 0.85)
-	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Scratch: scr}
+	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Scratch: NewScratch()}
+	cache := safety.NewAdaptationCache(opt.Safety, nil, nil)
 	// Warm the pools: arenas grow to the high-water mark on the first
 	// pass over the stream.
-	for _, s := range sets {
-		if _, err := FTS(s, opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := FTSPerTask(s, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		for _, s := range sets {
-			if _, err := FTS(s, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}); avg != 0 {
+	pooledFTS(t, sets, opt, cache)
+	if avg := testing.AllocsPerRun(10, func() { pooledFTS(t, sets, opt, cache) }); avg != 0 {
 		t.Errorf("FTS with scratch allocates %.1f allocs/run", avg)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		for _, s := range sets {
-			if _, err := FTSPerTask(s, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}); avg != 0 {
-		t.Errorf("FTSPerTask with scratch allocates %.1f allocs/run", avg)
 	}
 }
 
+// benchFTS runs Algorithm 1 on 10 random sets: with a Scratch, through
+// the pooled path of pooledFTS; with nil, with a fresh cache and
+// conversions per call.
 func benchFTS(b *testing.B, scr *Scratch) {
 	sets := randomSets(b, 10, 0.85)
 	opt := Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Scratch: scr}
+	cache := safety.NewAdaptationCache(opt.Safety, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if scr != nil {
+			pooledFTS(b, sets, opt, cache)
+			continue
+		}
 		for _, s := range sets {
 			if _, err := FTS(s, opt); err != nil {
 				b.Fatal(err)
@@ -145,7 +131,7 @@ func benchFTS(b *testing.B, scr *Scratch) {
 }
 
 // BenchmarkFTSScratch measures Algorithm 1 on 10 random sets through the
-// pooled scratch path (steady-state allocation-free).
+// pooled path (steady-state allocation-free).
 func BenchmarkFTSScratch(b *testing.B) { benchFTS(b, NewScratch()) }
 
 // BenchmarkFTSAllocating is the same workload with transient per-call

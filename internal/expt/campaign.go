@@ -79,14 +79,14 @@ func (c CampaignConfig) Validate() error {
 	if len(c.FailProbs) == 0 || len(c.Utils) == 0 || c.SetsPerPoint < 1 {
 		return fmt.Errorf("expt: need failure probabilities, utilizations and sets per point")
 	}
-	return nil
+	return validateDraws(c.HI, c.Panels[0].LO, c.Utils, c.FailProbs, c.Generator, c.TasksPerSet)
 }
 
 // PanelFig3Config returns the per-curve Fig3Config equivalent to one
 // campaign panel restricted to a single failure probability. Running it
 // through Fig3 or Fig3Ref draws exactly the sets the campaign shares
 // (single-f configs put f at FailProbs index 0, matching the campaign's
-// canonical pointSeed index) — the basis of the differential tests.
+// Panel coordinate 0) — the basis of the differential tests.
 func (c CampaignConfig) PanelFig3Config(p CampaignPanel, failProb float64) Fig3Config {
 	return Fig3Config{
 		HI: c.HI, LO: p.LO, Mode: p.Mode, DF: p.DF,
@@ -147,8 +147,8 @@ func PaperCampaign(setsPerPoint int, seed int64) CampaignConfig {
 // evaluates them set by set. Verdicts are filled by (set, config) index
 // and reduced serially, so results are deterministic in Seed and
 // byte-identical across every FTMC_WORKERS value. Per-(panel, f)
-// verdicts equal the per-curve Fig3/Fig3Ref paths on the paired configs
-// returned by PanelFig3Config (differential tests).
+// verdicts equal those of the allocating reference Fig3Ref on the paired
+// configs returned by PanelFig3Config (differential tests).
 func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return CampaignResult{}, err
@@ -217,15 +217,19 @@ func reduceCampaignPoint(res *CampaignResult, ui int, verdicts []verdict) {
 	}
 }
 
-// campaignRunner is the evaluation engine shared by the single-process
-// Campaign and the distributed worker (ServeWorker): per-pool-worker
-// campaignEval state reused across every range it evaluates, plus the
-// configuration-derived constants. One runner serves any sequence of
-// evalRange calls over the campaign grid.
+// campaignRunner is the evaluation engine shared by Campaign, the
+// distributed worker (ServeWorker) and the per-curve Fig3:
+// per-pool-worker campaignEval state reused across every range it
+// evaluates, plus the configuration-derived constants. One runner serves
+// any sequence of evalRange calls over the campaign grid.
 type campaignRunner struct {
-	cfg   *CampaignConfig
-	nCfg  int
-	key   evalKey
+	cfg  *CampaignConfig
+	nCfg int
+	key  evalKey
+	// panel is the Panel coordinate of every draw's gen.SimulationKey:
+	// 0 for Campaign and the distributed worker, the failure-probability
+	// index of the curve for Fig3.
+	panel int
 	evals []*campaignEval
 }
 
@@ -243,12 +247,9 @@ type evalKey struct {
 }
 
 func newCampaignRunner(cfg *CampaignConfig) *campaignRunner {
-	key := evalKey{hi: cfg.HI, lo: cfg.Panels[0].LO, f: cfg.FailProbs[0], gen: cfg.Generator}
-	if cfg.Generator == GenUUnifast {
-		key.tasks = cfg.TasksPerSet
-		if key.tasks == 0 {
-			key.tasks = 10
-		}
+	key := evalKey{
+		hi: cfg.HI, lo: cfg.Panels[0].LO, f: cfg.FailProbs[0],
+		tasks: drawerTasks(cfg.Generator, cfg.TasksPerSet), gen: cfg.Generator,
 	}
 	return &campaignRunner{
 		cfg:   cfg,
@@ -291,11 +292,17 @@ func (r *campaignRunner) release() {
 	}
 }
 
+// fig3Chunk is the ForEachWorker claim size of the Monte-Carlo engines:
+// sets cost on the order of a millisecond each, so a handful per claim
+// amortizes the atomic without hurting load balance at SetsPerPoint =
+// 500.
+const fig3Chunk = 8
+
 // evalRange evaluates sets [lo, hi) of utilization point ui, filling
 // out[(i-lo)*nCfg : (i-lo+1)*nCfg] with set i's verdicts across the
 // panel × failure-probability cross-product. out must hold
 // (hi-lo)*nCfg verdicts. Every set draws from the workload stream of
-// gen.SimulationKey{Seed, 0, ui, i}, so the verdicts are a pure
+// gen.SimulationKey{Seed, r.panel, ui, i}, so the verdicts are a pure
 // function of the set's grid coordinates: identical no matter how the
 // range is chunked, which pool worker claims a chunk, what was
 // evaluated before, or which process (lease holder) runs the range —
@@ -313,7 +320,7 @@ func (r *campaignRunner) evalRange(ui, lo, hi int, out []verdict) error {
 		}
 		var first error
 		for j := start; j < end; j++ {
-			key := gen.SimulationKey{Seed: r.cfg.Seed, Panel: 0, Point: ui, Set: lo + j}
+			key := gen.SimulationKey{Seed: r.cfg.Seed, Panel: r.panel, Point: ui, Set: lo + j}
 			err := ev.evalSet(r.cfg, u, key, out[j*r.nCfg:(j+1)*r.nCfg])
 			if err != nil && first == nil {
 				first = err
@@ -332,10 +339,9 @@ type loProfile struct {
 }
 
 // campaignEval is the per-worker pooled state of the campaign engine: a
-// drawer arena retargeted along the utilization axis, an FT-S conversion
-// scratch, a private AdaptationCache (private so FTS's resolveCache
-// discipline of rebinding per call cannot wipe memos between
-// configurations) and the per-f-group LO profiles.
+// drawer arena retargeted along the utilization axis, the line-8
+// conversion scratch, an AdaptationCache rebound per f group and the
+// per-f-group LO profiles.
 type campaignEval struct {
 	key    evalKey
 	drawer *gen.Drawer
@@ -346,7 +352,7 @@ type campaignEval struct {
 
 // evalSet draws the set addressed by key at utilization u and fills
 // out[pi*len(FailProbs)+fi] with the verdict of panel pi at failure
-// probability fi, replicating the per-curve judge() semantics
+// probability fi, replicating the verdicts of judge (the Fig3Ref path)
 // configuration by configuration.
 func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.SimulationKey, out []verdict) error {
 	for i := range out {
@@ -357,14 +363,7 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 		// influence the draw shape, so the first panel and failure
 		// probability stand in for all of them.
 		params := gen.PaperParams(cfg.HI, cfg.Panels[0].LO, u, cfg.FailProbs[0])
-		tasksPerSet := 0
-		if cfg.Generator == GenUUnifast {
-			tasksPerSet = cfg.TasksPerSet
-			if tasksPerSet == 0 {
-				tasksPerSet = 10
-			}
-		}
-		d, err := gen.NewDrawer(params, tasksPerSet)
+		d, err := gen.NewDrawer(params, ev.key.tasks)
 		if err != nil {
 			return err
 		}
@@ -375,7 +374,7 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 	}
 	s, err := ev.drawer.DrawKeyed(key)
 	if err != nil {
-		return nil // degenerate draw: every configuration rejects, as per-curve
+		return nil // degenerate draw: every configuration rejects, as in Fig3Ref
 	}
 	m := exptView.Get()
 	m.campaignSets.Inc()
@@ -426,8 +425,8 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 			// Line 8 first: n²_HI caps every acceptable adaptation
 			// profile, so with pfh(LO) non-increasing in n′ a single bound
 			// evaluation at n²_HI settles lines 4–15 — n¹_HI ≤ n²_HI iff
-			// pfh(n²_HI) < PFH_LO — replacing the per-curve path's
-			// gallop+bisect line-4 search (its dominant cost on the
+			// pfh(n²_HI) < PFH_LO — replacing the gallop+bisect line-4
+			// search of core.FTS (its dominant cost on the
 			// finite-requirement panels).
 			n2 := ev.maxSched(s, nHI, nLO, p.Mode, p.DF, m)
 			if n2 == 0 {
@@ -460,7 +459,7 @@ func (ev *campaignEval) minReexecLO(scfg safety.Config, lo []task.Task, level cr
 
 // maxSched returns the line-8 result n²_HI for this drawn set under the
 // mode's schedulability test (0 when no n′ is schedulable, which is also
-// how an FT-S-level error rejects on the per-curve path).
+// how an FT-S-level error rejects in judge).
 func (ev *campaignEval) maxSched(s *task.Set, nHI, nLO int, mode safety.AdaptMode, df float64, m *exptMetrics) int {
 	var test mcsched.Test
 	if mode == safety.Degrade {

@@ -24,30 +24,34 @@ func smallCampaign() CampaignConfig {
 // original allocating per-curve path run on the paired single-f config —
 // same seeds, same draws, identical verdicts, so identical ratios.
 func TestCampaignMatchesFig3Ref(t *testing.T) {
-	cfg := smallCampaign()
-	got, err := Campaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Panels) != len(cfg.Panels) {
-		t.Fatalf("got %d panels, want %d", len(got.Panels), len(cfg.Panels))
-	}
-	for pi, p := range cfg.Panels {
-		for fi, f := range cfg.FailProbs {
-			want, err := Fig3Ref(cfg.PanelFig3Config(p, f))
-			if err != nil {
-				t.Fatalf("panel %s f=%g: Fig3Ref: %v", p.Name, f, err)
-			}
-			if !reflect.DeepEqual(got.Panels[pi].Curves[fi], want.Curves[0]) {
-				t.Errorf("panel %s f=%g: campaign diverged from reference:\n got %+v\nwant %+v",
-					p.Name, f, got.Panels[pi].Curves[fi], want.Curves[0])
+	for _, gc := range generatorCases {
+		cfg := smallCampaign()
+		cfg.Generator, cfg.TasksPerSet = gc.gen, gc.tasks
+		got, err := Campaign(cfg)
+		if err != nil {
+			t.Fatalf("%v/%d: %v", gc.gen, gc.tasks, err)
+		}
+		if len(got.Panels) != len(cfg.Panels) {
+			t.Fatalf("%v/%d: got %d panels, want %d", gc.gen, gc.tasks, len(got.Panels), len(cfg.Panels))
+		}
+		for pi, p := range cfg.Panels {
+			for fi, f := range cfg.FailProbs {
+				want, err := Fig3Ref(cfg.PanelFig3Config(p, f))
+				if err != nil {
+					t.Fatalf("%v/%d panel %s f=%g: Fig3Ref: %v", gc.gen, gc.tasks, p.Name, f, err)
+				}
+				if !reflect.DeepEqual(got.Panels[pi].Curves[fi], want.Curves[0]) {
+					t.Errorf("%v/%d panel %s f=%g: campaign diverged from reference:\n got %+v\nwant %+v",
+						gc.gen, gc.tasks, p.Name, f, got.Panels[pi].Curves[fi], want.Curves[0])
+				}
 			}
 		}
 	}
 }
 
-// TestCampaignMatchesFig3Pooled cross-checks against the pooled per-curve
-// engine too, closing the triangle campaign = pooled = ref.
+// TestCampaignMatchesFig3Pooled cross-checks against the per-curve Fig3,
+// which runs each (panel, f) on the same engine with the draws keyed by
+// the curve's failure-probability index instead of panel 0.
 func TestCampaignMatchesFig3Pooled(t *testing.T) {
 	cfg := smallCampaign()
 	got, err := Campaign(cfg)
@@ -61,7 +65,7 @@ func TestCampaignMatchesFig3Pooled(t *testing.T) {
 				t.Fatalf("panel %s f=%g: Fig3: %v", p.Name, f, err)
 			}
 			if !reflect.DeepEqual(got.Panels[pi].Curves[fi], want.Curves[0]) {
-				t.Errorf("panel %s f=%g: campaign diverged from pooled engine:\n got %+v\nwant %+v",
+				t.Errorf("panel %s f=%g: campaign diverged from Fig3:\n got %+v\nwant %+v",
 					p.Name, f, got.Panels[pi].Curves[fi], want.Curves[0])
 			}
 		}
@@ -160,10 +164,10 @@ func BenchmarkCampaignFigure(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignPerCurve measures the same figure through the
-// per-curve pooled path: one Fig3 run per (panel, f), redrawing the
-// workloads for every configuration — the before side of the campaign
-// engine's ≥3× target.
+// BenchmarkCampaignPerCurve measures the same figure as one Fig3 run per
+// (panel, f): the same engine, but each set is drawn and its
+// configuration-independent work redone for every configuration rather
+// than shared across the cross-product.
 func BenchmarkCampaignPerCurve(b *testing.B) {
 	cfg := benchCampaign()
 	b.ReportAllocs()

@@ -246,6 +246,53 @@ func TestFig3RejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestSweepsRejectUndrawableInputs checks that the acceptance sweeps
+// return an error for inputs the generator refuses to draw from — a
+// failure probability outside [0, 1), a zero utilization, a UUnifast
+// set of one task — instead of counting every set as a degenerate draw
+// and reporting all-zero acceptance ratios.
+func TestSweepsRejectUndrawableInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Fig3Config)
+	}{
+		{"f=1.5", func(c *Fig3Config) { c.FailProbs = []float64{1e-3, 1.5} }},
+		{"UUnifast 1 task", func(c *Fig3Config) { c.Generator, c.TasksPerSet = GenUUnifast, 1 }},
+		{"U=0", func(c *Fig3Config) { c.Utils = []float64{0.5, 0} }},
+	} {
+		cfg := smallPanel(t, "3a")
+		cfg.SetsPerPoint = 4
+		tc.mut(&cfg)
+		if res, err := Fig3(cfg); err == nil {
+			t.Errorf("%s: Fig3 returned %+v and no error", tc.name, res.Curves)
+		}
+		if res, err := Fig3Ref(cfg); err == nil {
+			t.Errorf("%s: Fig3Ref returned %+v and no error", tc.name, res.Curves)
+		}
+		camp := CampaignConfig{
+			HI:        cfg.HI,
+			Panels:    []CampaignPanel{{Name: "3a", LO: cfg.LO, Mode: cfg.Mode}},
+			FailProbs: cfg.FailProbs, Utils: cfg.Utils,
+			SetsPerPoint: cfg.SetsPerPoint, Seed: cfg.Seed,
+			Generator: cfg.Generator, TasksPerSet: cfg.TasksPerSet,
+		}
+		if err := camp.Validate(); err == nil {
+			t.Errorf("%s: CampaignConfig.Validate accepted the grid", tc.name)
+		}
+		if _, err := Campaign(camp); err == nil {
+			t.Errorf("%s: Campaign returned no error", tc.name)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		u, f float64
+	}{{"U=0", 0, 1e-5}, {"f=1.5", 0.8, 1.5}} {
+		if points, err := PHISweep(safety.Kill, 0, tc.u, tc.f, []float64{0.2}, 5, 1); err == nil {
+			t.Errorf("%s: PHISweep returned %+v and no error", tc.name, points)
+		}
+	}
+}
+
 func TestPaperUtils(t *testing.T) {
 	utils := PaperUtils()
 	if len(utils) != 15 {

@@ -71,7 +71,39 @@ func (c Fig3Config) Validate() error {
 	if len(c.FailProbs) == 0 || len(c.Utils) == 0 || c.SetsPerPoint < 1 {
 		return fmt.Errorf("expt: need failure probabilities, utilizations and sets per point")
 	}
-	return nil
+	return validateDraws(c.HI, c.LO, c.Utils, c.FailProbs, c.Generator, c.TasksPerSet)
+}
+
+// validateDraws rejects a grid the generator would refuse to draw from,
+// with the generator's own checks: gen.Params.Validate on the paper
+// parameters of every (U, f), and gen.NewDrawer on the UUnifast task
+// count. lo is any LO level of the grid (the caller checks each against
+// hi); the other parameters do not depend on it.
+func validateDraws(hi, lo criticality.Level, utils, failProbs []float64, g Generator, tasksPerSet int) error {
+	for _, u := range utils {
+		for _, f := range failProbs {
+			if err := gen.PaperParams(hi, lo, u, f).Validate(); err != nil {
+				return fmt.Errorf("expt: U=%g f=%g: %w", u, f, err)
+			}
+		}
+	}
+	if g != GenUUnifast {
+		return nil // the Appendix C generator takes no task count
+	}
+	_, err := gen.NewDrawer(gen.PaperParams(hi, lo, utils[0], failProbs[0]), drawerTasks(g, tasksPerSet))
+	return err
+}
+
+// drawerTasks is the gen.NewDrawer task count of a generator choice: 0
+// (the Appendix C generator) or the UUnifast count, 10 when unset.
+func drawerTasks(g Generator, tasksPerSet int) int {
+	if g != GenUUnifast {
+		return 0
+	}
+	if tasksPerSet == 0 {
+		return 10
+	}
+	return tasksPerSet
 }
 
 // Fig3Curve is the pair of acceptance-ratio series for one failure
@@ -101,50 +133,87 @@ type Fig3Result struct {
 // Fig3 runs one panel of the extensive simulations: for every (f, U) data
 // point it draws SetsPerPoint random task sets with the configured
 // generator and reports the fraction accepted with and without
-// adaptation. Sets are processed in parallel through the pooled
-// zero-allocation engine (one gen.Drawer and one core.Scratch per
-// worker); every set's verdict depends only on its keyed RNG stream —
-// gen.SimulationKey{Seed, pi, ui, i} — so results are deterministic in
-// Seed and byte-identical across every FTMC_WORKERS value, any claim
-// schedule, and any partition of the set axis into lease ranges.
+// adaptation. Each curve runs on the campaign engine (see Campaign) over
+// the one-panel, one-f CampaignConfig equal to cfg at that f; set i of
+// point (pi, ui) draws from gen.SimulationKey{Seed, pi, ui, i}. Results
+// are therefore deterministic in Seed and byte-identical across every
+// FTMC_WORKERS value and claim schedule.
 func Fig3(cfg Fig3Config) (Fig3Result, error) {
-	return fig3(cfg, fig3Point)
+	if err := cfg.Validate(); err != nil {
+		return Fig3Result{}, err
+	}
+	res := Fig3Result{Config: cfg}
+	verdicts := make([]verdict, cfg.SetsPerPoint)
+	for pi, f := range cfg.FailProbs {
+		cc := CampaignConfig{
+			HI:           cfg.HI,
+			Panels:       []CampaignPanel{{LO: cfg.LO, Mode: cfg.Mode, DF: cfg.DF}},
+			FailProbs:    []float64{f},
+			Utils:        cfg.Utils,
+			SetsPerPoint: cfg.SetsPerPoint,
+			Seed:         cfg.Seed,
+			Generator:    cfg.Generator,
+			TasksPerSet:  cfg.TasksPerSet,
+		}
+		r := newCampaignRunner(&cc)
+		r.panel = pi
+		curve, err := fig3Curve(cfg, f, func(ui int) ([]verdict, error) {
+			return verdicts, r.evalRange(ui, 0, cfg.SetsPerPoint, verdicts)
+		})
+		r.release()
+		if err != nil {
+			return Fig3Result{}, err
+		}
+		res.Curves = append(res.Curves, curve)
+	}
+	return res, nil
 }
 
 // Fig3Ref is Fig3 through the original allocating per-set path (a fresh
 // generator run and transient FTS state per set), still seeded by the
 // frozen legacy pointSeed/setSeed chain. It is the reference for
-// differential tests and before/after benchmarks of the pooled engine:
+// differential tests and before/after benchmarks of the campaign engine:
 // the keyed engines reproduce its draws bit for bit because the
 // workload stream of gen.SimulationKey is the same chain (see
 // TestSimulationKeyMatchesLegacySeeding).
 func Fig3Ref(cfg Fig3Config) (Fig3Result, error) {
-	return fig3(cfg, fig3PointRef)
-}
-
-func fig3(cfg Fig3Config, point func(Fig3Config, int, int) (float64, float64)) (Fig3Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Fig3Result{}, err
 	}
 	res := Fig3Result{Config: cfg}
 	for pi, f := range cfg.FailProbs {
-		curve := Fig3Curve{
-			FailProb: f,
-			Baseline: make([]float64, len(cfg.Utils)),
-			Adapted:  make([]float64, len(cfg.Utils)),
-		}
-		for ui := range cfg.Utils {
-			m := exptView.Get()
-			sp := m.fig3PointNs.Start()
-			base, adapted := point(cfg, pi, ui)
-			sp.End()
-			m.fig3Points.Inc()
-			curve.Baseline[ui] = base
-			curve.Adapted[ui] = adapted
+		curve, err := fig3Curve(cfg, f, func(ui int) ([]verdict, error) {
+			return fig3PointRef(cfg, pi, ui), nil
+		})
+		if err != nil {
+			return Fig3Result{}, err
 		}
 		res.Curves = append(res.Curves, curve)
 	}
 	return res, nil
+}
+
+// fig3Curve builds the curve of failure probability f point by point:
+// point(ui) returns the verdicts of utilization index ui, which are
+// reduced to the two acceptance ratios.
+func fig3Curve(cfg Fig3Config, f float64, point func(ui int) ([]verdict, error)) (Fig3Curve, error) {
+	curve := Fig3Curve{
+		FailProb: f,
+		Baseline: make([]float64, len(cfg.Utils)),
+		Adapted:  make([]float64, len(cfg.Utils)),
+	}
+	for ui := range cfg.Utils {
+		m := exptView.Get()
+		sp := m.fig3PointNs.Start()
+		verdicts, err := point(ui)
+		if err != nil {
+			return Fig3Curve{}, err
+		}
+		curve.Baseline[ui], curve.Adapted[ui] = reduceVerdicts(verdicts)
+		sp.End()
+		m.fig3Points.Inc()
+	}
+	return curve, nil
 }
 
 // pointSeed and setSeed are the frozen legacy seed derivation — the
@@ -177,59 +246,10 @@ func legacyMix64(x uint64) uint64 {
 // verdict is one task set's acceptance with and without adaptation.
 type verdict struct{ base, adapt bool }
 
-// fig3Chunk is the ForEachWorker claim size: sets cost on the order of a
-// millisecond each, so a handful per claim amortizes the atomic without
-// hurting load balance at SetsPerPoint = 500.
-const fig3Chunk = 8
-
-// setEval is the per-worker pooled state of the Fig. 3 engine: one task
-// set arena and one FT-S scratch, reused across every set the worker
-// evaluates.
-type setEval struct {
-	drawer  *gen.Drawer
-	scratch *core.Scratch
-}
-
-// fig3Point evaluates one data point through the pooled engine, fanning
-// the task sets across Workers() goroutines in chunks. Per-worker state
-// is created lazily on first claim; every set draws from its own keyed
-// stream and verdicts are filled by set index and reduced serially, so
-// the ratios do not depend on the worker count or claim schedule.
-func fig3Point(cfg Fig3Config, pi, ui int) (baseline, adapted float64) {
-	params := gen.PaperParams(cfg.HI, cfg.LO, cfg.Utils[ui], cfg.FailProbs[pi])
-	tasksPerSet := 0
-	if cfg.Generator == GenUUnifast {
-		tasksPerSet = cfg.TasksPerSet
-		if tasksPerSet == 0 {
-			tasksPerSet = 10
-		}
-	}
-	verdicts := make([]verdict, cfg.SetsPerPoint)
-	evals := make([]*setEval, Workers())
-	ForEachWorker(cfg.SetsPerPoint, fig3Chunk, func(w, i int) error {
-		ev := evals[w]
-		if ev == nil {
-			d, err := gen.NewDrawer(params, tasksPerSet)
-			if err != nil {
-				return err
-			}
-			ev = &setEval{drawer: d, scratch: core.NewScratch()}
-			evals[w] = ev
-		}
-		s, err := ev.drawer.DrawKeyed(gen.SimulationKey{Seed: cfg.Seed, Panel: pi, Point: ui, Set: i})
-		if err != nil {
-			return nil // degenerate draw: reject both ways
-		}
-		verdicts[i] = judge(cfg, s, ev.scratch)
-		return nil
-	})
-	return reduceVerdicts(verdicts)
-}
-
 // fig3PointRef evaluates one data point through the original allocating
 // path: one fresh RNG and generator run per set, transient FTS state,
 // seeded by the frozen legacy chain.
-func fig3PointRef(cfg Fig3Config, pi, ui int) (baseline, adapted float64) {
+func fig3PointRef(cfg Fig3Config, pi, ui int) []verdict {
 	params := gen.PaperParams(cfg.HI, cfg.LO, cfg.Utils[ui], cfg.FailProbs[pi])
 	point := pointSeed(cfg.Seed, pi, ui)
 	verdicts := make([]verdict, cfg.SetsPerPoint)
@@ -238,7 +258,7 @@ func fig3PointRef(cfg Fig3Config, pi, ui int) (baseline, adapted float64) {
 		verdicts[i] = evalOneRef(cfg, params, rng)
 		return nil
 	})
-	return reduceVerdicts(verdicts)
+	return verdicts
 }
 
 func reduceVerdicts(verdicts []verdict) (baseline, adapted float64) {
@@ -260,11 +280,7 @@ func reduceVerdicts(verdicts []verdict) (baseline, adapted float64) {
 func evalOneRef(cfg Fig3Config, params gen.Params, rng *rand.Rand) verdict {
 	var s *task.Set
 	var err error
-	if cfg.Generator == GenUUnifast {
-		n := cfg.TasksPerSet
-		if n == 0 {
-			n = 10
-		}
+	if n := drawerTasks(cfg.Generator, cfg.TasksPerSet); n > 0 {
 		s, err = gen.UUnifastTaskSet(rng, n, params)
 	} else {
 		s, err = gen.TaskSet(rng, params)
@@ -272,14 +288,13 @@ func evalOneRef(cfg Fig3Config, params gen.Params, rng *rand.Rand) verdict {
 	if err != nil {
 		return verdict{} // degenerate draw: reject both ways
 	}
-	return judge(cfg, s, nil)
+	return judge(cfg, s)
 }
 
 // judge applies the Appendix C acceptance criterion to one set: accept
 // outright when the fully re-executed set passes the exact EDF bound,
-// otherwise accept iff FT-S succeeds. A nil scratch selects the
-// allocating FTS path.
-func judge(cfg Fig3Config, s *task.Set, scr *core.Scratch) (v verdict) {
+// otherwise accept iff FT-S succeeds.
+func judge(cfg Fig3Config, s *task.Set) (v verdict) {
 	scfg := safety.DefaultConfig()
 	dual := s.Dual()
 	nHI, errHI := scfg.MinReexecProfile(s.ByClass(criticality.HI), dual.Requirement(criticality.HI))
@@ -294,7 +309,7 @@ func judge(cfg Fig3Config, s *task.Set, scr *core.Scratch) (v verdict) {
 		v.adapt = true
 		return v
 	}
-	res, err := core.FTS(s, core.Options{Safety: scfg, Mode: cfg.Mode, DF: cfg.DF, Scratch: scr})
+	res, err := core.FTS(s, core.Options{Safety: scfg, Mode: cfg.Mode, DF: cfg.DF})
 	v.adapt = err == nil && res.OK
 	return v
 }

@@ -17,23 +17,37 @@ func smallPanel(t testing.TB, panel string) Fig3Config {
 	return cfg
 }
 
-// TestFig3PooledMatchesRef locks the pooled zero-allocation engine to the
+// generatorCases are the workload generators the differential tests run
+// the engines under: the paper's Appendix C generator and UUnifast with
+// an explicit and with the default task count (0, which means 10).
+var generatorCases = []struct {
+	gen   Generator
+	tasks int
+}{{GenAppendixC, 0}, {GenUUnifast, 8}, {GenUUnifast, 0}}
+
+// TestFig3PooledMatchesRef locks the campaign engine behind Fig3 to the
 // original allocating per-set path: for identical seeds the acceptance
-// ratios must agree exactly, on a killing and a degradation panel and for
-// both failure probabilities.
+// ratios must agree exactly, on a killing and a degradation panel, for
+// both failure probabilities and under every generator — both engines
+// build their drawers from the generator choice and retarget them along
+// the U axis.
 func TestFig3PooledMatchesRef(t *testing.T) {
-	for _, panel := range []string{"3a", "3c"} {
-		cfg := smallPanel(t, panel)
-		got, err := Fig3(cfg)
-		if err != nil {
-			t.Fatalf("panel %s: Fig3: %v", panel, err)
-		}
-		want, err := Fig3Ref(cfg)
-		if err != nil {
-			t.Fatalf("panel %s: Fig3Ref: %v", panel, err)
-		}
-		if !reflect.DeepEqual(got.Curves, want.Curves) {
-			t.Fatalf("panel %s: pooled engine diverged from reference:\n got %+v\nwant %+v", panel, got.Curves, want.Curves)
+	for _, gc := range generatorCases {
+		for _, panel := range []string{"3a", "3c"} {
+			cfg := smallPanel(t, panel)
+			cfg.Generator, cfg.TasksPerSet = gc.gen, gc.tasks
+			got, err := Fig3(cfg)
+			if err != nil {
+				t.Fatalf("panel %s %v/%d: Fig3: %v", panel, gc.gen, gc.tasks, err)
+			}
+			want, err := Fig3Ref(cfg)
+			if err != nil {
+				t.Fatalf("panel %s %v/%d: Fig3Ref: %v", panel, gc.gen, gc.tasks, err)
+			}
+			if !reflect.DeepEqual(got.Curves, want.Curves) {
+				t.Fatalf("panel %s %v/%d: Fig3 diverged from reference:\n got %+v\nwant %+v",
+					panel, gc.gen, gc.tasks, got.Curves, want.Curves)
+			}
 		}
 	}
 }
@@ -86,28 +100,35 @@ func TestForEachWorkerCoversAllIndices(t *testing.T) {
 	}
 }
 
-func benchFig3Point(b *testing.B, point func(Fig3Config, int, int) (float64, float64)) {
+// benchFig3Point times one Fig. 3 data point — panel 3a at U = 0.8 and
+// f = 1e-3, 50 sets — as a one-point, one-f panel run through fig3.
+func benchFig3Point(b *testing.B, fig3 func(Fig3Config) (Fig3Result, error)) {
 	b.Setenv("FTMC_WORKERS", "1")
 	cfg, err := PanelConfig("3a", 50, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg.Utils = []float64{0.8}
+	cfg.FailProbs = cfg.FailProbs[:1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base, adapted := point(cfg, 0, 0)
-		if base < 0 || adapted < base {
+		res, err := fig3(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c := res.Curves[0]; c.Baseline[0] < 0 || c.Adapted[0] < c.Baseline[0] {
 			b.Fatal("bad ratios")
 		}
 	}
 }
 
-// BenchmarkFig3PointPooled measures one Fig. 3 data point through the
-// pooled engine at FTMC_WORKERS=1 (allocs/op ≈ fixed point overhead, not
-// per set).
-func BenchmarkFig3PointPooled(b *testing.B) { benchFig3Point(b, fig3Point) }
+// BenchmarkFig3PointPooled measures one Fig. 3 data point through Fig3,
+// the campaign engine, at FTMC_WORKERS=1 (allocs/op ≈ fixed point
+// overhead, not per set).
+func BenchmarkFig3PointPooled(b *testing.B) { benchFig3Point(b, Fig3) }
 
 // BenchmarkFig3PointRef is the same point through the original allocating
-// path; the ratio to BenchmarkFig3PointPooled is the pooling speedup.
-func BenchmarkFig3PointRef(b *testing.B) { benchFig3Point(b, fig3PointRef) }
+// path, Fig3Ref; the ratio to BenchmarkFig3PointPooled is the engine's
+// speedup.
+func BenchmarkFig3PointRef(b *testing.B) { benchFig3Point(b, Fig3Ref) }

@@ -293,18 +293,23 @@ func PHISweep(mode safety.AdaptMode, df float64, u, failProb float64, phis []flo
 	if len(phis) == 0 || setsPerPoint < 1 {
 		return nil, fmt.Errorf("expt: need P_HI values and sets per point")
 	}
-	out := make([]PHIPoint, 0, len(phis))
-	for _, phi := range phis {
-		if phi <= 0 || phi >= 1 {
-			return nil, fmt.Errorf("expt: P_HI must be in (0,1), got %g", phi)
+	// Validate every point's generator parameters before the first draw,
+	// so a draw error below is a degenerate draw, not a bad input.
+	params := make([]gen.Params, len(phis))
+	for pi, phi := range phis {
+		params[pi] = gen.PaperParams(criticality.LevelB, criticality.LevelD, u, failProb)
+		params[pi].PHI = phi
+		if err := params[pi].Validate(); err != nil {
+			return nil, fmt.Errorf("expt: P_HI=%g U=%g f=%g: %w", phi, u, failProb, err)
 		}
-		params := gen.PaperParams(criticality.LevelB, criticality.LevelD, u, failProb)
-		params.PHI = phi
+	}
+	out := make([]PHIPoint, 0, len(phis))
+	for pi, phi := range phis {
 		type verdict struct{ base, adapt bool }
 		verdicts := make([]verdict, setsPerPoint)
 		err := ForEach(setsPerPoint, func(i int) error {
 			rng := rand.New(rand.NewSource(seed + int64(i)))
-			s, err := gen.TaskSet(rng, params)
+			s, err := gen.TaskSet(rng, params[pi])
 			if err != nil {
 				return nil // degenerate draw: rejected both ways
 			}

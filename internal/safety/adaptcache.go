@@ -35,16 +35,11 @@ type AdaptationCache struct {
 	hits    uint64
 	misses  uint64
 	// free pools retired Adaptation models across Reset calls so pooled
-	// sweeps (core.Scratch) rebuild models without reallocating their
-	// profile/logTerm slices; scr is the boundary-merge kernel scratch,
-	// used under mu.
+	// sweeps (the Fig. 3 campaign, explore) rebuild models without
+	// reallocating their profile/logTerm slices; scr is the
+	// boundary-merge kernel scratch, used under mu.
 	free []*Adaptation
 	scr  kernelScratch
-	// keval caches the LO-side eq. (5) state keyed on the uniform LO
-	// profile, so successive n′ candidates (the bisected line-4 search,
-	// the Fig. 1 sweep points) apply only the adaptation-model delta;
-	// used under mu.
-	keval killEval
 }
 
 // CacheStats reports cache effectiveness. Evictions is only nonzero for
@@ -87,9 +82,9 @@ func (c *AdaptationCache) Config() Config { return c.cfg }
 // memoized model and bound while keeping the allocated storage: the maps
 // retain their buckets and the retired Adaptation models go to a free
 // pool for reuse, so re-running Algorithm 1 on a stream of task sets
-// (core.Scratch, the Fig. 3 engine) is allocation-free in the steady
-// state. The hit/miss counters are cumulative across resets. The task
-// slices must not be mutated while the cache is live.
+// (the Fig. 3 campaign engine) is allocation-free in the steady state.
+// The hit/miss counters are cumulative across resets. The task slices
+// must not be mutated while the cache is live.
 func (c *AdaptationCache) Reset(cfg Config, hiTasks, loTasks []task.Task) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,7 +96,6 @@ func (c *AdaptationCache) Reset(cfg Config, hiTasks, loTasks []task.Task) {
 	clear(c.kill)
 	clear(c.adaptPr)
 	clear(c.omega)
-	c.keval.bound = false
 }
 
 // Stats returns this cache's hit/miss counters.
@@ -160,13 +154,7 @@ func (c *AdaptationCache) KillingPFHLOUniform(nLO, nprime int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	if c.keval.matchesUniform(c.lo, nLO) {
-		safetyView.Get().evalReuses.Inc()
-	} else {
-		c.keval.bindUniform(c.cfg, c.lo, nLO)
-		safetyView.Get().evalRebinds.Inc()
-	}
-	v := c.cfg.killingPFHLOEval(&c.keval, a, &c.scr)
+	v := c.cfg.killingPFHLOFast(c.lo, nil, nLO, a, &c.scr)
 	c.kill[key] = v
 	return v, nil
 }

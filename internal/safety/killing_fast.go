@@ -112,21 +112,18 @@ func (c Config) killingPFHLOFast(loTasks []task.Task, ns []int, uniform int, ada
 		}
 		sum.Add(prob.OneMinusExp(logRt + log1mq))
 		if r > 1 {
-			c.mergeTail(lo, c.effectiveRoundCost(lo.WCET, n), r, log1mq, adapt, scr, &sum)
+			c.mergeTail(lo, n, r, log1mq, adapt, scr, &sum)
 		}
 	}
 	return sum.Value() / float64(c.OperationHours)
 }
 
 // mergeTail accumulates the m = 1 .. r−1 terms of eq. (5) for one LO
-// task: α_m = t − n·C − m·T + D, swept in decreasing order while the HI
-// staircases are advanced by their phase recurrences. roundCost is the
-// task's precomputed n·C term (0 under footnote 1), so callers holding a
-// reusable evaluation state (killEval) pay it once per context rather
-// than once per adaptation candidate. scr provides the staircase and
-// pattern buffers.
-func (c Config) mergeTail(lo task.Task, roundCost timeunit.Time, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) {
-	ts := c.tailEnter(lo, roundCost, r, log1mq, adapt, scr, sum)
+// task under its re-execution profile n: α_m = t − n·C − m·T + D, swept
+// in decreasing order while the HI staircases are advanced by their
+// phase recurrences. scr provides the staircase and pattern buffers.
+func (c Config) mergeTail(lo task.Task, n int, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) {
+	ts := c.tailEnter(lo, n, r, log1mq, adapt, scr, sum)
 	stairs, s, m := ts.stairs, ts.s, ts.m
 
 	// Division-free per-staircase sweep (the generic path, and the tail
@@ -184,10 +181,10 @@ type tailState struct {
 // eq. (5) terms into sum and returning the generic-sweep resume state.
 // The returned staircases alias scr.stairs and are valid until the next
 // call on the same scratch.
-func (c Config) tailEnter(lo task.Task, roundCost timeunit.Time, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) tailState {
+func (c Config) tailEnter(lo task.Task, n int, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) tailState {
 	t := c.Horizon()
 	T := int64(lo.Period)
-	alpha := t - roundCost - lo.Period + lo.Deadline
+	alpha := t - c.effectiveRoundCost(lo.WCET, n) - lo.Period + lo.Deadline
 
 	// Staircase state at the first tail point. Tasks with logTerm = 0
 	// (f_j = 0) never contribute to logR; tasks with r_j = 0 here stay 0

@@ -118,40 +118,49 @@ func TestMinAdaptProfileBisectionDifferential(t *testing.T) {
 	}
 }
 
-// TestAdaptEvalMatchesConfig pins the reusable evaluation state to the
-// stateless Config entry points: the cached LO-side invariants must
-// reproduce the same floats the full evaluation derives, for both modes
-// and both uniform and per-task profiles.
+// TestAdaptEvalMatchesConfig pins the adaptation cache's eq. (5) and
+// eq. (7) bounds to the stateless Config entry points, bit for bit, on
+// uniform profiles: a fresh cache and one reused across Reset calls and
+// repeated probes (its kernel scratch and pooled models carried over)
+// must both reproduce the floats Config derives.
 func TestAdaptEvalMatchesConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
+	var pooled *AdaptationCache
 	for cse := 0; cse < 200; cse++ {
-		cfg, hi, lo, nprime, ns := diffCase(rng)
-		adapt, err := NewAdaptation(cfg, hi, nprime)
-		if err != nil {
-			t.Fatalf("case %d: %v", cse, err)
+		cfg, hi, lo, _, _ := diffCase(rng)
+		if pooled == nil {
+			pooled = NewAdaptationCache(cfg, hi, lo)
+		} else {
+			pooled.Reset(cfg, hi, lo)
 		}
 		nLO := 1 + rng.Intn(4)
-		uniform := rng.Intn(2) == 0
-
-		var eval *AdaptEval
-		var wantKill, wantDeg float64
 		df := 1.5 + 10*rng.Float64()
-		if uniform {
-			eval = NewAdaptEval(cfg, lo, nil, nLO)
-			wantKill = cfg.KillingPFHLOUniform(lo, nLO, adapt)
-			wantDeg = cfg.DegradationPFHLOUniform(lo, nLO, adapt, df)
-		} else {
-			eval = NewAdaptEval(cfg, lo, ns, 0)
-			wantKill = cfg.KillingPFHLO(lo, ns, adapt)
-			wantDeg = cfg.DegradationPFHLO(lo, ns, adapt, df)
-		}
-		if got := eval.KillingPFHLO(adapt); got != wantKill {
-			t.Errorf("case %d (uniform=%v): eval killing %.17g vs config %.17g",
-				cse, uniform, got, wantKill)
-		}
-		if got := eval.DegradationPFHLO(adapt); relDiff(got, wantDeg) > 1e-12 {
-			t.Errorf("case %d (uniform=%v): eval degradation %.17g vs config %.17g",
-				cse, uniform, got, wantDeg)
+		for probe := 0; probe < 3; probe++ {
+			nprime := 1 + rng.Intn(5)
+			adapt, err := NewUniformAdaptation(cfg, hi, nprime)
+			if err != nil {
+				t.Fatalf("case %d: %v", cse, err)
+			}
+			wantKill := cfg.KillingPFHLOUniform(lo, nLO, adapt)
+			wantDeg := cfg.DegradationPFHLOUniform(lo, nLO, adapt, df)
+			for _, cache := range []*AdaptationCache{NewAdaptationCache(cfg, hi, lo), pooled} {
+				kill, err := cache.KillingPFHLOUniform(nLO, nprime)
+				if err != nil {
+					t.Fatalf("case %d: %v", cse, err)
+				}
+				if kill != wantKill {
+					t.Errorf("case %d (n_LO=%d n'=%d): cache killing %.17g vs config %.17g",
+						cse, nLO, nprime, kill, wantKill)
+				}
+				deg, err := cache.DegradationPFHLOUniform(nLO, nprime, df)
+				if err != nil {
+					t.Fatalf("case %d: %v", cse, err)
+				}
+				if deg != wantDeg {
+					t.Errorf("case %d (n_LO=%d n'=%d): cache degradation %.17g vs config %.17g",
+						cse, nLO, nprime, deg, wantDeg)
+				}
+			}
 		}
 	}
 }
