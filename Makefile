@@ -40,13 +40,15 @@ race:
 
 # race-pool is the focused race pass over the concurrency-bearing
 # pieces: the worker pool (shared atomic claim cursor, invariance
-# across worker counts, skewed load), the sharded adaptation-cache pool
-# and the serve pipeline's admission (single-flight joins, shedding,
+# across worker counts, skewed load), the distributed campaign's lease
+# plane (worker loss, lease deadline, corrupt result, idle-worker
+# deadline, checkpoint resume), the sharded adaptation-cache pool and
+# the serve pipeline's admission (single-flight joins, shedding,
 # overload). A repeat count varies goroutine interleavings beyond what
 # one -race run sees.
 race-pool:
 	$(GO) test -race -count 2 \
-		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
+		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|DistributedCampaign|DistCampaign|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
 		./internal/expt/ ./internal/safety/ ./internal/serve/
 
 # benchcheck runs every Benchmark* function in the module once, as the

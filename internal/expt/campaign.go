@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/criticality"
@@ -155,7 +154,6 @@ func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 	}
 	res := newEmptyResult(cfg)
 	r := newCampaignRunner(&cfg)
-	defer r.release()
 	verdicts := make([]verdict, cfg.SetsPerPoint*r.nCfg)
 	for ui := range cfg.Utils {
 		m := exptView.Get()
@@ -225,7 +223,6 @@ func reduceCampaignPoint(res *CampaignResult, ui int, verdicts []verdict) {
 type campaignRunner struct {
 	cfg  *CampaignConfig
 	nCfg int
-	key  evalKey
 	// panel is the Panel coordinate of every draw's gen.SimulationKey:
 	// 0 for Campaign and the distributed worker, the failure-probability
 	// index of the curve for Fig3.
@@ -233,62 +230,11 @@ type campaignRunner struct {
 	evals []*campaignEval
 }
 
-// evalKey is the drawer-shaping slice of a campaign configuration: two
-// campaignEvals with equal keys hold interchangeable drawer arenas,
-// scratches and caches (everything else they carry is reset per set or
-// per f group inside evalSet). The key is what makes pooling evals
-// across runs safe — and the seed is deliberately absent: it enters
-// through each set's SimulationKey, never the drawer.
-type evalKey struct {
-	hi, lo criticality.Level
-	f      float64
-	tasks  int
-	gen    Generator
-}
-
 func newCampaignRunner(cfg *CampaignConfig) *campaignRunner {
-	key := evalKey{
-		hi: cfg.HI, lo: cfg.Panels[0].LO, f: cfg.FailProbs[0],
-		tasks: drawerTasks(cfg.Generator, cfg.TasksPerSet), gen: cfg.Generator,
-	}
 	return &campaignRunner{
 		cfg:   cfg,
 		nCfg:  len(cfg.Panels) * len(cfg.FailProbs),
-		key:   key,
 		evals: make([]*campaignEval, Workers()),
-	}
-}
-
-// evalPool recycles campaignEval state — drawer arenas, conversion
-// scratch, adaptation caches — across runners. The win is per-lease on
-// the distributed worker: without the pool, every DistCampaign (and
-// every ServeWorker) rebuilds the arenas from scratch; with it,
-// steady-state runs reuse them like the single-process Campaign reuses
-// its evals across utilization points.
-var evalPool sync.Pool
-
-// acquireEval returns a pooled eval built for k, or a fresh one. A
-// pooled eval whose key differs (the pool served a different campaign
-// shape) is discarded: rebuilding is cheaper than hunting for a match.
-func acquireEval(k evalKey) *campaignEval {
-	if v := evalPool.Get(); v != nil {
-		ev := v.(*campaignEval)
-		if ev.key == k {
-			return ev
-		}
-	}
-	return &campaignEval{key: k}
-}
-
-// release returns the runner's evals to the pool. Callers must be done
-// evaluating; the evals may be handed to any later runner with the
-// same key.
-func (r *campaignRunner) release() {
-	for i, ev := range r.evals {
-		if ev != nil {
-			evalPool.Put(ev)
-			r.evals[i] = nil
-		}
 	}
 }
 
@@ -315,7 +261,7 @@ func (r *campaignRunner) evalRange(ui, lo, hi int, out []verdict) error {
 		}
 		ev := r.evals[w]
 		if ev == nil {
-			ev = acquireEval(r.key)
+			ev = &campaignEval{}
 			r.evals[w] = ev
 		}
 		var first error
@@ -338,12 +284,11 @@ type loProfile struct {
 	bad   bool
 }
 
-// campaignEval is the per-worker pooled state of the campaign engine: a
-// drawer arena retargeted along the utilization axis, the line-8
-// conversion scratch, an AdaptationCache rebound per f group and the
-// per-f-group LO profiles.
+// campaignEval is the per-worker state of the campaign engine: a drawer
+// arena retargeted along the utilization axis, the line-8 conversion
+// scratch, an AdaptationCache rebound per f group and the per-f-group
+// LO profiles.
 type campaignEval struct {
-	key    evalKey
 	drawer *gen.Drawer
 	scr    *core.Scratch
 	cache  *safety.AdaptationCache
@@ -363,7 +308,7 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 		// influence the draw shape, so the first panel and failure
 		// probability stand in for all of them.
 		params := gen.PaperParams(cfg.HI, cfg.Panels[0].LO, u, cfg.FailProbs[0])
-		d, err := gen.NewDrawer(params, ev.key.tasks)
+		d, err := gen.NewDrawer(params, drawerTasks(cfg.Generator, cfg.TasksPerSet))
 		if err != nil {
 			return err
 		}

@@ -51,10 +51,11 @@ type DistOptions struct {
 	// value — lease shape is a scheduling knob, like the pool's chunk
 	// size.
 	LeaseSets int
-	// LeaseTimeout, when positive, is the deadline for the handshake
-	// and for result progress: a worker holding leases that produces
-	// no result for this long is abandoned — its connection closed so
-	// a late result can never merge — and its leases are reassigned.
+	// LeaseTimeout, when positive, is a deadline that runs during the
+	// handshake, and while the worker holds leases: a worker that sends
+	// no ready or result frame for this long is abandoned — its
+	// connection closed so a late result can never merge — and its
+	// leases are reassigned. A worker waiting for work is not timed.
 	LeaseTimeout time.Duration
 	// Checkpoint, when non-empty, is the path of the campaign's
 	// checkpoint journal: the coordinator appends one record per
@@ -90,8 +91,7 @@ type DistReport struct {
 	Reassigned int `json:"reassigned"`
 	// BytesOut / BytesIn / FramesOut / FramesIn count the coordinator's
 	// lease-protocol traffic across all workers (handshake included).
-	// BytesIn/Leases is the wire cost of one result — the number the
-	// bench's wire section tracks.
+	// BytesIn/Leases is the wire cost of one result.
 	BytesOut  uint64 `json:"bytes_out"`
 	BytesIn   uint64 `json:"bytes_in"`
 	FramesOut uint64 `json:"frames_out"`
@@ -107,7 +107,7 @@ type DistReport struct {
 
 // lease is one unit of assigned work: sets [lo, hi) of utilization
 // point ui. The id is unique per grant (regrants get fresh ids), so a
-// pipelined driver can match results to grants unambiguously.
+// driver can match results to grants unambiguously.
 type lease struct {
 	id, ui, lo, hi int
 }
@@ -163,9 +163,11 @@ func (t *leaseTable) grantLocked(max int) (lease, bool) {
 			t.freshAt++
 			continue
 		}
-		hi := s.lo + max
-		if hi > s.hi {
-			hi = s.hi
+		// Replay can leave a span starting above 0, where s.lo + max
+		// would overflow for a huge max.
+		hi := s.hi
+		if hi-s.lo > max {
+			hi = s.lo + max
 		}
 		l := lease{id: t.grants, ui: s.ui, lo: s.lo, hi: hi}
 		s.lo = hi

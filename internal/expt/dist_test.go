@@ -215,6 +215,85 @@ func TestDistributedCampaignLeaseTimeout(t *testing.T) {
 	})
 }
 
+// stragglerWorker handshakes, answers its first lease correctly after
+// delay, then sits on the rest of its window until closed. holding is
+// closed once the first lease has arrived.
+func stragglerWorker(cfg CampaignConfig, delay time.Duration, holding chan<- struct{}) io.ReadWriteCloser {
+	c, w := net.Pipe()
+	go func() {
+		defer w.Close()
+		br := bufio.NewReader(w)
+		dec, enc, ok := wireHandshake(br, w)
+		if !ok {
+			return
+		}
+		t, body, err := dec.next()
+		if err != nil || t != frameLease {
+			return
+		}
+		close(holding)
+		r := wireBuf{b: body}
+		id, ui, lo, hi, err := r.leaseHeader()
+		if err != nil {
+			return
+		}
+		nCfg := len(cfg.Panels) * len(cfg.FailProbs)
+		out := make([]verdict, (hi-lo)*nCfg)
+		if newCampaignRunner(&cfg).evalRange(ui, lo, hi, out) != nil {
+			return
+		}
+		packed := make([]uint64, hi-lo)
+		packVerdicts(out, packed, nCfg)
+		time.Sleep(delay)
+		enc.begin(frameResult)
+		enc.uvarint(uint64(id))
+		enc.appendResultWords(packed)
+		if enc.flush() != nil {
+			return
+		}
+		io.Copy(io.Discard, br)
+	}()
+	return c
+}
+
+// TestDistributedCampaignIdleWorkerDeadline pins that the lease
+// deadline runs only while a worker holds leases. A straggler answers
+// its first lease late and never answers its second; the healthy
+// worker drains the rest of the table and then waits, idle, for far
+// longer than the deadline. When the straggler's lease is requeued,
+// the healthy worker must get the full deadline for it rather than
+// being abandoned on time it spent holding nothing, which would lose
+// the run.
+func TestDistributedCampaignIdleWorkerDeadline(t *testing.T) {
+	cfg := smallCampaign()
+	want, err := Campaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The healthy worker starts once the straggler holds its window, so
+	// the straggler always has leases to sit on.
+	holding := make(chan struct{})
+	c, w := net.Pipe()
+	go func() {
+		defer w.Close()
+		<-holding
+		ServeWorker(w)
+	}()
+	conns := []io.ReadWriteCloser{stragglerWorker(cfg, 150*time.Millisecond, holding), c}
+	got, rep, err := DistCampaign(cfg, conns, DistOptions{
+		LeaseSets: 5, LeaseTimeout: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("%v (report %+v)", err, rep)
+	}
+	if gotB, wantB := resultBytes(t, got), resultBytes(t, want); string(gotB) != string(wantB) {
+		t.Fatal("result after a straggler's lease timeout diverged from single-process bytes")
+	}
+	if rep.WorkerFailures != 1 || rep.Reassigned < 1 {
+		t.Fatalf("report %+v: want 1 worker failure (the straggler) and >= 1 reassignment", rep)
+	}
+}
+
 // corruptWorker handshakes and answers its
 // first lease with a one-word result, which a lease of more than one
 // set cannot decode, then drains its connection until closed.

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,6 +95,24 @@ func TestDistCampaignCheckpointResume(t *testing.T) {
 	}
 	if rep.ReplayedSets != total || rep.Leases != 0 {
 		t.Fatalf("healed journal: %d sets replayed, %d leases granted; want %d and 0", rep.ReplayedSets, rep.Leases, total)
+	}
+
+	// Resume from the header plus one record with the largest lease size:
+	// replay leaves spans that start above set 0, and carving a lease
+	// from one must clamp to the span's end instead of overflowing it.
+	one := filepath.Join(dir, "one.ckpt")
+	if err := os.WriteFile(one, append(bytes.Clone(lines[0]), lines[1]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err = DistCampaign(cfg, PipeWorkers(2), DistOptions{LeaseSets: math.MaxInt, Checkpoint: one})
+	if err != nil {
+		t.Fatalf("resume with LeaseSets = MaxInt: %v", err)
+	}
+	if gotB := resultBytes(t, got); string(gotB) != string(wantB) {
+		t.Fatal("resume with LeaseSets = MaxInt diverged from single-process bytes")
+	}
+	if rep.ReplayedSets == 0 || rep.WorkerFailures != 0 {
+		t.Fatalf("resume with LeaseSets = MaxInt: report %+v, want replayed sets and no worker failures", rep)
 	}
 }
 

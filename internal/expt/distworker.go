@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,36 +21,18 @@ import (
 // verdicts for a set are bit-identical to what Campaign would have
 // computed for it, at any FTMC_WORKERS setting.
 //
-// A dedicated reader goroutine decodes incoming frames into a lease
-// queue, so with the coordinator's pipelined window the decode of lease
-// k+1 overlaps the evaluation of lease k and the worker never idles on
-// a round-trip — the worker half of the pipeline pipeline.go drives.
+// A reader goroutine decodes incoming frames into a lease queue while
+// the loop below evaluates and answers: the decode of lease k+1
+// overlaps the evaluation of lease k, and the worker keeps reading
+// while it writes, which the coordinator's sequential driver needs on
+// a synchronous transport such as net.Pipe (pipeline.go says why).
 //
 // rw is typically the process's stdin/stdout (cmd/ftmc-worker) or a TCP
 // connection. ServeWorker returns nil after done and the transport or
 // protocol error otherwise; an evaluation error is reported to the
 // coordinator as an error frame before returning.
 func ServeWorker(rw io.ReadWriter) error {
-	br := getBufReader(rw)
-	// br goes back to the pool only once no goroutine can touch it:
-	// immediately on the pre-reader-goroutine error paths, and at return
-	// if the reader goroutine has already exited (the done path). On
-	// abandon paths the reader may still be blocked in a read, so br is
-	// left to be collected with it.
-	readerDone := make(chan struct{})
-	readerLive := false
-	defer func() {
-		if !readerLive {
-			putBufReader(br)
-			return
-		}
-		select {
-		case <-readerDone:
-			putBufReader(br)
-		default:
-		}
-	}()
-
+	br := bufio.NewReaderSize(rw, wireBufSize)
 	var pre [2]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		return fmt.Errorf("expt: worker handshake: %w", err)
@@ -79,8 +62,7 @@ func ServeWorker(rw io.ReadWriter) error {
 		return fmt.Errorf("expt: worker handshake: %w", err)
 	}
 
-	bw := getBufWriter(rw)
-	defer putBufWriter(bw) // only this goroutine writes
+	bw := bufio.NewWriterSize(rw, wireBufSize)
 	enc := newFrameEnc(bw)
 	sendErr := func(id int, err error) {
 		enc.begin(frameError)
@@ -125,9 +107,7 @@ func ServeWorker(rw io.ReadWriter) error {
 		err  error
 	}
 	items := make(chan item, 16)
-	readerLive = true
 	go func() {
-		defer close(readerDone)
 		defer close(items)
 		for {
 			t, body, err := dec.next()
@@ -161,7 +141,6 @@ func ServeWorker(rw io.ReadWriter) error {
 	}()
 
 	r := newCampaignRunner(&cfg)
-	defer r.release()
 	// If the loop below returns early (eval error, bad lease), keep the
 	// reader goroutine from blocking on a full queue until the
 	// coordinator hangs up: drain whatever it still sends.

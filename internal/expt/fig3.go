@@ -160,7 +160,6 @@ func Fig3(cfg Fig3Config) (Fig3Result, error) {
 		curve, err := fig3Curve(cfg, f, func(ui int) ([]verdict, error) {
 			return verdicts, r.evalRange(ui, 0, cfg.SetsPerPoint, verdicts)
 		})
-		r.release()
 		if err != nil {
 			return Fig3Result{}, err
 		}

@@ -1,156 +1,114 @@
 package expt
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obsv"
 )
 
-// This file is the pipelined coordinator driver of the wire protocol.
-// The coordinator keeps a window of leaseWindow leases in flight per
-// worker — double buffering: the worker always has the next lease
-// queued while evaluating the current one, so it never idles on a
-// round-trip — a dedicated reader goroutine merges results as they
-// arrive, and grants are batched through one buffered writer so a
-// window refill costs one transport handoff.
+// This file is the coordinator driver of the wire protocol. One
+// goroutine owns each worker connection end to end, in one loop: top
+// the window up to leaseWindow grants and flush them as one transport
+// handoff, read one frame, merge, journal and complete that lease, and
+// repeat. Two leases in flight is double buffering: the worker always
+// has the next lease queued while it evaluates the current one, so it
+// never idles on a round-trip.
 //
-// Reassignment-on-loss extends to the whole window: when a worker is
-// abandoned (transport error, worker-reported error, protocol
-// violation or lease deadline), the connection is closed first and
-// then every lease in its window is requeued. A result racing the
-// abandonment may already be merging, but a double merge is benign by
-// construction: a set's verdict words are a pure function of its grid
-// coordinates, so the regranted lease rewrites the same bytes. Closing
-// first just stops the dead worker from burning cycles.
+// Any loss abandons the worker: a transport error, an error frame, a
+// result whose id is not in the window, a result that does not decode,
+// or the lease deadline. One deferred block then closes the connection
+// (first, so the dead worker stops computing for nothing) and requeues
+// every lease still in the window. Only this goroutine ever reads the
+// connection, so once it stops reading no late result can merge: a
+// requeued lease merges only at its next holder.
 //
-// A lease leaves the window (the outst map) exactly once, and whichever
-// goroutine takes it out settles it in the lease table and the
-// in-flight gauge: the reader completes a lease it merged and requeues
-// one whose result it could not decode; the driver requeues whatever
-// is still in the window when it abandons the worker.
+// The worker side keeps one reader goroutine (ServeWorker), and must:
+// net.Pipe, which PipeWorkers and the tests use, is synchronous, so a
+// write blocks until the other side reads. Were the worker one
+// sequential loop like this driver, a driver blocked writing lease k+2
+// and a worker blocked writing result k+1 would deadlock.
 
 // leaseWindow is the number of leases kept in flight per worker: the
 // one being evaluated and the next one queued behind it.
 const leaseWindow = 2
 
-// grantRec is one in-flight lease: what was granted and when, so the
-// reader can validate the result header against the grant and observe
-// the grant→result latency.
+// grantRec is one in-flight lease: what was granted and when, so a
+// result can be matched to its grant and its grant→result latency
+// observed.
 type grantRec struct {
 	l  lease
 	at time.Time
 }
 
-// wireEvent is what the reader goroutine reports to the driver loop:
-// a ready or result frame, or the error that ended the connection.
-type wireEvent struct {
-	typ byte
-	err error
-}
-
 // runWorkerWire drives one worker connection over the frame protocol:
-// preamble + hello, then a pipelined window of leases until the table
-// drains or the worker is lost.
+// preamble + hello, then a window of leases until the table drains or
+// the worker is lost.
 func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	m := exptView.Get()
-	bw := getBufWriter(conn)
+	// The deadline and the loop both close the connection, and a
+	// subprocess connection's Close reaps the process, which must not
+	// run twice.
+	var closeOnce sync.Once
+	closeConn := func() { closeOnce.Do(func() { conn.Close() }) }
+	bw := bufio.NewWriterSize(conn, wireBufSize)
 	enc := newFrameEnc(bw)
-	br := getBufReader(conn)
-	dec := newFrameDec(br)
+	dec := newFrameDec(bufio.NewReaderSize(conn, wireBufSize))
 
-	var omu sync.Mutex
-	outst := make(map[int]grantRec, leaseWindow)
-	events := make(chan wireEvent, leaseWindow+2)
-	quit := make(chan struct{})
-	rdDone := make(chan struct{})
+	// The lease deadline closes the connection, which fails whatever
+	// read or write the loop is blocked in. It runs during the
+	// handshake and while the window holds leases, never while the
+	// driver waits for work.
+	var deadline *time.Timer
+	if d.opt.LeaseTimeout > 0 {
+		deadline = time.AfterFunc(d.opt.LeaseTimeout, closeConn)
+	}
+	var win []grantRec
+	lost := true
 	defer func() {
-		// Stop the reader before touching the codec counters: close the
-		// transport out from under its blocking read, then wait it out.
-		conn.Close()
-		close(quit)
-		<-rdDone
+		if deadline != nil {
+			deadline.Stop()
+		}
+		closeConn()
+		if lost {
+			for _, g := range win {
+				d.table.abandon(g.l)
+			}
+			d.fail()
+		}
+		m.distInflight.Add(-int64(len(win)))
 		d.addTraffic(enc.bytesOut, dec.bytesIn, enc.frames, dec.frames)
-		putBufReader(br) // safe: the reader goroutine has exited
-		putBufWriter(bw)
 		d.table.driverExit()
 	}()
-	go d.readWire(dec, outst, &omu, events, quit, rdDone)
-
-	outstanding := 0
-	abandonAll := func() {
-		conn.Close() // first, so the worker stops computing for nothing
-		omu.Lock()
-		ls := make([]lease, 0, len(outst))
-		for id, g := range outst {
-			ls = append(ls, g.l)
-			delete(outst, id)
-		}
-		omu.Unlock()
-		for _, l := range ls {
-			d.table.abandon(l)
-		}
-		m.distInflight.Add(-int64(len(ls)))
-		outstanding = 0
-		d.fail()
-	}
-
-	var timer *time.Timer
-	var deadline <-chan time.Time
-	if d.opt.LeaseTimeout > 0 {
-		timer = time.NewTimer(d.opt.LeaseTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	resetTimer := func() {
-		if timer == nil {
-			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d.opt.LeaseTimeout)
-	}
 
 	// Handshake: preamble, hello, await ready.
 	if _, err := bw.Write([]byte{wireMagic, wireVersion}); err != nil {
-		d.fail()
 		return
 	}
 	enc.bytesOut += 2
 	enc.begin(frameHello)
 	enc.lenBytes(d.helloJSON)
-	if enc.flush() != nil || bw.Flush() != nil {
-		d.fail()
+	if enc.flush() != nil || bw.Flush() != nil || d.readReady(dec) != nil {
 		return
 	}
-	select {
-	case ev := <-events:
-		if ev.err != nil || ev.typ != frameReady {
-			d.fail()
-			return
-		}
-	case <-deadline:
-		d.fail()
-		return
-	}
-	resetTimer()
 
+	var words []uint64 // one result's verdict words, reused
 	for {
-		// Top the window up. Blocking is only allowed with an empty
-		// window: with leases in flight the driver must stay responsive
-		// to results, so it polls and falls through to the event wait.
-		granted := false
-		for outstanding < leaseWindow {
-			l, ok, done, err := d.table.next(d.opt.LeaseSets, outstanding == 0)
+		if len(win) == 0 && deadline != nil {
+			deadline.Stop()
+		}
+		// Top the window up. Only an empty window may block: with leases
+		// in flight the driver must go on reading their results.
+		for len(win) < leaseWindow {
+			l, ok, done, err := d.table.next(d.opt.LeaseSets, len(win) == 0)
 			if err != nil || done {
 				// Run complete (or lost): release the worker either way.
+				lost = false
 				enc.begin(frameDone)
 				if enc.flush() == nil {
 					bw.Flush()
@@ -160,165 +118,86 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 			if !ok {
 				break
 			}
-			omu.Lock()
-			outst[l.id] = grantRec{l: l, at: time.Now()}
-			omu.Unlock()
+			win = append(win, grantRec{l: l, at: time.Now()})
 			m.distInflight.Add(1)
 			enc.begin(frameLease)
 			enc.uvarint(uint64(l.id))
 			enc.uvarint(uint64(l.ui))
 			enc.uvarint(uint64(l.lo))
 			enc.uvarint(uint64(l.hi))
-			if err := enc.flush(); err != nil {
-				abandonAll()
+			if enc.flush() != nil {
 				return
 			}
-			outstanding++
-			granted = true
 			m.distLeaseSets.Observe(int64(l.hi - l.lo))
 		}
-		if granted {
-			if err := bw.Flush(); err != nil {
-				abandonAll()
-				return
-			}
+		if deadline != nil {
+			deadline.Reset(d.opt.LeaseTimeout)
 		}
-
-		select {
-		case ev := <-events:
-			if ev.err != nil || ev.typ != frameResult {
-				abandonAll()
-				return
-			}
-			outstanding-- // the reader settled the lease
-			resetTimer()
-		case <-deadline:
-			abandonAll()
+		if bw.Flush() != nil { // writes only if this pass granted
 			return
 		}
+
+		t, body, err := dec.next()
+		if err != nil || t != frameResult {
+			return // transport error, error frame or protocol violation
+		}
+		r := wireBuf{b: body}
+		id, err := r.intField()
+		if err != nil {
+			return
+		}
+		i := slices.IndexFunc(win, func(g grantRec) bool { return g.l.id == id })
+		if i < 0 {
+			return // not a lease this worker holds
+		}
+		g := win[i]
+		words = words[:0]
+		if decodeResultWords(&r, g.l.hi-g.l.lo, func(_ int, w uint64) { words = append(words, w) }) != nil {
+			return
+		}
+		d.mergeLease(g.l, words)
+		if d.journal != nil {
+			if err := d.journal.append(g.l, words); err != nil {
+				// A journal failure is a coordinator-side loss: poison the
+				// run rather than blaming (and cycling through) every
+				// worker.
+				d.table.poison(err)
+				return
+			}
+		}
+		win = slices.Delete(win, i, i+1)
+		d.table.complete()
+		m.distInflight.Add(-1)
+		m.distLeaseNs.Observe(int64(time.Since(g.at)))
 	}
 }
 
-// readWire is the driver's reader goroutine: it decodes frames off the
-// connection, merges results straight into the shared verdict vector
-// (no intermediate copy — the grant's range is exclusive to this
-// worker while it is outstanding), journals and completes merged
-// leases, requeues a lease whose result does not decode, and reports
-// ready/result/error events to the driver loop.
-func (d *distDriver) readWire(dec *frameDec, outst map[int]grantRec, omu *sync.Mutex, events chan<- wireEvent, quit <-chan struct{}, rdDone chan<- struct{}) {
-	defer close(rdDone)
-	send := func(ev wireEvent) bool {
-		select {
-		case events <- ev:
-			return true
-		case <-quit:
-			return false
-		}
+// readReady reads the worker's ready frame, checks its wire version
+// and records its manifest.
+func (d *distDriver) readReady(dec *frameDec) error {
+	t, body, err := dec.next()
+	if err != nil {
+		return err
 	}
-	m := exptView.Get()
-	var jwords []uint64 // journal copy of the lease's words, reused
-	for {
-		t, body, err := dec.next()
-		if err != nil {
-			send(wireEvent{err: err})
-			return
-		}
-		r := wireBuf{b: body}
-		switch t {
-		case frameReady:
-			v, err := r.uvarint()
-			if err != nil {
-				send(wireEvent{err: err})
-				return
-			}
-			if v != wireVersion {
-				send(wireEvent{err: fmt.Errorf("expt: worker speaks wire version %d, coordinator speaks %d", v, wireVersion)})
-				return
-			}
-			mb, err := r.lenBytes()
-			if err != nil {
-				send(wireEvent{err: err})
-				return
-			}
-			var man obsv.Manifest
-			if err := json.Unmarshal(mb, &man); err != nil {
-				send(wireEvent{err: fmt.Errorf("expt: worker manifest: %w", err)})
-				return
-			}
-			d.addManifest(man)
-			if !send(wireEvent{typ: frameReady}) {
-				return
-			}
-		case frameResult:
-			id, err := r.intField()
-			if err != nil {
-				send(wireEvent{err: err})
-				return
-			}
-			omu.Lock()
-			g, ok := outst[id]
-			if ok {
-				delete(outst, id)
-			}
-			omu.Unlock()
-			if !ok {
-				send(wireEvent{err: fmt.Errorf("expt: result for unknown lease %d", id)})
-				return
-			}
-			l := g.l
-			n := l.hi - l.lo
-			collect := d.journal != nil
-			words := jwords[:0]
-			base0 := (l.ui*d.cfg.SetsPerPoint + l.lo) * d.nCfg
-			err = decodeResultWords(&r, n, func(j int, w uint64) {
-				if collect {
-					words = append(words, w)
-				}
-				off := base0 + j*d.nCfg
-				for c := 0; c < d.nCfg; c++ {
-					d.verdicts[off+c] = verdict{
-						base:  w>>(2*uint(c))&1 == 1,
-						adapt: w>>(2*uint(c)+1)&1 == 1,
-					}
-				}
-			})
-			if err != nil {
-				d.table.abandon(l)
-				m.distInflight.Add(-1)
-				send(wireEvent{err: err})
-				return
-			}
-			jwords = words
-			if collect {
-				if err := d.journal.append(l, words); err != nil {
-					// A journal failure is a coordinator-side loss: poison
-					// the run rather than blaming (and cycling through)
-					// every worker.
-					d.table.poison(err)
-					d.table.abandon(l)
-					m.distInflight.Add(-1)
-					send(wireEvent{err: err})
-					return
-				}
-			}
-			d.table.complete()
-			m.distInflight.Add(-1)
-			m.distLeaseNs.Observe(int64(time.Since(g.at)))
-			if !send(wireEvent{typ: frameResult}) {
-				return
-			}
-		case frameError:
-			id, _ := r.uvarint()
-			msg, err := r.lenBytes()
-			if err != nil {
-				send(wireEvent{err: err})
-				return
-			}
-			send(wireEvent{err: fmt.Errorf("expt: worker failed lease %d: %s", id, msg)})
-			return
-		default:
-			send(wireEvent{err: fmt.Errorf("expt: unexpected wire frame %#x from worker", t)})
-			return
-		}
+	if t != frameReady {
+		return fmt.Errorf("expt: got wire frame %#x from worker, want ready", t)
 	}
+	r := wireBuf{b: body}
+	v, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if v != wireVersion {
+		return fmt.Errorf("expt: worker speaks wire version %d, coordinator speaks %d", v, wireVersion)
+	}
+	mb, err := r.lenBytes()
+	if err != nil {
+		return err
+	}
+	var man obsv.Manifest
+	if err := json.Unmarshal(mb, &man); err != nil {
+		return fmt.Errorf("expt: worker manifest: %w", err)
+	}
+	d.addManifest(man)
+	return nil
 }

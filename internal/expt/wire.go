@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // This file is the framing layer of the distributed campaign protocol
@@ -78,43 +77,8 @@ var errFrameTooBig = fmt.Errorf("expt: wire frame exceeds %d bytes", wireMaxFram
 
 // wireBufSize is the bufio buffer on each side of a wire connection:
 // large enough to coalesce a window refill or a batch of results into
-// one transport handoff, small enough to pool freely.
+// one transport handoff.
 const wireBufSize = 32 << 10
-
-// The bufio halves are pooled too — at 32 KiB each they are the bulk
-// of a connection's setup bytes, and a campaign coordinator opens (and
-// a worker binary serves) connections in sequence far more often than
-// in parallel.
-var (
-	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, wireBufSize) }}
-	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, wireBufSize) }}
-)
-
-// getBufReader leases a pooled 32 KiB bufio.Reader bound to r; return
-// it with putBufReader once no goroutine can still be reading.
-func getBufReader(r io.Reader) *bufio.Reader {
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-func putBufReader(br *bufio.Reader) {
-	br.Reset(nil)
-	bufReaderPool.Put(br)
-}
-
-// getBufWriter leases a pooled 32 KiB bufio.Writer bound to w; return
-// it with putBufWriter after the final Flush.
-func getBufWriter(w io.Writer) *bufio.Writer {
-	bw := bufWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-func putBufWriter(bw *bufio.Writer) {
-	bw.Reset(io.Discard)
-	bufWriterPool.Put(bw)
-}
 
 // frameEnc encodes frames onto w through one reused buffer: a flush
 // writes the length prefix and payload with a single Write, so a

@@ -182,17 +182,3 @@ func (c *verdictCache) stats() (hits, misses, evictions uint64, entries int) {
 	}
 	return
 }
-
-// flush empties every shard of its settled entries, keeping the
-// counters and the in-flight entries (their analyses settle normally).
-func (c *verdictCache) flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			sh.unlink(el.Value.(*ventry))
-		}
-		sh.lru.Init()
-		sh.mu.Unlock()
-	}
-}

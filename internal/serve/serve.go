@@ -383,10 +383,6 @@ func (p *Pipeline) CacheStats() (hits, misses, evictions uint64, entries int) {
 // a memory-leak probe).
 func (p *Pipeline) Contexts() int { return p.shards.Contexts() }
 
-// FlushCache empties the verdict cache (benchmarks and cache-rollover
-// administration). In-flight analyses are unaffected.
-func (p *Pipeline) FlushCache() { p.cache.flush() }
-
 // Close rejects new analyses and waits for the admitted ones to finish;
 // afterwards Verdict calls that need analysis return ErrClosed (cache
 // hits are still answered). Idempotent.

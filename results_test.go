@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite the results/ archives from curr
 //	go test -run '^TestResultsArchive$' -update .
 //
 // results/README.md gives each file's command and says why
-// sensitivity.txt and explore_fms.txt are not pinned.
+// explore_fms.txt is not pinned.
 func TestResultsArchive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI runs skipped in -short mode")
@@ -35,6 +35,7 @@ func TestResultsArchive(t *testing.T) {
 		{"fig1_fig2.txt", []string{"./cmd/ftmc-fms"}},
 		{"fig1_fig2_plots.txt", []string{"./cmd/ftmc-fms", "-plot"}},
 		{"os_sweep.txt", []string{"./cmd/ftmc-sense", "-what", "os"}},
+		{"sensitivity.txt", []string{"./cmd/ftmc-sense"}},
 		{"fig3_500sets.txt", []string{"./cmd/ftmc-accept", "-sets", "500"}},
 		{"fig3a_plot.txt", []string{"./cmd/ftmc-accept", "-fig", "3a", "-sets", "150", "-plot"}},
 		{"report.md", []string{"./cmd/ftmc-report"}},
