@@ -42,7 +42,7 @@ race:
 # pieces: the worker pool (shared atomic claim cursor, invariance
 # across worker counts, skewed load), the distributed campaign's lease
 # plane (worker loss, lease deadline, corrupt result, idle-worker
-# deadline, checkpoint resume), the sharded adaptation-cache pool and
+# deadline, hung subprocess worker), the sharded adaptation-cache pool and
 # the serve pipeline's admission (single-flight joins, shedding,
 # overload). A repeat count varies goroutine interleavings beyond what
 # one -race run sees.
@@ -74,25 +74,23 @@ bench:
 # dist-smoke drives the distributed campaign runner end to end as CI
 # does: build ftmc-report and ftmc-worker as real binaries, then (a)
 # shard a small Fig. 3 campaign across two worker subprocesses over
-# the stdin/stdout lease protocol, (b) run the same campaign over real
-# TCP sockets with ftmc-worker -connect on the same wire v2 frames,
-# and (c) crash the coordinator mid-journal (-dist-crash-after) and
-# restart it from its checkpoint — each byte-diffed against the
-# single-process run. The scenarios live in TestCLIDistCampaign,
-# TestCLIDistCampaignTCP and TestCLIDistCampaignCheckpointRestart so
+# the stdin/stdout lease protocol and (b) run the same campaign over
+# real TCP sockets with ftmc-worker -connect on the same wire v2
+# frames — each byte-diffed against the single-process run. The
+# scenarios live in TestCLIDistCampaign and TestCLIDistCampaignTCP so
 # local and CI runs are identical; the in-process protocol and
 # worker-loss/timeout paths are covered by `make race` (dist_test.go).
 dist-smoke:
 	$(GO) test -race -count 1 -v -run '^TestCLIDistCampaign' .
 
 # serve-smoke drives the serving stack end to end as CI does: build
-# ftmc-serve and ftmc-load as real binaries, boot the server on an
-# ephemeral port, run a closed-loop burst against /v1/verdict, assert
-# the canonical-hash cache hit (via the expvar snapshot on /metrics)
-# and a clean drain on SIGTERM. The scenario lives in
-# TestCLIServeAndLoad so local and CI runs are identical.
+# ftmc-serve as a real binary, boot it on an ephemeral port, post one
+# task set to /v1/verdict twice, assert the canonical-hash cache hit
+# (in the second answer and in the snapshots on /metrics and
+# /metrics/prom) and a clean drain on SIGTERM. The scenario lives in
+# TestCLIServe so local and CI runs are identical.
 serve-smoke:
-	$(GO) test -race -count 1 -v -run '^TestCLIServeAndLoad$$' .
+	$(GO) test -race -count 1 -v -run '^TestCLIServe$$' .
 
 # soak is the PR-tier invariant soak exactly as the CI soak-smoke job
 # runs it: the full backend × mode × fault × workload cross-product
@@ -138,7 +136,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/timeunit
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime $(FUZZTIME) ./internal/expt
-	$(GO) test -run '^$$' -fuzz '^FuzzDistJournal$$' -fuzztime $(FUZZTIME) ./internal/expt
 
 # profile writes pprof CPU and heap profiles of the full Fig. 3 campaign
 # (BenchmarkCampaignFigure: draw, line 2, line 8 and the eq. (5)/(7)

@@ -6,14 +6,15 @@ package ftmc
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -114,21 +115,17 @@ func TestCLISimMetrics(t *testing.T) {
 	}
 }
 
-// TestCLIServeAndLoad is the serving smoke: build the server and the
-// load generator, start the server on an ephemeral port, drive it,
-// assert verdicts were served (with the cache actually hitting in the
-// published expvar snapshot), and shut down cleanly on SIGTERM.
-func TestCLIServeAndLoad(t *testing.T) {
+// TestCLIServe is the serving smoke: build the server, start it on an
+// ephemeral port, post the same set twice, assert the second answer
+// came from the verdict cache (and shows up in the published expvar and
+// Prometheus snapshots), and shut down cleanly on SIGTERM.
+func TestCLIServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI runs skipped in -short mode")
 	}
-	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "ftmc-serve")
-	loadBin := filepath.Join(dir, "ftmc-load")
-	for bin, pkg := range map[string]string{serveBin: "./cmd/ftmc-serve", loadBin: "./cmd/ftmc-load"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
+	serveBin := filepath.Join(t.TempDir(), "ftmc-serve")
+	if out, err := exec.Command("go", "build", "-o", serveBin, "./cmd/ftmc-serve").CombinedOutput(); err != nil {
+		t.Fatalf("building ./cmd/ftmc-serve: %v\n%s", err, out)
 	}
 
 	srv := exec.Command(serveBin, "-addr", "127.0.0.1:0")
@@ -157,32 +154,35 @@ func TestCLIServeAndLoad(t *testing.T) {
 		}
 	}()
 
-	for i := 0; ; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/healthz: status %d", resp.StatusCode)
-			}
-			break
-		}
-		if i > 100 {
-			t.Fatalf("server never became healthy: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	out, err := exec.Command(loadBin,
-		"-addr", base, "-duration", "1s", "-concurrency", "4", "-sets", "8").CombinedOutput()
+	set, err := os.ReadFile(writeExampleSet(t))
 	if err != nil {
-		t.Fatalf("ftmc-load: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "verdicts/sec") {
-		t.Errorf("load output:\n%s", out)
+	body := `{"set":` + string(set) + `}`
+	var answers [2]map[string]any
+	for i := range answers {
+		resp, err := http.Post(base+"/v1/verdict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&answers[i])
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %d: status %d: %v", i+1, resp.StatusCode, answers[i])
+		}
+	}
+	if answers[0]["cached"] != false || answers[1]["cached"] != true {
+		t.Errorf("cached = %v then %v, want false then true", answers[0]["cached"], answers[1]["cached"])
+	}
+	delete(answers[0], "cached")
+	delete(answers[1], "cached")
+	if !reflect.DeepEqual(answers[0], answers[1]) {
+		t.Errorf("cached answer differs from the analysed one:\n%v\n%v", answers[0], answers[1])
 	}
 
-	// The 8-set mix over a 1s run must have produced cache hits, visible
-	// through the published registry.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -208,15 +208,13 @@ func TestCLIServeAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prom strings.Builder
-	psc := bufio.NewScanner(presp.Body)
-	for psc.Scan() {
-		prom.WriteString(psc.Text())
-		prom.WriteByte('\n')
-	}
+	prom, err := io.ReadAll(presp.Body)
 	presp.Body.Close()
-	if !strings.Contains(prom.String(), "# TYPE ftmc_serve_cache_hits counter") {
-		t.Errorf("/metrics/prom missing serve counters:\n%s", prom.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "# TYPE ftmc_serve_cache_hits counter") {
+		t.Errorf("/metrics/prom missing serve counters:\n%s", prom)
 	}
 
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
@@ -336,50 +334,5 @@ func TestCLIDistCampaignTCP(t *testing.T) {
 	}
 	if !strings.Contains(errLines.String(), "distributed campaign: 2 workers (0 lost)") {
 		t.Errorf("stderr missing lease accounting:\n%s", errLines.String())
-	}
-}
-
-// TestCLIDistCampaignCheckpointRestart is the restart smoke: the
-// coordinator is made to crash (exit 3, via -dist-crash-after fault
-// injection) partway through journaling the campaign, and the rerun
-// with the same -dist-checkpoint must replay the journaled leases,
-// finish the rest, and emit the exact single-process stdout.
-func TestCLIDistCampaignCheckpointRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI runs skipped in -short mode")
-	}
-	reportBin, _ := buildDistBins(t)
-	args := []string{"-sets", "12", "-instances", "2", "-seed", "5"}
-	single, err := exec.Command(reportBin, args...).Output()
-	if err != nil {
-		t.Fatalf("single-process report: %v", err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "fig3.ckpt")
-	crash := exec.Command(reportBin, append(args,
-		"-distributed", "2", "-lease-sets", "3",
-		"-dist-checkpoint", ckpt, "-dist-crash-after", "2")...)
-	if err := crash.Run(); err == nil {
-		t.Fatal("crash-injected coordinator exited cleanly")
-	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
-		t.Fatalf("crash-injected coordinator: %v, want exit status 3", err)
-	}
-
-	restart := exec.Command(reportBin, append(args,
-		"-distributed", "2", "-lease-sets", "3", "-dist-checkpoint", ckpt)...)
-	var restartErr strings.Builder
-	restart.Stderr = &restartErr
-	out, err := restart.Output()
-	if err != nil {
-		t.Fatalf("restarted report: %v\n%s", err, restartErr.String())
-	}
-	if string(out) != string(single) {
-		t.Fatalf("restarted stdout diverged from single-process bytes")
-	}
-	if strings.Contains(restartErr.String(), " 0 sets replayed") {
-		t.Errorf("restart replayed nothing from the journal:\n%s", restartErr.String())
-	}
-	if !strings.Contains(restartErr.String(), "sets replayed") {
-		t.Errorf("stderr missing replay accounting:\n%s", restartErr.String())
 	}
 }

@@ -150,30 +150,3 @@ func Compare(t task.Task, rate safety.FaultRate, overhead timeunit.Time, target 
 	}
 	return cmp, nil
 }
-
-// PFH evaluates the eq. (2)-style bound for tasks protected by
-// checkpointing: Σ r_i(L_i, 1h) · q_i with the generalized round length,
-// where r(L, t) = max(0, ⌊(t − L)/T⌋ + 1) exactly as in Lemma 3.1.
-func PFH(tasks []task.Task, params []Params, rate safety.FaultRate) (float64, error) {
-	if len(params) != len(tasks) {
-		return 0, fmt.Errorf("ckpt: %d params for %d tasks", len(params), len(tasks))
-	}
-	var sum prob.KahanSum
-	hour := timeunit.Hours(1)
-	for i, t := range tasks {
-		if err := params[i].Validate(); err != nil {
-			return 0, err
-		}
-		l := params[i].RoundLength(t.WCET)
-		num := hour - l
-		if num < 0 {
-			continue
-		}
-		r := num.DivFloor(t.Period) + 1
-		if r < 0 {
-			continue
-		}
-		sum.Add(float64(r) * params[i].RoundFailProb(t.WCET, rate))
-	}
-	return sum.Value(), nil
-}

@@ -154,41 +154,6 @@ func TestOptimizeInfeasible(t *testing.T) {
 	}
 }
 
-func TestPFH(t *testing.T) {
-	rate := safety.FaultRate{PerHour: 90}
-	tasks := []task.Task{
-		{Name: "a", Period: ms(100), Deadline: ms(100), WCET: ms(10), Level: criticality.LevelB},
-		{Name: "b", Period: ms(4000), Deadline: ms(4000), WCET: ms(400), Level: criticality.LevelB},
-	}
-	params := []Params{Reexec(2), {Segments: 8, Retries: 2, Overhead: ms(1)}}
-	got, err := PFH(tasks, params, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got <= 0 {
-		t.Errorf("pfh = %g", got)
-	}
-	// Consistency with the safety package for the pure re-execution task:
-	// give task b a negligible contribution and compare task a's share.
-	onlyA, err := PFH(tasks[:1], params[:1], rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := safety.DefaultConfig()
-	ta := tasks[0]
-	ta.FailProb = rate.AttemptFailProb(ta.WCET)
-	want := scfg.PlainPFHUniform([]task.Task{ta}, 2)
-	if math.Abs(onlyA-want)/want > 1e-9 {
-		t.Errorf("pfh(a) = %g, safety package says %g", onlyA, want)
-	}
-	if _, err := PFH(tasks, params[:1], rate); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := PFH(tasks, []Params{{}, {}}, rate); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
 func TestRoundLengthPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/criticality"
 	"repro/internal/mcsched"
-	"repro/internal/safety"
 	"repro/internal/task"
 )
 
@@ -98,30 +97,4 @@ func MustConvert(s *task.Set, p Profiles) *mcsched.MCSet {
 		panic(err)
 	}
 	return m
-}
-
-// PFHBounds evaluates the analytical safety bounds achieved by the given
-// profiles under the given adaptation mode: pfh(HI) per eq. (2) — HI tasks
-// are never adapted — and pfh(LO) per eq. (5) (killing) or eq. (7)
-// (degradation with factor df).
-func PFHBounds(cfg safety.Config, s *task.Set, p Profiles, mode safety.AdaptMode, df float64) (pfhHI, pfhLO float64, err error) {
-	if err := p.Validate(); err != nil {
-		return 0, 0, err
-	}
-	hi := s.ByClass(criticality.HI)
-	lo := s.ByClass(criticality.LO)
-	pfhHI = cfg.PlainPFHUniform(hi, p.NHI)
-	adapt, err := safety.NewUniformAdaptation(cfg, hi, p.NPrime)
-	if err != nil {
-		return 0, 0, err
-	}
-	switch mode {
-	case safety.Kill:
-		pfhLO = cfg.KillingPFHLOUniform(lo, p.NLO, adapt)
-	case safety.Degrade:
-		pfhLO = cfg.DegradationPFHLOUniform(lo, p.NLO, adapt, df)
-	default:
-		return 0, 0, fmt.Errorf("core: unknown adaptation mode %d", mode)
-	}
-	return pfhHI, pfhLO, nil
 }

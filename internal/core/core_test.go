@@ -312,32 +312,6 @@ func TestMaxSchedulableAdaptZeroWhenHopeless(t *testing.T) {
 	}
 }
 
-func TestPFHBoundsModes(t *testing.T) {
-	s := example31(criticality.LevelD)
-	cfg := safety.DefaultConfig()
-	p := Profiles{NHI: 3, NLO: 1, NPrime: 2}
-	hiK, loK, err := PFHBounds(cfg, s, p, safety.Kill, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hiD, loD, err := PFHBounds(cfg, s, p, safety.Degrade, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hiK != hiD {
-		t.Errorf("pfh(HI) should not depend on the mode: %g vs %g", hiK, hiD)
-	}
-	if loD > loK {
-		t.Errorf("degradation pfh(LO) %g exceeds killing %g", loD, loK)
-	}
-	if _, _, err := PFHBounds(cfg, s, p, safety.AdaptMode(9), 0); err == nil {
-		t.Error("expected error for unknown mode")
-	}
-	if _, _, err := PFHBounds(cfg, s, Profiles{}, safety.Kill, 0); err == nil {
-		t.Error("expected error for invalid profiles")
-	}
-}
-
 // FTS with the fixed-priority tests (Appendix B remark): AMC-rtb must
 // also solve Example 3.1.
 func TestFTSWithAlternativeSchedulers(t *testing.T) {

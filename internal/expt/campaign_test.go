@@ -95,6 +95,40 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestCampaignSmallerFNeverLosesASet pins Fig. 3's f-dominance claim
+// where it holds exactly: on the campaign's paired draws, every set
+// accepted at f = 1e-3 is also accepted at f = 1e-5, in every panel and
+// for both the baseline and the adapted verdict. The seeds are held out
+// from every pinned result. (ftmc-accept's per-curve figures draw each
+// f's sets apart, so there the claim holds only within noise.)
+func TestCampaignSmallerFNeverLosesASet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five paper-size campaigns skipped in -short mode")
+	}
+	for seed := int64(1001); seed <= 1005; seed++ {
+		cfg := PaperCampaign(500, seed)
+		if len(cfg.FailProbs) != 2 || cfg.FailProbs[0] != 1e-3 || cfg.FailProbs[1] != 1e-5 {
+			t.Fatalf("PaperCampaign failure probabilities %v, want [1e-3 1e-5]", cfg.FailProbs)
+		}
+		r := newCampaignRunner(&cfg)
+		verdicts := make([]verdict, cfg.SetsPerPoint*r.nCfg)
+		for ui, u := range cfg.Utils {
+			if err := r.evalRange(ui, 0, cfg.SetsPerPoint, verdicts); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cfg.SetsPerPoint; i++ {
+				for pi, p := range cfg.Panels {
+					large, small := verdicts[i*r.nCfg+2*pi], verdicts[i*r.nCfg+2*pi+1]
+					if large.base && !small.base || large.adapt && !small.adapt {
+						t.Errorf("seed %d, panel %s, U = %.2f, set %d: %+v at f = 1e-3 but %+v at f = 1e-5",
+							seed, p.Name, u, i, large, small)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCampaignValidate exercises the configuration error paths.
 func TestCampaignValidate(t *testing.T) {
 	good := smallCampaign()

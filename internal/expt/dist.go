@@ -28,9 +28,6 @@ import (
 // when results arrived, how many times a lease was reassigned or how
 // many leases were in flight — so the merged CampaignResult (and hence
 // any serialization of it) equals the single-process run bit for bit.
-// Checkpoint replay preserves the same argument: a journaled lease
-// holds the exact verdict words the worker computed, merged at the
-// same absolute indexes.
 //
 // The lease traffic is the length-prefixed binary frame protocol of
 // wire.go, driven with a window of two in-flight leases per worker
@@ -38,9 +35,8 @@ import (
 
 // maxDistConfigs bounds the panel × failure-probability cross-product a
 // result word can carry: 2 bits per configuration in a uint64, with the
-// top two bits left unused so the packed value stays in int64 range for
-// any JSON consumer of the checkpoint journal. The paper's figure
-// needs 8.
+// top two bits left unused so every packed word is also a non-negative
+// int64. The paper's figure needs 8.
 const maxDistConfigs = 31
 
 // DistOptions tunes the lease protocol.
@@ -57,17 +53,6 @@ type DistOptions struct {
 	// connection closed so a late result can never merge — and its
 	// leases are reassigned. A worker waiting for work is not timed.
 	LeaseTimeout time.Duration
-	// Checkpoint, when non-empty, is the path of the campaign's
-	// checkpoint journal: the coordinator appends one record per
-	// completed lease (schema ftmc/dist-ckpt/v1, see distckpt.go) and
-	// on restart replays the journal, re-queuing only unfinished work.
-	Checkpoint string
-	// CrashAfterLeases is fault injection for the restart path: when
-	// positive (and Checkpoint is set), the coordinator process exits
-	// with status 3 after journaling that many leases — the
-	// kill-the-coordinator half of the checkpoint/restart smoke test.
-	// Never set it outside tests.
-	CrashAfterLeases int
 }
 
 // withDefaults resolves the option defaults in one place.
@@ -96,9 +81,6 @@ type DistReport struct {
 	BytesIn   uint64 `json:"bytes_in"`
 	FramesOut uint64 `json:"frames_out"`
 	FramesIn  uint64 `json:"frames_in"`
-	// ReplayedSets counts sets restored from the checkpoint journal
-	// instead of granted to workers.
-	ReplayedSets int `json:"replayed_sets"`
 	// Manifest records the provenance of every participating process;
 	// its Mismatches field surfaces workers built from a different
 	// toolchain or revision than the coordinator.
@@ -112,34 +94,26 @@ type lease struct {
 	id, ui, lo, hi int
 }
 
-// spanWork is an uncarved interval of the campaign grid awaiting
-// grant: sets [lo, hi) of point ui. Checkpoint replay can fragment a
-// point into several intervals.
-type spanWork struct {
-	ui, lo, hi int
-}
-
-// leaseTable is the coordinator's scheduler state: uncarved grid
-// intervals, a queue of abandoned leases awaiting regrant, the count
-// of leases currently held by workers, and the count of workers still
-// alive. Fresh leases are carved on demand at the size the driver
-// requests, while abandoned leases are regranted verbatim (their exact
-// range is what the failed worker owed).
+// leaseTable is the coordinator's scheduler state: a cursor over the
+// uncarved campaign grid, a queue of abandoned leases awaiting regrant
+// and the count of leases currently held by workers. Fresh leases are
+// carved on demand at the size the driver requests, while abandoned
+// leases are regranted verbatim (their exact range is what the failed
+// worker owed).
 type leaseTable struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	fresh    []spanWork
-	freshAt  int
+	points   int // utilization points in the grid
+	sets     int // sets per point
+	ui, lo   int // the next uncarved set: set lo of point ui
 	requeued []lease
 	out      int // leases granted and not yet completed or requeued
-	alive    int // drivers that have not failed or finished
 	grants   int
 	requeue  int
-	err      error
 }
 
-func newLeaseTable(fresh []spanWork, workers int) *leaseTable {
-	t := &leaseTable{fresh: fresh, alive: workers}
+func newLeaseTable(points, sets int) *leaseTable {
+	t := &leaseTable{points: points, sets: sets}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
@@ -157,62 +131,47 @@ func (t *leaseTable) grantLocked(max int) (lease, bool) {
 		t.out++
 		return l, true
 	}
-	for t.freshAt < len(t.fresh) {
-		s := &t.fresh[t.freshAt]
-		if s.lo >= s.hi {
-			t.freshAt++
-			continue
-		}
-		// Replay can leave a span starting above 0, where s.lo + max
-		// would overflow for a huge max.
-		hi := s.hi
-		if hi-s.lo > max {
-			hi = s.lo + max
-		}
-		l := lease{id: t.grants, ui: s.ui, lo: s.lo, hi: hi}
-		s.lo = hi
-		t.grants++
-		t.out++
-		return l, true
+	if t.ui == t.points {
+		return lease{}, false
 	}
-	return lease{}, false
+	// Past the first lease of a point t.lo is above 0, where t.lo + max
+	// would overflow for a huge max.
+	hi := t.sets
+	if hi-t.lo > max {
+		hi = t.lo + max
+	}
+	l := lease{id: t.grants, ui: t.ui, lo: t.lo, hi: hi}
+	t.lo = hi
+	if hi == t.sets {
+		t.ui, t.lo = t.ui+1, 0
+	}
+	t.grants++
+	t.out++
+	return l, true
 }
 
 // remainingLocked reports whether any work is ungranted or in flight.
 func (t *leaseTable) remainingLocked() bool {
-	if len(t.requeued) > 0 || t.out > 0 {
-		return true
-	}
-	for i := t.freshAt; i < len(t.fresh); i++ {
-		if t.fresh[i].lo < t.fresh[i].hi {
-			return true
-		}
-	}
-	return false
+	return len(t.requeued) > 0 || t.out > 0 || t.ui < t.points
 }
 
 // next grants a lease of up to max sets. ok is false when nothing is
 // grantable: then done reports whether every lease has completed (the
-// run is over) and err is non-nil when the run is lost (every worker
-// failed with leases outstanding). With block set, next waits for a
-// grantable lease instead of returning ok=false while other workers
-// still hold leases — the mode a driver with no leases of its own in
-// flight uses.
-func (t *leaseTable) next(max int, block bool) (l lease, ok, done bool, err error) {
+// run is over). With block set, next waits for a grantable lease
+// instead of returning ok=false while other workers still hold leases
+// — the mode a driver with no leases of its own in flight uses.
+func (t *leaseTable) next(max int, block bool) (l lease, ok, done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.err != nil {
-			return lease{}, false, false, t.err
-		}
 		if l, ok := t.grantLocked(max); ok {
-			return l, true, false, nil
+			return l, true, false
 		}
 		if t.out == 0 {
-			return lease{}, false, true, nil
+			return lease{}, false, true
 		}
 		if !block {
-			return lease{}, false, false, nil
+			return lease{}, false, false
 		}
 		// Leases are out on other workers; wait in case one requeues.
 		t.cond.Wait()
@@ -224,7 +183,7 @@ func (t *leaseTable) complete() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.out--
-	if t.out == 0 && !t.remainingLocked() {
+	if !t.remainingLocked() {
 		t.cond.Broadcast()
 	}
 }
@@ -240,33 +199,9 @@ func (t *leaseTable) abandon(l lease) {
 	t.cond.Broadcast()
 }
 
-// poison fails the whole run: every driver sees err from its next
-// call. Used for coordinator-side losses (checkpoint write failure)
-// that no amount of lease reassignment can route around.
-func (t *leaseTable) poison(err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err == nil {
-		t.err = err
-	}
-	t.cond.Broadcast()
-}
-
-// driverExit records a driver leaving; failed drivers that leave work
-// behind with no one alive to take it poison the table.
-func (t *leaseTable) driverExit() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.alive--
-	if t.alive == 0 && t.remainingLocked() && t.err == nil {
-		t.err = errors.New("expt: every distributed worker failed with leases outstanding")
-	}
-	t.cond.Broadcast()
-}
-
 // distDriver is the shared coordinator state: one driver goroutine
-// owns one worker connection end to end; the verdict vector, lease
-// table and journal are shared across drivers.
+// owns one worker connection end to end; the verdict vector and lease
+// table are shared across drivers.
 type distDriver struct {
 	table     *leaseTable
 	cfg       *CampaignConfig
@@ -274,7 +209,6 @@ type distDriver struct {
 	verdicts  []verdict
 	opt       DistOptions
 	helloJSON []byte // the campaign config, marshaled once for every hello
-	journal   *distJournal
 
 	mu        sync.Mutex // guards the fields below across drivers
 	manifests []obsv.Manifest
@@ -301,12 +235,12 @@ func (d *distDriver) mergeLease(l lease, words []uint64) {
 	}
 }
 
-// fail counts a lost worker.
+// fail counts a lost worker. The expt.dist.worker_failures counter
+// takes the run's total once, when DistCampaign returns.
 func (d *distDriver) fail() {
 	d.mu.Lock()
 	d.failures++
 	d.mu.Unlock()
-	exptView.Get().distWorkerFailures.Inc()
 }
 
 // addManifest records one worker's ready manifest.
@@ -337,10 +271,9 @@ func (d *distDriver) addTraffic(out, in uint64, fout, fin uint64) {
 // cmd/ftmc-worker subprocess (StartWorkerProcs) or a TCP connection
 // (AcceptWorkers) — and merges the partial results. The returned
 // CampaignResult is byte-identical to Campaign(cfg) for any number of
-// connections, any lease size, any worker loss short of all of them,
-// any FTMC_WORKERS setting inside the workers, and any
-// checkpoint/restart cut (see the file comment for why). Connections
-// are closed before returning.
+// connections, any lease size, any worker loss short of all of them
+// and any FTMC_WORKERS setting inside the workers (see the file comment
+// for why). Connections are closed before returning.
 func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOptions) (CampaignResult, DistReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return CampaignResult{}, DistReport{}, err
@@ -365,31 +298,8 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		verdicts:  make([]verdict, len(cfg.Utils)*cfg.SetsPerPoint*nCfg),
 		opt:       opt,
 		helloJSON: helloJSON,
+		table:     newLeaseTable(len(cfg.Utils), cfg.SetsPerPoint),
 	}
-
-	// Restore journaled work first: replayed leases merge straight into
-	// the verdict vector and only the gaps go back on the table.
-	replayedSets := 0
-	var fresh []spanWork
-	if opt.Checkpoint != "" {
-		journal, records, err := openDistJournal(opt.Checkpoint, helloJSON, &cfg, nCfg)
-		if err != nil {
-			return CampaignResult{}, DistReport{}, err
-		}
-		journal.crashAfter = opt.CrashAfterLeases
-		d.journal = journal
-		defer journal.Close()
-		for _, r := range records {
-			d.mergeLease(lease{ui: r.UI, lo: r.Lo, hi: r.Hi}, r.V)
-		}
-		fresh, replayedSets = remainingWork(&cfg, records)
-		exptView.Get().distReplayedSets.Add(uint64(replayedSets))
-	} else {
-		for ui := range cfg.Utils {
-			fresh = append(fresh, spanWork{ui: ui, lo: 0, hi: cfg.SetsPerPoint})
-		}
-	}
-	d.table = newLeaseTable(fresh, len(conns))
 
 	var wg sync.WaitGroup
 	for _, conn := range conns {
@@ -410,15 +320,16 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		BytesIn:        d.bytesIn,
 		FramesOut:      d.framesOut,
 		FramesIn:       d.framesIn,
-		ReplayedSets:   replayedSets,
 		Manifest:       obsv.MergeManifests(obsv.NewManifest(), d.manifests),
 	}
 	m := exptView.Get()
 	m.distLeases.Add(uint64(rep.Leases))
 	m.distReassigned.Add(uint64(rep.Reassigned))
 	m.distWorkerFailures.Add(uint64(rep.WorkerFailures))
-	if err := d.table.err; err != nil {
-		return CampaignResult{}, rep, err
+	// Every driver has returned, so work is left only if every worker
+	// failed with leases outstanding.
+	if d.table.remainingLocked() {
+		return CampaignResult{}, rep, errors.New("expt: every distributed worker failed with leases outstanding")
 	}
 
 	res := newEmptyResult(cfg)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -375,14 +377,16 @@ func TestDistributedCampaignCorruptResult(t *testing.T) {
 
 // TestDistributedCampaignAllWorkersFail pins the run-lost error: when
 // every connection is dead on arrival the coordinator reports failure
-// instead of returning a silent zero result.
+// instead of returning a silent zero result, and the
+// expt.dist.worker_failures counter counts each lost worker once.
 func TestDistributedCampaignAllWorkersFail(t *testing.T) {
+	reg := obsv.NewRegistry()
+	obsv.SetDefault(reg)
+	defer obsv.SetDefault(nil)
 	cfg := smallCampaign()
-	var conns []io.ReadWriteCloser
-	for i := 0; i < 2; i++ {
-		c, w := net.Pipe()
-		w.Close()
-		conns = append(conns, c)
+	conns := PipeWorkers(2)
+	for _, c := range conns {
+		c.Close()
 	}
 	_, rep, err := DistCampaign(cfg, conns, DistOptions{})
 	if err == nil {
@@ -390,6 +394,32 @@ func TestDistributedCampaignAllWorkersFail(t *testing.T) {
 	}
 	if rep.WorkerFailures != 2 {
 		t.Fatalf("WorkerFailures = %d, want 2", rep.WorkerFailures)
+	}
+	if got := reg.Counter("expt.dist.worker_failures").Value(); got != uint64(rep.WorkerFailures) {
+		t.Fatalf("expt.dist.worker_failures = %d, want the report's %d", got, rep.WorkerFailures)
+	}
+}
+
+// TestDistributedCampaignHungProcWorker pins that the lease deadline
+// frees a subprocess worker that never answers and ignores EOF: the
+// run must fail within a few deadlines, not wait for the process to
+// exit by itself.
+func TestDistributedCampaignHungProcWorker(t *testing.T) {
+	sleep, err := exec.LookPath("sleep")
+	if err != nil {
+		t.Skip("no sleep binary to stand in for a hung worker")
+	}
+	conns, err := StartWorkerProcs(sleep, 1, "10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err = DistCampaign(PaperCampaign(4, 1), conns, DistOptions{LeaseTimeout: 100 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "every distributed worker failed") {
+		t.Fatalf("DistCampaign with its only worker hung: err = %v, want the run-lost error", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("DistCampaign took %v to give up on a hung worker", d)
 	}
 }
 

@@ -239,7 +239,7 @@ func PipeWorkers(n int) []io.ReadWriteCloser {
 
 // procConn adapts a subprocess's stdin/stdout pipes to the
 // io.ReadWriteCloser DistCampaign drives; Close closes stdin (the
-// worker's EOF), then reaps the process.
+// worker's EOF), then kills and reaps the process.
 type procConn struct {
 	io.Reader // the worker's stdout
 	in        io.WriteCloser
@@ -248,8 +248,13 @@ type procConn struct {
 
 func (p *procConn) Write(b []byte) (int, error) { return p.in.Write(b) }
 
+// Close runs only once the coordinator is done with the worker: its
+// leases are merged or requeued. The kill frees a worker that ignores
+// EOF, such as a hung one whose lease deadline fired, which Wait alone
+// would block on until it exits by itself.
 func (p *procConn) Close() error {
 	p.in.Close()
+	_ = p.cmd.Process.Kill() // fails only if the worker already exited
 	return p.cmd.Wait()
 }
 

@@ -340,25 +340,4 @@ func TestRenderers(t *testing.T) {
 	if len(h3) != 5 || len(r3) != 1 {
 		t.Errorf("fig3 rows: %d headers, %d rows", len(h3), len(r3))
 	}
-
-	ccfg := PaperCampaign(5, 1)
-	ccfg.Utils = []float64{0.5}
-	cr, err := Campaign(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, rc := CampaignRows(cr)
-	want := len(ccfg.Panels) * len(ccfg.FailProbs) * len(ccfg.Utils)
-	if len(hc) != 7 || len(rc) != want {
-		t.Errorf("campaign rows: %d headers, %d rows, want 7 and %d", len(hc), len(rc), want)
-	}
-	var ctbl strings.Builder
-	if err := WriteTable(&ctbl, hc, rc); err != nil {
-		t.Fatal(err)
-	}
-	for _, wantS := range []string{"3c", "degrade(df=", "kill"} {
-		if !strings.Contains(ctbl.String(), wantS) {
-			t.Errorf("campaign table missing %q:\n%s", wantS, ctbl.String())
-		}
-	}
 }

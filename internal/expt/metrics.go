@@ -38,15 +38,13 @@ type exptMetrics struct {
 	distLeaseNs        *obsv.Histogram
 	// Wire-level telemetry of the lease data plane: bytes and frames in
 	// each direction, the in-flight lease gauge across all workers
-	// (window utilization), the granted lease sizes, and sets restored
-	// from a checkpoint journal instead of re-evaluated.
-	distBytesOut     *obsv.Counter
-	distBytesIn      *obsv.Counter
-	distFramesOut    *obsv.Counter
-	distFramesIn     *obsv.Counter
-	distInflight     *obsv.Gauge
-	distLeaseSets    *obsv.Histogram
-	distReplayedSets *obsv.Counter
+	// (window utilization) and the granted lease sizes.
+	distBytesOut  *obsv.Counter
+	distBytesIn   *obsv.Counter
+	distFramesOut *obsv.Counter
+	distFramesIn  *obsv.Counter
+	distInflight  *obsv.Gauge
+	distLeaseSets *obsv.Histogram
 }
 
 var exptView = obsv.NewView(func(r *obsv.Registry) *exptMetrics {
@@ -75,6 +73,5 @@ var exptView = obsv.NewView(func(r *obsv.Registry) *exptMetrics {
 		distFramesIn:          r.Counter("expt.dist.frames_in"),
 		distInflight:          r.Gauge("expt.dist.inflight_leases"),
 		distLeaseSets:         r.Histogram("expt.dist.lease_sets"),
-		distReplayedSets:      r.Counter("expt.dist.replayed_sets"),
 	}
 })

@@ -15,10 +15,10 @@ import (
 // This file is the coordinator driver of the wire protocol. One
 // goroutine owns each worker connection end to end, in one loop: top
 // the window up to leaseWindow grants and flush them as one transport
-// handoff, read one frame, merge, journal and complete that lease, and
-// repeat. Two leases in flight is double buffering: the worker always
-// has the next lease queued while it evaluates the current one, so it
-// never idles on a round-trip.
+// handoff, read one frame, merge and complete that lease, and repeat.
+// Two leases in flight is double buffering: the worker always has the
+// next lease queued while it evaluates the current one, so it never
+// idles on a round-trip.
 //
 // Any loss abandons the worker: a transport error, an error frame, a
 // result whose id is not in the window, a result that does not decode,
@@ -83,7 +83,6 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 		}
 		m.distInflight.Add(-int64(len(win)))
 		d.addTraffic(enc.bytesOut, dec.bytesIn, enc.frames, dec.frames)
-		d.table.driverExit()
 	}()
 
 	// Handshake: preamble, hello, await ready.
@@ -105,9 +104,9 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 		// Top the window up. Only an empty window may block: with leases
 		// in flight the driver must go on reading their results.
 		for len(win) < leaseWindow {
-			l, ok, done, err := d.table.next(d.opt.LeaseSets, len(win) == 0)
-			if err != nil || done {
-				// Run complete (or lost): release the worker either way.
+			l, ok, done := d.table.next(d.opt.LeaseSets, len(win) == 0)
+			if done {
+				// Run complete: release the worker.
 				lost = false
 				enc.begin(frameDone)
 				if enc.flush() == nil {
@@ -156,15 +155,6 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 			return
 		}
 		d.mergeLease(g.l, words)
-		if d.journal != nil {
-			if err := d.journal.append(g.l, words); err != nil {
-				// A journal failure is a coordinator-side loss: poison the
-				// run rather than blaming (and cycling through) every
-				// worker.
-				d.table.poison(err)
-				return
-			}
-		}
 		win = slices.Delete(win, i, i+1)
 		d.table.complete()
 		m.distInflight.Add(-1)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/safety"
 )
 
 // WriteTable renders rows as an aligned plain-text table.
@@ -79,35 +77,6 @@ func FMSRows(r FMSResult) ([]string, [][]string) {
 			fmt.Sprintf("%.2f", p.Log10PFHLO),
 			fmt.Sprintf("%v", p.Safe),
 		})
-	}
-	return headers, rows
-}
-
-// CampaignRows converts a campaign result into long-format rows: one per
-// (panel, f, U) with the panel identity spelled out, suitable for both
-// WriteTable and WriteCSV.
-func CampaignRows(r CampaignResult) ([]string, [][]string) {
-	headers := []string{"panel", "LO", "mode", "f", "U", "baseline", "adapted"}
-	var rows [][]string
-	for pi, pr := range r.Panels {
-		p := r.Config.Panels[pi]
-		mode := p.Mode.String()
-		if p.Mode == safety.Degrade {
-			mode = fmt.Sprintf("%s(df=%g)", mode, p.DF)
-		}
-		for _, c := range pr.Curves {
-			for ui, u := range r.Config.Utils {
-				rows = append(rows, []string{
-					p.Name,
-					p.LO.String(),
-					mode,
-					fmt.Sprintf("%.0e", c.FailProb),
-					fmt.Sprintf("%.2f", u),
-					fmt.Sprintf("%.3f", c.Baseline[ui]),
-					fmt.Sprintf("%.3f", c.Adapted[ui]),
-				})
-			}
-		}
 	}
 	return headers, rows
 }

@@ -1,9 +1,6 @@
 package gen
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // This file is the repository's partitioned-determinism layer: every
 // random draw in an experiment is addressed by a SimulationKey — the
@@ -41,8 +38,6 @@ const (
 	// SubsystemScenario is reserved for the trace/temporal workload
 	// engine (arrival jitter, burst phases).
 	SubsystemScenario
-
-	numSubsystems
 )
 
 // String names the subsystem for diagnostics.
@@ -112,54 +107,4 @@ func (k SimulationKey) Stream(sub Subsystem) int64 {
 		x = Mix64(x ^ golden64*uint64(sub))
 	}
 	return int64(x)
-}
-
-// PartitionedRNG hands out one lazily-seeded *rand.Rand per subsystem
-// under a single SimulationKey, replacing the "one shared rand.Rand
-// per worker" pattern whose sequences depended on which subsystems
-// drew first. Rekey moves the partition to a new coordinate without
-// reallocating the generators, so a Monte-Carlo worker walks the set
-// axis allocation-free. Not safe for concurrent use — like rand.Rand,
-// one PartitionedRNG belongs to one goroutine.
-type PartitionedRNG struct {
-	key    SimulationKey
-	rngs   [numSubsystems]*rand.Rand
-	seeded [numSubsystems]bool
-}
-
-// NewPartitionedRNG returns a partition positioned at key. Generators
-// are allocated on first Get per subsystem.
-func NewPartitionedRNG(key SimulationKey) *PartitionedRNG {
-	return &PartitionedRNG{key: key}
-}
-
-// Key returns the current coordinates.
-func (p *PartitionedRNG) Key() SimulationKey { return p.key }
-
-// Rekey repositions the partition at new coordinates: every subsystem
-// stream is lazily reseeded on its next Get. Allocated generators are
-// kept.
-func (p *PartitionedRNG) Rekey(key SimulationKey) {
-	p.key = key
-	for i := range p.seeded {
-		p.seeded[i] = false
-	}
-}
-
-// Get returns the subsystem's generator, seeded with the subsystem's
-// stream at the current key. The sequence Get(s) yields is exactly
-// rand.New(rand.NewSource(key.Stream(s))) regardless of what other
-// subsystems drew — the isolation contract.
-func (p *PartitionedRNG) Get(sub Subsystem) *rand.Rand {
-	if sub >= numSubsystems {
-		panic(fmt.Sprintf("gen: unknown subsystem %d", uint64(sub)))
-	}
-	if p.rngs[sub] == nil {
-		p.rngs[sub] = rand.New(rand.NewSource(p.key.Stream(sub)))
-		p.seeded[sub] = true
-	} else if !p.seeded[sub] {
-		p.rngs[sub].Seed(p.key.Stream(sub))
-		p.seeded[sub] = true
-	}
-	return p.rngs[sub]
 }

@@ -1,51 +1,10 @@
 package gen
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/criticality"
 )
-
-// TestStreamSubsystemIsolation pins the partition contract: a
-// subsystem's sequence is exactly the raw rand stream of its derived
-// seed, no matter how much the other subsystems draw in between.
-func TestStreamSubsystemIsolation(t *testing.T) {
-	key := SimulationKey{Seed: 42, Panel: 1, Point: 3, Set: 17}
-
-	// Reference: each subsystem drawn alone.
-	want := map[Subsystem][]float64{}
-	for _, sub := range []Subsystem{SubsystemWorkload, SubsystemFaults, SubsystemScenario} {
-		rng := rand.New(rand.NewSource(key.Stream(sub)))
-		seq := make([]float64, 8)
-		for i := range seq {
-			seq[i] = rng.Float64()
-		}
-		want[sub] = seq
-	}
-
-	// Interleaved: workload and fault draws alternate, scenario draws
-	// burst in the middle. Every subsystem must still see its own
-	// reference sequence.
-	p := NewPartitionedRNG(key)
-	got := map[Subsystem][]float64{}
-	for i := 0; i < 8; i++ {
-		got[SubsystemWorkload] = append(got[SubsystemWorkload], p.Get(SubsystemWorkload).Float64())
-		if i == 4 {
-			for j := 0; j < 8; j++ {
-				got[SubsystemScenario] = append(got[SubsystemScenario], p.Get(SubsystemScenario).Float64())
-			}
-		}
-		got[SubsystemFaults] = append(got[SubsystemFaults], p.Get(SubsystemFaults).Float64())
-	}
-	for sub, seq := range want {
-		for i, v := range seq {
-			if got[sub][i] != v {
-				t.Fatalf("subsystem %v draw %d: got %v, want %v (stream not isolated)", sub, i, got[sub][i], v)
-			}
-		}
-	}
-}
 
 // TestStreamsDistinctAcrossSubsystems checks that the per-subsystem
 // seeds at one coordinate are pairwise distinct (decorrelation is
@@ -59,30 +18,6 @@ func TestStreamsDistinctAcrossSubsystems(t *testing.T) {
 			t.Fatalf("subsystems %v and %v share stream %d", prev, sub, s)
 		}
 		seen[s] = sub
-	}
-}
-
-// TestRekeyRepositionsAllSubsystems checks Rekey: after moving to a new
-// set index, every subsystem restarts on the new coordinate's stream,
-// identical to a freshly built partition.
-func TestRekeyRepositionsAllSubsystems(t *testing.T) {
-	k1 := SimulationKey{Seed: 9, Point: 1, Set: 0}
-	k2 := SimulationKey{Seed: 9, Point: 1, Set: 1}
-	p := NewPartitionedRNG(k1)
-	_ = p.Get(SubsystemWorkload).Float64()
-	_ = p.Get(SubsystemFaults).Float64()
-	p.Rekey(k2)
-	if p.Key() != k2 {
-		t.Fatalf("Key() = %+v after Rekey(%+v)", p.Key(), k2)
-	}
-	fresh := NewPartitionedRNG(k2)
-	for _, sub := range []Subsystem{SubsystemWorkload, SubsystemFaults} {
-		for i := 0; i < 4; i++ {
-			got, want := p.Get(sub).Float64(), fresh.Get(sub).Float64()
-			if got != want {
-				t.Fatalf("subsystem %v draw %d after Rekey: got %v, want %v", sub, i, got, want)
-			}
-		}
 	}
 }
 
@@ -132,14 +67,4 @@ func TestDrawKeyedMatchesDraw(t *testing.T) {
 			t.Fatalf("set %d: keyed draw diverged:\n%v\n%v", set, s1, s2)
 		}
 	}
-}
-
-// TestGetUnknownSubsystemPanics pins the out-of-range guard.
-func TestGetUnknownSubsystemPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get(unknown subsystem) did not panic")
-		}
-	}()
-	NewPartitionedRNG(SimulationKey{}).Get(numSubsystems)
 }

@@ -86,50 +86,6 @@ func OneMinusExpFast(x float64) P {
 	return -math.Expm1(x)
 }
 
-// Complement returns 1 − p, clamped to [0, 1] against rounding spill.
-func Complement(p P) P {
-	c := 1 - p
-	if c < 0 {
-		return 0
-	}
-	if c > 1 {
-		return 1
-	}
-	return c
-}
-
-// SurvivorProduct accumulates a product of per-term survivor probabilities
-//
-//	Π_i (1 − f_i^{n_i})^{r_i}
-//
-// in the log domain. It is the engine behind R(N'_HI, t) in eq. (3):
-// the probability that across r_i rounds of each task i, no round of any
-// task exhausts all n_i attempts.
-type SurvivorProduct struct {
-	logp float64 // log of the accumulated product, always ≤ 0
-}
-
-// MulPow multiplies the product by (1 − f^n)^r.
-func (s *SurvivorProduct) MulPow(f P, n int, r int64) {
-	if r < 0 {
-		panic("prob: negative round count")
-	}
-	if r == 0 || f == 0 {
-		return
-	}
-	s.logp += float64(r) * Log1mPow(f, n)
-}
-
-// Value returns the accumulated product as a probability.
-func (s *SurvivorProduct) Value() P { return math.Exp(s.logp) }
-
-// OneMinus returns 1 − product with full precision even when the product
-// is within 1e-16 of 1 (the common case: kill probabilities of ~1e-5).
-func (s *SurvivorProduct) OneMinus() P { return OneMinusExp(s.logp) }
-
-// Log returns the log of the accumulated product.
-func (s *SurvivorProduct) Log() float64 { return s.logp }
-
 // Log10 converts a probability to log10, the scale Figs. 1–2 plot pfh(LO)
 // on. Log10(0) is -Inf, which renders as an unbounded "safe" value.
 func Log10(p P) float64 {

@@ -3,7 +3,6 @@ package prob
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, relTol float64) bool {
@@ -102,92 +101,6 @@ func TestOneMinusExp(t *testing.T) {
 	}
 	if got := OneMinusExp(math.Inf(-1)); got != 1 {
 		t.Errorf("OneMinusExp(-inf) = %g, want 1", got)
-	}
-}
-
-func TestComplementClamps(t *testing.T) {
-	if got := Complement(0.25); got != 0.75 {
-		t.Errorf("Complement(0.25) = %v", got)
-	}
-	if got := Complement(1); got != 0 {
-		t.Errorf("Complement(1) = %v", got)
-	}
-	if got := Complement(0); got != 1 {
-		t.Errorf("Complement(0) = %v", got)
-	}
-}
-
-// The survivor product must match the naive product where the naive product
-// is computable, and must retain precision where it is not.
-func TestSurvivorProductMatchesNaive(t *testing.T) {
-	var s SurvivorProduct
-	s.MulPow(0.1, 2, 5)
-	s.MulPow(0.2, 1, 3)
-	naive := math.Pow(1-0.01, 5) * math.Pow(1-0.2, 3)
-	if !almostEqual(s.Value(), naive, 1e-12) {
-		t.Errorf("Value = %g, want %g", s.Value(), naive)
-	}
-	if !almostEqual(s.OneMinus(), 1-naive, 1e-10) {
-		t.Errorf("OneMinus = %g, want %g", s.OneMinus(), 1-naive)
-	}
-}
-
-func TestSurvivorProductTinyProbabilities(t *testing.T) {
-	// (1 - 1e-10)^{144000}: 1 - value ≈ 144000 * 1e-10 = 1.44e-5.
-	var s SurvivorProduct
-	s.MulPow(1e-5, 2, 144000)
-	want := 1.44e-5
-	if !almostEqual(s.OneMinus(), want, 1e-4) {
-		t.Errorf("OneMinus = %g, want ≈ %g", s.OneMinus(), want)
-	}
-	if s.Value() >= 1 || s.Value() < 1-2e-5 {
-		t.Errorf("Value = %g out of expected band", s.Value())
-	}
-}
-
-func TestSurvivorProductEmptyIsOne(t *testing.T) {
-	var s SurvivorProduct
-	if s.Value() != 1 || s.OneMinus() != 0 {
-		t.Errorf("empty product: Value=%g OneMinus=%g", s.Value(), s.OneMinus())
-	}
-}
-
-func TestSurvivorProductZeroRoundsNoop(t *testing.T) {
-	var s SurvivorProduct
-	s.MulPow(0.5, 1, 0)
-	s.MulPow(0, 3, 100)
-	if s.Value() != 1 {
-		t.Errorf("Value = %g, want 1", s.Value())
-	}
-}
-
-func TestSurvivorProductPanicsOnNegativeRounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var s SurvivorProduct
-	s.MulPow(0.5, 1, -1)
-}
-
-// Property: OneMinus and Value are consistent (sum to 1 within rounding)
-// and monotone in the number of rounds.
-func TestSurvivorProductProperties(t *testing.T) {
-	f := func(fRaw uint16, n8 uint8, r16 uint16) bool {
-		f0 := float64(fRaw) / (float64(math.MaxUint16) + 1) // [0, 1)
-		n := int(n8%8) + 1
-		r := int64(r16)
-		var a, b SurvivorProduct
-		a.MulPow(f0, n, r)
-		b.MulPow(f0, n, r+1)
-		if b.Value() > a.Value()+1e-15 {
-			return false // more rounds cannot increase survival
-		}
-		return math.Abs(a.Value()+a.OneMinus()-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -61,9 +61,3 @@ func (r FaultRate) Apply(tasks []task.Task) []task.Task {
 	}
 	return out
 }
-
-// ApplySet returns a new task set with rate-derived failure
-// probabilities.
-func (r FaultRate) ApplySet(s *task.Set) (*task.Set, error) {
-	return task.NewSet(r.Apply(s.Tasks()))
-}

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/criticality"
-	"repro/internal/task"
 	"repro/internal/timeunit"
 )
 
@@ -79,37 +77,5 @@ func TestAttemptFailProbProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestApplySet(t *testing.T) {
-	s := task.MustNewSet([]task.Task{
-		{Name: "a", Period: timeunit.Milliseconds(100), Deadline: timeunit.Milliseconds(100),
-			WCET: timeunit.Milliseconds(10), Level: criticality.LevelB, FailProb: 0.5},
-		{Name: "b", Period: timeunit.Milliseconds(100), Deadline: timeunit.Milliseconds(100),
-			WCET: timeunit.Milliseconds(20), Level: criticality.LevelD, FailProb: 0.5},
-	})
-	r := FaultRate{PerHour: 3.6} // 1e-3 faults per second of exposure
-	out, err := r.ApplySet(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa := out.Tasks()[0].FailProb
-	fb := out.Tasks()[1].FailProb
-	if fa <= 0 || fb <= 0 {
-		t.Fatal("probabilities not set")
-	}
-	// Twice the WCET ⇒ (almost exactly) twice the probability at these
-	// magnitudes.
-	if math.Abs(fb/fa-2) > 1e-3 {
-		t.Errorf("fb/fa = %g, want ≈ 2", fb/fa)
-	}
-	// Original set untouched.
-	if s.Tasks()[0].FailProb != 0.5 {
-		t.Error("input mutated")
-	}
-	// The rate-derived set feeds the standard analysis.
-	if pfh := DefaultConfig().PlainPFHUniform(out.ByClass(criticality.HI), 2); pfh <= 0 {
-		t.Errorf("pfh = %g", pfh)
 	}
 }

@@ -2,7 +2,6 @@ package safety
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/prob"
 	"repro/internal/task"
@@ -88,12 +87,6 @@ func (a *Adaptation) logR(t timeunit.Time) float64 {
 		logp += float64(r) * a.logTerm[i]
 	}
 	return logp
-}
-
-// SurvivalProb returns R(N′_HI, t): the lower bound on the probability
-// that the LO tasks have not been killed/degraded within [0, t].
-func (a *Adaptation) SurvivalProb(t timeunit.Time) float64 {
-	return math.Exp(a.logR(t))
 }
 
 // AdaptProb returns 1 − R(N′_HI, t): the upper bound on the probability

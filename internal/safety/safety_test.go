@@ -241,9 +241,6 @@ func TestAdaptProbExample31(t *testing.T) {
 	if relDiff(got, 2.04e-5) > 1e-4 {
 		t.Errorf("1-R = %.6g, want ≈ 2.04e-5", got)
 	}
-	if r := adapt.SurvivalProb(timeunit.Hours(1)); math.Abs(r+got-1) > 1e-12 {
-		t.Errorf("R + (1-R) = %g", r+got)
-	}
 }
 
 // R decreases (kill probability increases) as time elapses — the remark

@@ -33,8 +33,7 @@
 // pinned to the direct core path by TestPipelineDifferential.
 //
 // The HTTP layer (server.go) adds per-tenant token-bucket quotas and
-// load shedding on top; cmd/ftmc-serve is the runnable server and
-// cmd/ftmc-load the load generator.
+// load shedding on top; cmd/ftmc-serve is the runnable server.
 package serve
 
 import (

@@ -25,10 +25,11 @@ type ServerOptions struct {
 	// QuotaBurst is the token-bucket depth; <= 0 derives it from the
 	// rate (at least one).
 	QuotaBurst int
-	// ShedRetryAfter is the Retry-After hint on 503 responses (admission
-	// full or server draining); <= 0 selects one second.
-	ShedRetryAfter time.Duration
 }
+
+// shedRetryAfter is the Retry-After hint on 503 responses (admission
+// full or server draining).
+const shedRetryAfter = time.Second
 
 // Server is the HTTP/JSON front of a verdict Pipeline:
 //
@@ -44,23 +45,18 @@ type ServerOptions struct {
 // admission bound gets 503, both with a Retry-After. Create with
 // NewServer; Close drains the pipeline.
 type Server struct {
-	pipe       *Pipeline
-	quotas     *quotaTable
-	mux        *http.ServeMux
-	retryAfter time.Duration
+	pipe   *Pipeline
+	quotas *quotaTable
+	mux    *http.ServeMux
 }
 
 // NewServer wraps p. The server does not own p's lifecycle unless
 // Close is used.
 func NewServer(p *Pipeline, o ServerOptions) *Server {
-	if o.ShedRetryAfter <= 0 {
-		o.ShedRetryAfter = time.Second
-	}
 	s := &Server{
-		pipe:       p,
-		quotas:     newQuotaTable(o.QuotaRate, o.QuotaBurst),
-		mux:        http.NewServeMux(),
-		retryAfter: o.ShedRetryAfter,
+		pipe:   p,
+		quotas: newQuotaTable(o.QuotaRate, o.QuotaBurst),
+		mux:    http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/verdict", s.handleVerdict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -135,7 +131,7 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := statusOf(err)
 		if status == http.StatusServiceUnavailable {
-			setRetryAfter(w, s.retryAfter)
+			setRetryAfter(w, shedRetryAfter)
 		}
 		writeJSON(w, status, wireError{Error: err.Error()})
 		return

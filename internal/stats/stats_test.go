@@ -15,62 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	if Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate variance should be 0")
-	}
-	// Sample variance of {2, 4, 4, 4, 5, 5, 7, 9} is 32/7.
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got, want := Variance(xs), 32.0/7.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("StdDev = %v", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {0.5, 2}, {1, 3}, {0.25, 1.5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("single-element quantile = %v", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("input mutated")
-	}
-}
-
 func TestWilson95KnownValues(t *testing.T) {
 	// k=0: the interval starts at exactly 0 and excludes large p.
 	iv := Wilson95(0, 500)
