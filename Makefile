@@ -8,7 +8,7 @@ SOAK_RUNS ?=
 
 .PHONY: all check ci vet build test race race-pool benchcheck bench \
 	perfbench-check serve-smoke dist-smoke soak soak-deep staticcheck \
-	govulncheck fuzz-smoke profile clean
+	govulncheck hygiene fuzz-smoke profile clean
 
 all: check
 
@@ -18,13 +18,14 @@ all: check
 # nobody reads timings).
 check: vet build race benchcheck
 
-# ci mirrors the GitHub Actions matrix locally: the check gate plus the
-# lint pair, the fuzz smoke, the focused pool/shard race pass, the
-# perfbench build check and the serve and distributed smokes. End-to-end
-# timings are gated by the repository benchmark (bash perfbench/run.sh,
-# bounds in BENCHMARK.json), not here.
-ci: check staticcheck govulncheck fuzz-smoke race-pool perfbench-check \
-	serve-smoke dist-smoke
+# ci mirrors every GitHub Actions job locally: the check gate plus the
+# lint pair, the source hygiene checks, the fuzz smoke, the focused
+# pool/shard race pass, the perfbench build check, the serve and
+# distributed smokes and the PR-tier soak. End-to-end timings are gated
+# by the repository benchmark (bash perfbench/run.sh, bounds in
+# BENCHMARK.json), not here.
+ci: check staticcheck govulncheck hygiene fuzz-smoke race-pool \
+	perfbench-check serve-smoke dist-smoke soak
 
 vet:
 	$(GO) vet ./...
@@ -127,6 +128,23 @@ govulncheck:
 		govulncheck ./...; \
 	else \
 		echo "govulncheck not installed; skipping"; \
+	fi
+
+# hygiene is the CI hygiene job: the tree must be gofmt-clean, and
+# `go mod tidy -diff` fails when go.mod or go.sum would change, without
+# touching them. -diff needs Go >= 1.23; an older toolchain skips that
+# step with a note, as the staticcheck and govulncheck targets do.
+hygiene:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
+	@if $(GO) help mod tidy | grep -q -- '-diff'; then \
+		$(GO) mod tidy -diff; \
+	else \
+		echo "go mod tidy -diff needs Go >= 1.23; skipping"; \
 	fi
 
 # fuzz-smoke runs the corpus-seeded fuzz targets for FUZZTIME each —

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/criticality"
+	"repro/internal/gen"
 	"repro/internal/mcsched"
 	"repro/internal/safety"
 	"repro/internal/task"
@@ -15,10 +18,9 @@ import (
 
 // Differential and property tests of the incremental FT-S inner-loop
 // engine: the bisected n′ scans are pinned to the reference linear scans
-// (same n¹/n²/verdict), the delta-patched conversion to the full rebuild
-// (bit-identical sets), and the heap greedy to the rescanning greedy
-// (identical assignments) — and the monotonicity the bisections rely on
-// is itself asserted, not assumed.
+// (same n¹/n²/verdict) and the delta-patched conversion to the full
+// rebuild (bit-identical sets) — and the monotonicity the bisections rely
+// on is itself asserted, not assumed.
 
 // diffSets draws seeded random sets across utilizations, ≥200 in total.
 func diffSets(tb testing.TB) []*task.Set {
@@ -142,8 +144,7 @@ func TestFTSBisectionDifferential(t *testing.T) {
 	}
 }
 
-// ftsPerTaskLinearRef mirrors FTSPerTask with the rescanning greedy and
-// linear n¹/n² scans.
+// ftsPerTaskLinearRef mirrors FTSPerTask with linear n¹/n² scans.
 func ftsPerTaskLinearRef(s *task.Set, opt Options) (PerTaskResult, error) {
 	if err := opt.Validate(); err != nil {
 		return PerTaskResult{}, err
@@ -156,12 +157,12 @@ func ftsPerTaskLinearRef(s *task.Set, opt Options) (PerTaskResult, error) {
 	lo := s.ByClass(criticality.LO)
 	cache := safety.NewAdaptationCache(cfg, hi, lo)
 
-	nsHI, err := optimizeReexecProfilesLinear(nil, cfg, hi, dual.Requirement(criticality.HI))
+	nsHI, err := OptimizeReexecProfiles(cfg, hi, dual.Requirement(criticality.HI))
 	if err != nil {
 		res.Reason = FailReexecProfile
 		return res, nil
 	}
-	nsLO, err := optimizeReexecProfilesLinear(nil, cfg, lo, dual.Requirement(criticality.LO))
+	nsLO, err := OptimizeReexecProfiles(cfg, lo, dual.Requirement(criticality.LO))
 	if err != nil {
 		res.Reason = FailReexecProfile
 		return res, nil
@@ -338,40 +339,120 @@ func TestSchedulabilityDownwardClosedInNPrime(t *testing.T) {
 	}
 }
 
-// TestOptimizeReexecHeapDifferential pins the heap greedy with cached
-// contributions to the reference rescanning greedy: identical assignments
-// (bit-identical grant sequences) and identical failure behaviour across
-// seeded sets and requirements.
-func TestOptimizeReexecHeapDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cfg := safety.DefaultConfig()
-	for i, s := range diffSets(t) {
-		for _, tasks := range [][]task.Task{s.ByClass(criticality.HI), s.ByClass(criticality.LO)} {
-			var requirement float64
-			switch rng.Intn(5) {
-			case 0:
-				requirement = math.Inf(1)
-			case 1:
-				requirement = 0 // unattainable: exercises the error paths
-			default:
-				requirement = math.Pow(10, -4-8*rng.Float64())
+// TestSupSchedulable pins the line-8 search on synthetic downward-closed
+// predicates: the sup of the schedulable prefix of [1, nMax] (0 when
+// empty), one probe when nMax itself is schedulable, at most
+// ⌈log₂ nMax⌉ + 2 probes otherwise, and a probe error returned as is.
+func TestSupSchedulable(t *testing.T) {
+	run := func(nMax, sup int) (got, probes int, err error) {
+		got, err = supSchedulable(nMax, func(n int) (bool, error) {
+			if n < 1 || n > nMax {
+				t.Fatalf("nMax=%d: probe at %d outside [1, nMax]", nMax, n)
 			}
-			got, errH := OptimizeReexecProfiles(cfg, tasks, requirement)
-			want, errL := optimizeReexecProfilesLinear(nil, cfg, tasks, requirement)
-			if (errH == nil) != (errL == nil) {
-				t.Fatalf("set %d req %g: error divergence: heap %v vs linear %v", i, requirement, errH, errL)
+			probes++
+			return n <= sup, nil
+		})
+		return got, probes, err
+	}
+	for _, tc := range []struct {
+		name              string
+		nMax, sup, probes int
+	}{
+		{"never schedulable", 6, 0, 3},
+		{"schedulable only at 1", 6, 1, 4},
+		{"schedulable at nMax", 6, 6, 1},
+		{"nMax 1 unschedulable", 1, 0, 1},
+		{"nMax 1 schedulable", 1, 1, 1},
+	} {
+		got, probes, err := run(tc.nMax, tc.sup)
+		if err != nil || got != tc.sup || probes != tc.probes {
+			t.Errorf("%s: got %d after %d probes (%v), want %d after %d",
+				tc.name, got, probes, err, tc.sup, tc.probes)
+		}
+	}
+	for nMax := 1; nMax <= safety.MaxProfile; nMax++ {
+		for sup := 0; sup <= nMax; sup++ {
+			got, probes, err := run(nMax, sup)
+			if err != nil || got != sup {
+				t.Fatalf("nMax=%d sup=%d: got %d (%v)", nMax, sup, got, err)
 			}
-			if errH != nil {
-				continue
+			if limit := bits.Len(uint(nMax-1)) + 2; probes > limit {
+				t.Fatalf("nMax=%d sup=%d: %d probes, want <= %d", nMax, sup, probes, limit)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("set %d req %g: length %d vs %d", i, requirement, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("set %d req %g: heap %v vs linear %v", i, requirement, got, want)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := supSchedulable(8, func(int) (bool, error) { return false, boom }); err != boom {
+		t.Errorf("probe error: got %v, want %v", err, boom)
+	}
+}
+
+// TestFTSPerTaskUniformMatchesFTS checks that the two front ends share
+// one engine: whenever FTSPerTask's greedy hands every HI task FTS's n_HI
+// and every LO task its n_LO, lines 4–15 see the same inputs, so the
+// verdict, both adaptation profiles and the bits of both bounds must
+// agree.
+func TestFTSPerTaskUniformMatchesFTS(t *testing.T) {
+	setsPerPoint := 40
+	if testing.Short() {
+		setsPerPoint = 10
+	}
+	compared, pairs := 0, 0
+	for _, lo := range []criticality.Level{criticality.LevelD, criticality.LevelC} {
+		for _, u := range []float64{0.5, 0.7, 0.85, 0.95} {
+			p := gen.PaperParams(criticality.LevelB, lo, u, 1e-5)
+			for i := int64(0); i < int64(setsPerPoint); i++ {
+				s, err := gen.TaskSet(rand.New(rand.NewSource(7000+i)), p)
+				if err != nil {
+					continue
+				}
+				for _, opt := range []Options{
+					{Safety: safety.DefaultConfig(), Mode: safety.Kill},
+					{Safety: safety.DefaultConfig(), Mode: safety.Degrade, DF: 6},
+				} {
+					pairs++
+					uni, err := FTS(s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					per, err := FTSPerTask(s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !uniformAssignment(s, per.Reexec, uni.NHI, uni.NLO) {
+						continue
+					}
+					compared++
+					if per.OK != uni.OK || per.Reason != uni.Reason || per.N1HI != uni.N1HI ||
+						per.N2HI != uni.N2HI || per.NPrime != uni.Profiles.NPrime ||
+						math.Float64bits(per.PFHHI) != math.Float64bits(uni.PFHHI) ||
+						math.Float64bits(per.PFHLO) != math.Float64bits(uni.PFHLO) {
+						t.Fatalf("LO=%v U=%g set %d %v: per-task %+v\nuniform %+v", lo, u, i, opt.Mode, per, uni)
+					}
 				}
 			}
 		}
 	}
+	t.Logf("%d of %d (set, mode) pairs had a uniform per-task assignment", compared, pairs)
+	if compared < pairs/2 {
+		t.Fatal("too few uniform assignments to compare")
+	}
+}
+
+// uniformAssignment reports whether the per-task profiles ns give every
+// HI task nHI and every LO task nLO.
+func uniformAssignment(s *task.Set, ns []int, nHI, nLO int) bool {
+	if len(ns) != s.Len() {
+		return false
+	}
+	for i, tk := range s.Tasks() {
+		want := nLO
+		if s.Class(tk) == criticality.HI {
+			want = nHI
+		}
+		if ns[i] != want {
+			return false
+		}
+	}
+	return true
 }

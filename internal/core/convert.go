@@ -60,30 +60,35 @@ func Convert(s *task.Set, p Profiles) (*mcsched.MCSet, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	out := appendConverted(make([]mcsched.MCTask, 0, s.Len()), s, p)
+	out := appendConverted(make([]mcsched.MCTask, 0, s.Len()), s, p, nil)
 	return mcsched.NewMCSet(out)
 }
 
-// appendConverted appends the Lemma 4.1 conversion of s under p to dst and
-// returns the extended slice. p must already be validated.
-func appendConverted(dst []mcsched.MCTask, s *task.Set, p Profiles) []mcsched.MCTask {
-	nprime := p.NPrime
-	if nprime > p.NHI {
-		nprime = p.NHI
-	}
-	for _, t := range s.Tasks() {
+// appendConverted appends the Lemma 4.1 conversion of s to dst and
+// returns the extended slice. A nil ns gives every task its class's
+// uniform re-execution profile (p.NHI or p.NLO); otherwise ns[i] is task
+// i's profile (ConvertPerTask) and only p.NPrime is read. Either way a HI
+// task's n′ is clamped to its own profile. The profiles must already be
+// validated.
+func appendConverted(dst []mcsched.MCTask, s *task.Set, p Profiles, ns []int) []mcsched.MCTask {
+	for i, t := range s.Tasks() {
 		mt := mcsched.MCTask{
 			Name:     t.Name,
 			Period:   t.Period,
 			Deadline: t.Deadline,
 			Class:    s.Class(t),
 		}
+		n := p.NLO
 		if mt.Class == criticality.HI {
-			mt.CHI = t.RoundLength(p.NHI)
-			mt.CLO = t.RoundLength(nprime)
-		} else {
-			mt.CHI = t.RoundLength(p.NLO)
-			mt.CLO = mt.CHI
+			n = p.NHI
+		}
+		if ns != nil {
+			n = ns[i]
+		}
+		mt.CHI = t.RoundLength(n)
+		mt.CLO = mt.CHI
+		if mt.Class == criticality.HI {
+			mt.CLO = t.RoundLength(min(p.NPrime, n))
 		}
 		dst = append(dst, mt)
 	}

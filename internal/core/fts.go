@@ -276,7 +276,7 @@ func ftsSchedule(s *task.Set, opt Options, cache *safety.AdaptationCache, sv Saf
 	// Line 8: maximal schedulable adaptation profile over [1, n_HI],
 	// bisected with delta-patched conversions in the scratch arena when
 	// one is supplied.
-	n2, err := maxSchedProfile(s, opt.Scratch, test, Profiles{NHI: nHI, NLO: nLO, NPrime: nHI})
+	n2, err := MaxSchedProfile(s, opt.Scratch, test, Profiles{NHI: nHI, NLO: nLO, NPrime: nHI})
 	if err != nil {
 		return Result{}, err
 	}
@@ -300,68 +300,68 @@ func ftsSchedule(s *task.Set, opt Options, cache *safety.AdaptationCache, sv Saf
 	// evaluated pfh(LO) for every n′ its bisection probed, and n²_HI ≤
 	// n_HI often falls in that range.
 	res.PFHHI = cfg.PlainPFHUniform(hi, nHI)
-	switch opt.Mode {
-	case safety.Kill:
-		res.PFHLO, err = cache.KillingPFHLOUniform(nLO, n2)
-	case safety.Degrade:
-		res.PFHLO, err = cache.DegradationPFHLOUniform(nLO, n2, opt.DF)
-	}
+	res.PFHLO, err = cache.PFHLOUniform(opt.Mode, nLO, n2, opt.DF)
 	if err != nil {
 		return Result{}, err
 	}
 	return res, nil
 }
 
-// MaxSchedProfile exposes the line-8 search of Algorithm 1 — n²_HI =
+// MaxSchedProfile computes line 8 of Algorithm 1, n²_HI =
 // sup{n ∈ [1, p.NHI] : Γ(p.NHI, p.NLO, n) schedulable by test} (0 when
-// empty) — for engines that orchestrate the surrounding lines themselves.
-// The converted set Γ depends only on the timing parameters, the class
-// partition and the profiles, never on the tasks' failure probabilities or
-// level labels, so campaign sweeps (internal/expt) memoize this search per
-// set across every (f, level-pair, mode) configuration sharing
-// (p.NHI, p.NLO, test). A nil scr selects the allocating conversion path.
-func MaxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (int, error) {
-	return maxSchedProfile(s, scr, test, p)
-}
-
-// maxSchedProfile computes line 8, n²_HI = sup{n ∈ [1, n_HI] :
-// Γ(n_HI, n_LO, n) schedulable by S} (0 when the sup is empty).
-// Schedulability is downward-closed in n′ (pinned by
-// TestSchedulabilityDownwardClosedInNPrime), so after one probe at n_HI
-// the sup is found by bisecting [1, n_HI−1]; with a Scratch every probe
-// after the first rewrites only the HI tasks' C(LO) fields via
-// patchNPrime instead of re-converting the set. The linear reference is
+// empty; p.NPrime is not read), with supSchedulable. It is exported for
+// engines that orchestrate the surrounding lines themselves (the Fig. 3
+// campaign). Its first probe (at n_HI) builds the conversion in full;
+// with a Scratch every later probe rewrites only the HI tasks' C(LO)
+// fields via patchNPrime instead of re-converting the set, and a nil scr
+// selects the allocating conversion path. The linear reference is
 // maxSchedProfileLinear, pinned to this search by
 // TestFTSBisectionDifferential.
-func maxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (int, error) {
+func MaxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (int, error) {
 	m := coreView.Get()
-	// The first probe (at n_HI) builds the conversion arena in full.
-	conv, err := scr.convert(s, p)
-	if err != nil {
-		return 0, err
-	}
-	m.fullConverts.Inc()
-	m.line8Probes.Inc()
-	if test.Schedulable(conv) {
-		return p.NHI, nil
-	}
-	// Bisect (lo, hi): schedulable at lo (or lo = 0, the empty-sup
-	// sentinel), not schedulable at hi.
-	lo, hi := 0, p.NHI
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if scr != nil {
-			conv = scr.patchNPrime(s, p.NHI, mid)
+	return supSchedulable(p.NHI, func(n int) (bool, error) {
+		var conv *mcsched.MCSet
+		if n < p.NHI && scr != nil {
+			conv = scr.patchNPrime(s, p.NHI, n)
 			m.deltaPatches.Inc()
 		} else {
-			conv, err = Convert(s, Profiles{NHI: p.NHI, NLO: p.NLO, NPrime: mid})
+			var err error
+			conv, err = scr.convert(s, Profiles{NHI: p.NHI, NLO: p.NLO, NPrime: n})
 			if err != nil {
-				return 0, err
+				return false, err
 			}
 			m.fullConverts.Inc()
 		}
 		m.line8Probes.Inc()
-		if test.Schedulable(conv) {
+		return test.Schedulable(conv), nil
+	})
+}
+
+// supSchedulable is the line-8 search of both FT-S front ends: the sup of
+// {n ∈ [1, nMax] : sched(n)} (0 when empty). Schedulability is
+// downward-closed in n′ — a larger adaptation profile only inflates the
+// HI tasks' C(LO) (pinned by TestSchedulabilityDownwardClosedInNPrime) —
+// so it probes nMax first, which settles the common case in one probe,
+// and otherwise bisects [1, nMax−1]. A probe error stops the search and
+// is returned.
+func supSchedulable(nMax int, sched func(n int) (bool, error)) (int, error) {
+	ok, err := sched(nMax)
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		return nMax, nil
+	}
+	// Bisect (lo, hi): schedulable at lo (or lo = 0, the empty-sup
+	// sentinel), not schedulable at hi.
+	lo, hi := 0, nMax
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		ok, err := sched(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
 			lo = mid
 		} else {
 			hi = mid

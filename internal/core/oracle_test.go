@@ -5,15 +5,12 @@ import (
 	"math"
 
 	"repro/internal/mcsched"
-	"repro/internal/prob"
 	"repro/internal/safety"
 	"repro/internal/task"
-	"repro/internal/timeunit"
 )
 
 // Linear-scan reference implementations of the FT-S inner searches.
-// The differential tests pin the bisected and heap-based production
-// searches to these.
+// The differential tests pin the bisected production searches to these.
 
 // maxSchedProfileLinear is the reference linear scan of line 8: one full
 // conversion and test per candidate, from n_HI downwards. Kept verbatim
@@ -29,53 +26,6 @@ func maxSchedProfileLinear(s *task.Set, scr *Scratch, test mcsched.Test, p Profi
 		}
 	}
 	return 0, nil
-}
-
-// optimizeReexecProfilesLinear is the reference greedy with the O(tasks)
-// rescan (and double contrib evaluation) per grant. Kept verbatim so
-// differential tests pin the heap path to it; analyses should call
-// OptimizeReexecProfiles.
-func optimizeReexecProfilesLinear(buf []int, cfg safety.Config, tasks []task.Task, requirement float64) ([]int, error) {
-	ns := buf[:0]
-	for range tasks {
-		ns = append(ns, 1)
-	}
-	if len(tasks) == 0 || math.IsInf(requirement, 1) {
-		return ns, nil
-	}
-	hour := timeunit.Hours(1)
-	contrib := func(i, n int) float64 {
-		return float64(cfg.Rounds(tasks[i], n, hour)) * prob.Pow(tasks[i].FailProb, n)
-	}
-	total := 0.0
-	for i := range tasks {
-		total += contrib(i, 1)
-	}
-	for steps := 0; total > requirement; steps++ {
-		if steps > safety.MaxProfile*len(tasks) {
-			return nil, fmt.Errorf("core: no per-task profile assignment meets PFH requirement %g (reached %g)", requirement, total)
-		}
-		best, bestGain := -1, 0.0
-		for i := range tasks {
-			if ns[i] >= safety.MaxProfile {
-				continue
-			}
-			drop := contrib(i, ns[i]) - contrib(i, ns[i]+1)
-			if drop <= 0 {
-				continue
-			}
-			gain := drop / tasks[i].Utilization()
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("core: per-task profile search stuck at pfh %g > %g", total, requirement)
-		}
-		total += contrib(best, ns[best]+1) - contrib(best, ns[best])
-		ns[best]++
-	}
-	return ns, nil
 }
 
 // minAdaptPerTaskLinear is the reference linear scan of the per-task

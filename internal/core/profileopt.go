@@ -24,19 +24,14 @@ import (
 // re-execution profile such that the group's eq. (2) bound meets the
 // requirement, greedily minimizing the added utilization: starting from
 // n_i = 1 everywhere, it repeatedly grants one extra attempt to the task
-// with the largest PFH reduction per unit of added utilization. The
-// result is feasible by construction; optimality is heuristic (the
-// problem is knapsack-like), and on the evaluated workloads the greedy
-// assignment never costs more utilization than the uniform profile.
+// with the largest PFH reduction per unit of added utilization (ties to
+// the lower index). The result is feasible by construction; optimality is
+// heuristic (the problem is knapsack-like), and on the evaluated
+// workloads the greedy assignment never costs more utilization than the
+// uniform profile.
 //
 // An +Inf requirement returns all ones. The error mirrors
 // MinReexecProfile: no assignment within safety.MaxProfile attempts.
-//
-// The grant sequence — and with it the returned assignment — is
-// identical to the reference rescan (optimizeReexecProfilesLinear,
-// pinned by TestOptimizeReexecHeapDifferential): the heap pops the same
-// (gain, index) argmax the rescan selects, and the cached cur/next
-// values are the same floats the rescan recomputes.
 func OptimizeReexecProfiles(cfg safety.Config, tasks []task.Task, requirement float64) ([]int, error) {
 	var ns []int
 	for range tasks {
@@ -45,107 +40,38 @@ func OptimizeReexecProfiles(cfg safety.Config, tasks []task.Task, requirement fl
 	if len(tasks) == 0 || math.IsInf(requirement, 1) {
 		return ns, nil
 	}
-	var g reexecGreedy
 	hour := timeunit.Hours(1)
 	contrib := func(i, n int) float64 {
 		return float64(cfg.Rounds(tasks[i], n, hour)) * prob.Pow(tasks[i].FailProb, n)
 	}
 	total := 0.0
 	for i := range tasks {
-		c := contrib(i, 1)
-		total += c
-		g.cur = append(g.cur, c)
-		g.next = append(g.next, contrib(i, 2))
-	}
-	// A task whose drop is ≤ 0 never enters the heap: its contribution
-	// only changes when granted, so it stays ineligible — as in the
-	// reference scan.
-	for i := range tasks {
-		if drop := g.cur[i] - g.next[i]; drop > 0 {
-			g.push(gainEntry{gain: drop / tasks[i].Utilization(), idx: i})
-		}
+		total += contrib(i, 1)
 	}
 	for steps := 0; total > requirement; steps++ {
 		if steps > safety.MaxProfile*len(tasks) {
 			return nil, fmt.Errorf("core: no per-task profile assignment meets PFH requirement %g (reached %g)", requirement, total)
 		}
-		if len(g.heap) == 0 {
-			return nil, fmt.Errorf("core: per-task profile search stuck at pfh %g > %g", total, requirement)
-		}
-		best := g.pop().idx
-		total += g.next[best] - g.cur[best]
-		ns[best]++
-		g.cur[best] = g.next[best]
-		if ns[best] < safety.MaxProfile {
-			g.next[best] = contrib(best, ns[best]+1)
-			if drop := g.cur[best] - g.next[best]; drop > 0 {
-				g.push(gainEntry{gain: drop / tasks[best].Utilization(), idx: best})
+		best, bestGain := -1, 0.0
+		for i := range tasks {
+			if ns[i] >= safety.MaxProfile {
+				continue
+			}
+			drop := contrib(i, ns[i]) - contrib(i, ns[i]+1)
+			if drop <= 0 {
+				continue
+			}
+			if gain := drop / tasks[i].Utilization(); gain > bestGain {
+				best, bestGain = i, gain
 			}
 		}
+		if best < 0 {
+			return nil, fmt.Errorf("core: per-task profile search stuck at pfh %g > %g", total, requirement)
+		}
+		total += contrib(best, ns[best]+1) - contrib(best, ns[best])
+		ns[best]++
 	}
 	return ns, nil
-}
-
-// reexecGreedy is the working state of OptimizeReexecProfiles: the
-// cached eq. (2) contribution of every task's current profile (cur) and
-// of its next candidate grant (next), plus the max-heap of candidate
-// grants keyed on gain. Caching cur/next removes the double contrib
-// evaluation per candidate per step of the reference scan, and the heap
-// replaces its O(tasks) rescan per grant with O(log tasks) — only the
-// granted task's gain changes between steps.
-type reexecGreedy struct {
-	cur, next []float64
-	heap      []gainEntry
-}
-
-// gainEntry is one heap candidate: granting task idx one more attempt
-// yields a PFH drop of gain per unit of added utilization.
-type gainEntry struct {
-	gain float64
-	idx  int
-}
-
-// gainBefore orders the heap: larger gain first, ties by smaller index —
-// exactly the argmax the reference scan's strict `>` comparison picks, so
-// the heap path selects bit-identical grant sequences.
-func gainBefore(a, b gainEntry) bool {
-	return a.gain > b.gain || (a.gain == b.gain && a.idx < b.idx)
-}
-
-func (g *reexecGreedy) push(e gainEntry) {
-	g.heap = append(g.heap, e)
-	i := len(g.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !gainBefore(g.heap[i], g.heap[p]) {
-			break
-		}
-		g.heap[i], g.heap[p] = g.heap[p], g.heap[i]
-		i = p
-	}
-}
-
-func (g *reexecGreedy) pop() gainEntry {
-	top := g.heap[0]
-	n := len(g.heap) - 1
-	g.heap[0] = g.heap[n]
-	g.heap = g.heap[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && gainBefore(g.heap[l], g.heap[best]) {
-			best = l
-		}
-		if r < n && gainBefore(g.heap[r], g.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		g.heap[i], g.heap[best] = g.heap[best], g.heap[i]
-		i = best
-	}
-	return top
 }
 
 // ConvertPerTask is the Lemma 4.1 conversion with per-task re-execution
@@ -159,30 +85,12 @@ func ConvertPerTask(s *task.Set, ns []int, nprime int) (*mcsched.MCSet, error) {
 	if nprime < 1 {
 		return nil, fmt.Errorf("core: adaptation profile must be >= 1, got %d", nprime)
 	}
-	out := make([]mcsched.MCTask, 0, s.Len())
 	for i, t := range s.Tasks() {
 		if ns[i] < 1 {
 			return nil, fmt.Errorf("core: profile of %q must be >= 1, got %d", t.Name, ns[i])
 		}
-		mt := mcsched.MCTask{
-			Name:     t.Name,
-			Period:   t.Period,
-			Deadline: t.Deadline,
-			Class:    s.Class(t),
-		}
-		if mt.Class == criticality.HI {
-			np := nprime
-			if np > ns[i] {
-				np = ns[i]
-			}
-			mt.CHI = t.RoundLength(ns[i])
-			mt.CLO = t.RoundLength(np)
-		} else {
-			mt.CHI = t.RoundLength(ns[i])
-			mt.CLO = mt.CHI
-		}
-		out = append(out, mt)
 	}
+	out := appendConverted(make([]mcsched.MCTask, 0, s.Len()), s, Profiles{NPrime: nprime}, ns)
 	return mcsched.NewMCSet(out)
 }
 
@@ -266,9 +174,21 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 	res.Reexec = ns
 
 	// Line 4: minimal safe adaptation profile with the per-task LO
-	// profiles.
-	n1, err := minAdaptPerTask(opt, cache, lo, nsLO, dual.Requirement(criticality.LO))
-	if err != nil {
+	// profiles. The per-task pfh(LO) values are not memoizable under the
+	// uniform-keyed cache, but the per-n′ Adaptation models are.
+	reqLO := dual.Requirement(criticality.LO)
+	n1 := 1
+	switch {
+	case math.IsInf(reqLO, 1):
+	case opt.Mode == safety.Kill && cfg.KillingPFHLOLimit(lo, nsLO) >= reqLO:
+		n1 = 0 // killing never gets below its no-kill limit
+	default:
+		n1, err = safety.MinProfile(func(n int) (bool, error) {
+			v, err := pfhLOPerTask(opt, cache, lo, nsLO, n)
+			return v < reqLO, err
+		})
+	}
+	if err != nil || n1 == 0 {
 		res.N1HI = safety.MaxProfile + 1
 		res.Reason = FailSafetyAdapt
 		return res, nil
@@ -280,7 +200,15 @@ func FTSPerTask(s *task.Set, opt Options) (PerTaskResult, error) {
 	}
 
 	// Line 8: maximal schedulable adaptation profile over [1, max n_i].
-	n2, err := maxSchedProfilePerTask(s, test, ns, maxHI)
+	n2, err := supSchedulable(maxHI, func(n int) (bool, error) {
+		conv, err := ConvertPerTask(s, ns, n)
+		if err != nil {
+			return false, err
+		}
+		m.fullConverts.Inc()
+		m.line8Probes.Inc()
+		return test.Schedulable(conv), nil
+	})
 	if err != nil {
 		return PerTaskResult{}, err
 	}
@@ -316,77 +244,4 @@ func pfhLOPerTask(opt Options, cache *safety.AdaptationCache, lo []task.Task, ns
 		return opt.Safety.KillingPFHLO(lo, nsLO, adapt), nil
 	}
 	return opt.Safety.DegradationPFHLO(lo, nsLO, adapt, opt.DF), nil
-}
-
-// minAdaptPerTask mirrors AdaptationCache.MinAdaptProfile with per-task
-// LO re-execution profiles: the same gallop + bisection over the monotone
-// pfh(LO). The per-task pfh(LO) values are not memoizable under the
-// uniform-keyed cache, but the per-n′ Adaptation models are. The linear
-// reference is minAdaptPerTaskLinear, pinned by
-// TestFTSPerTaskBisectionDifferential.
-func minAdaptPerTask(opt Options, cache *safety.AdaptationCache, lo []task.Task, nsLO []int, requirement float64) (int, error) {
-	if math.IsInf(requirement, 1) {
-		return 1, nil
-	}
-	if opt.Mode == safety.Kill {
-		if limit := opt.Safety.KillingPFHLOLimit(lo, nsLO); limit >= requirement {
-			return 0, fmt.Errorf("core: killing cannot keep pfh(LO) below %g (limit %g)", requirement, limit)
-		}
-	}
-	pfh := func(n int) (float64, error) { return pfhLOPerTask(opt, cache, lo, nsLO, n) }
-	// Gallop then bisect (lo, hi]: pfh is non-increasing in n′.
-	lower, upper := 0, 1
-	for {
-		if upper > safety.MaxProfile {
-			upper = safety.MaxProfile
-		}
-		v, err := pfh(upper)
-		if err != nil {
-			return 0, err
-		}
-		if v < requirement {
-			break
-		}
-		if upper == safety.MaxProfile {
-			return 0, fmt.Errorf("core: no adaptation profile keeps pfh(LO) below %g", requirement)
-		}
-		lower, upper = upper, upper*2
-	}
-	for upper-lower > 1 {
-		mid := lower + (upper-lower)/2
-		v, err := pfh(mid)
-		if err != nil {
-			return 0, err
-		}
-		if v < requirement {
-			upper = mid
-		} else {
-			lower = mid
-		}
-	}
-	return upper, nil
-}
-
-// maxSchedProfilePerTask is line 8 over the per-task conversion: the
-// bisected sup of {n ∈ [1, maxHI] : Γ(ns, n) schedulable}, as in
-// maxSchedProfile. The linear reference is maxSchedProfilePerTaskLinear.
-func maxSchedProfilePerTask(s *task.Set, test mcsched.Test, ns []int, maxHI int) (int, error) {
-	m := coreView.Get()
-	// Probe maxHI first, then bisect (lo, hi): schedulable at lo (or
-	// lo = 0, the empty-sup sentinel), not schedulable at hi.
-	lo, hi := 0, maxHI+1
-	for n := maxHI; hi-lo > 1; n = lo + (hi-lo)/2 {
-		conv, err := ConvertPerTask(s, ns, n)
-		if err != nil {
-			return 0, err
-		}
-		m.fullConverts.Inc()
-		m.line8Probes.Inc()
-		if test.Schedulable(conv) {
-			lo = n
-		} else {
-			hi = n
-		}
-	}
-	return lo, nil
 }

@@ -331,7 +331,7 @@ func TestOptimizerAccountingMatchesSafety(t *testing.T) {
 }
 
 // The per-task path through the adaptation-profile search with a finite
-// LO requirement, in both modes (exercising minAdaptPerTask).
+// LO requirement, in both modes (exercising its line-4 search).
 func TestFTSPerTaskLevelC(t *testing.T) {
 	s := example31(criticality.LevelC)
 	// Killing: the no-kill limit already violates the level C budget only

@@ -41,7 +41,7 @@ func (scr *Scratch) convert(s *task.Set, p Profiles) (*mcsched.MCSet, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	scr.mcTasks = appendConverted(scr.mcTasks[:0], s, p)
+	scr.mcTasks = appendConverted(scr.mcTasks[:0], s, p, nil)
 	if err := scr.conv.Reset(scr.mcTasks); err != nil {
 		return nil, err
 	}

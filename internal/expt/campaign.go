@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/criticality"
@@ -368,22 +367,16 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 				continue // no re-execution profile exists: FT-S line 2 fails
 			}
 			// Line 8 first: n²_HI caps every acceptable adaptation
-			// profile, so with pfh(LO) non-increasing in n′ a single bound
-			// evaluation at n²_HI settles lines 4–15 — n¹_HI ≤ n²_HI iff
-			// pfh(n²_HI) < PFH_LO — replacing the gallop+bisect line-4
-			// search of core.FTS (its dominant cost on the
-			// finite-requirement panels).
+			// profile, so with pfh(LO) non-increasing in n′ one line-4
+			// question at n²_HI settles lines 4–15 — n¹_HI ≤ n²_HI iff
+			// MeetsLO(n²_HI) — replacing the gallop+bisect line-4 search
+			// of core.FTS (its dominant cost on the finite-requirement
+			// panels). An error rejects, as an FT-S error does in judge.
 			n2 := ev.maxSched(s, nHI, nLO, p.Mode, p.DF, m)
 			if n2 == 0 {
 				continue // no adaptation profile is schedulable
 			}
-			reqLO := p.LO.PFHRequirement()
-			if math.IsInf(reqLO, 1) {
-				v.adapt = true // n¹_HI = 1 ≤ n²_HI, as in MinAdaptProfile
-				continue
-			}
-			pfh, err := ev.cache.PFHLOUniform(p.Mode, nLO, n2, p.DF)
-			v.adapt = err == nil && pfh < reqLO
+			v.adapt, _ = ev.cache.MeetsLO(p.Mode, nLO, n2, p.DF, p.LO.PFHRequirement())
 		}
 	}
 	return nil

@@ -287,13 +287,13 @@ func evalOneRef(cfg Fig3Config, params gen.Params, rng *rand.Rand) verdict {
 	if err != nil {
 		return verdict{} // degenerate draw: reject both ways
 	}
-	return judge(cfg, s)
+	return judge(s, cfg.Mode, cfg.DF)
 }
 
 // judge applies the Appendix C acceptance criterion to one set: accept
 // outright when the fully re-executed set passes the exact EDF bound,
-// otherwise accept iff FT-S succeeds.
-func judge(cfg Fig3Config, s *task.Set) (v verdict) {
+// otherwise accept iff FT-S succeeds under the adaptation mode (and df).
+func judge(s *task.Set, mode safety.AdaptMode, df float64) (v verdict) {
 	scfg := safety.DefaultConfig()
 	dual := s.Dual()
 	nHI, errHI := scfg.MinReexecProfile(s.ByClass(criticality.HI), dual.Requirement(criticality.HI))
@@ -308,7 +308,7 @@ func judge(cfg Fig3Config, s *task.Set) (v verdict) {
 		v.adapt = true
 		return v
 	}
-	res, err := core.FTS(s, core.Options{Safety: scfg, Mode: cfg.Mode, DF: cfg.DF})
+	res, err := core.FTS(s, core.Options{Safety: scfg, Mode: mode, DF: df})
 	v.adapt = err == nil && res.OK
 	return v
 }

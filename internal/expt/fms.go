@@ -80,13 +80,11 @@ func FMSSweep(s *task.Set, mode safety.AdaptMode, df float64, maxNPrime int) (FM
 	res.Points = make([]FMSPoint, maxNPrime)
 	err = ForEach(maxNPrime, func(idx int) error {
 		n := idx + 1
-		var pfhLO float64
-		var err error
-		if mode == safety.Kill {
-			pfhLO, err = cache.KillingPFHLOUniform(nLO, n)
-		} else {
-			pfhLO, err = cache.DegradationPFHLOUniform(nLO, n, df)
+		pfhLO, err := cache.PFHLOUniform(mode, nLO, n, df)
+		if err != nil {
+			return err
 		}
+		safe, err := cache.MeetsLO(mode, nLO, n, df, req)
 		if err != nil {
 			return err
 		}
@@ -97,7 +95,7 @@ func FMSSweep(s *task.Set, mode safety.AdaptMode, df float64, maxNPrime int) (FM
 			PFHLO:       pfhLO,
 			Log10PFHLO:  prob.Log10(pfhLO),
 			Schedulable: umc <= 1,
-			Safe:        pfhLO < req,
+			Safe:        safe,
 		}
 		return nil
 	})

@@ -303,51 +303,24 @@ func PHISweep(mode safety.AdaptMode, df float64, u, failProb float64, phis []flo
 			return nil, fmt.Errorf("expt: P_HI=%g U=%g f=%g: %w", phi, u, failProb, err)
 		}
 	}
+	// Reject a bad mode or df here too: at low U no draw may reach FT-S,
+	// whose own validation would otherwise never run.
+	if err := (core.Options{Safety: safety.DefaultConfig(), Mode: mode, DF: df}).Validate(); err != nil {
+		return nil, err
+	}
 	out := make([]PHIPoint, 0, len(phis))
 	for pi, phi := range phis {
-		type verdict struct{ base, adapt bool }
 		verdicts := make([]verdict, setsPerPoint)
-		err := ForEach(setsPerPoint, func(i int) error {
+		ForEach(setsPerPoint, func(i int) error {
 			rng := rand.New(rand.NewSource(seed + int64(i)))
-			s, err := gen.TaskSet(rng, params[pi])
-			if err != nil {
-				return nil // degenerate draw: rejected both ways
+			// A degenerate draw keeps the zero verdict: rejected both ways.
+			if s, err := gen.TaskSet(rng, params[pi]); err == nil {
+				verdicts[i] = judge(s, mode, df)
 			}
-			scfg := safety.DefaultConfig()
-			dual := s.Dual()
-			nHI, errHI := scfg.MinReexecProfile(s.ByClass(criticality.HI), dual.Requirement(criticality.HI))
-			nLO, errLO := scfg.MinReexecProfile(s.ByClass(criticality.LO), dual.Requirement(criticality.LO))
-			if errHI == nil && errLO == nil {
-				verdicts[i].base = s.ScaledUtilization(criticality.HI, nHI)+s.ScaledUtilization(criticality.LO, nLO) <= 1
-			}
-			if verdicts[i].base {
-				verdicts[i].adapt = true
-				return nil
-			}
-			res, err := core.FTS(s, core.Options{Safety: scfg, Mode: mode, DF: df})
-			if err != nil {
-				return err
-			}
-			verdicts[i].adapt = res.OK
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		var nb, na int
-		for _, v := range verdicts {
-			if v.base {
-				nb++
-			}
-			if v.adapt {
-				na++
-			}
-		}
-		p := PHIPoint{
-			PHI:      phi,
-			Baseline: float64(nb) / float64(setsPerPoint),
-			Adapted:  float64(na) / float64(setsPerPoint),
-		}
+		baseline, adapted := reduceVerdicts(verdicts)
+		p := PHIPoint{PHI: phi, Baseline: baseline, Adapted: adapted}
 		p.Gap = p.Adapted - p.Baseline
 		out = append(out, p)
 	}

@@ -191,3 +191,15 @@ func TestPHISweepErrors(t *testing.T) {
 		t.Error("zero sets accepted")
 	}
 }
+
+// At U = 0.3 the baseline accepts every set, so no draw reaches FT-S:
+// a bad mode or df must still be rejected, not reported as full
+// acceptance.
+func TestPHISweepRejectsBadOptionsAtLowU(t *testing.T) {
+	if _, err := PHISweep(safety.AdaptMode(7), 0, 0.3, 1e-5, []float64{0.2}, 50, 1); err == nil {
+		t.Error("unknown adaptation mode accepted")
+	}
+	if _, err := PHISweep(safety.Degrade, 1, 0.3, 1e-5, []float64{0.2}, 50, 1); err == nil {
+		t.Error("degradation factor 1 accepted")
+	}
+}

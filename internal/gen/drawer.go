@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -16,11 +15,10 @@ import (
 // Monte-Carlo worker pulling thousands of sets (the Fig. 3 engine) incurs
 // zero steady-state allocations per draw.
 //
-// Determinism: Draw(seed) reseeds the drawer's private RNG and consumes
-// it exactly as TaskSet (Appendix C) resp. UUnifastTaskSet would consume
-// a fresh rand.New(rand.NewSource(seed)) — the generated set is
-// bit-identical to the allocating generators for the same seed
-// (TestDrawerMatchesTaskSet).
+// Determinism: TaskSet (Appendix C) and UUnifastTaskSet run the same
+// draw loop once on the caller's RNG, so Draw(seed), which reseeds the
+// drawer's private RNG, gives the set they give on a fresh
+// rand.New(rand.NewSource(seed)) (TestDrawerMatchesTaskSet).
 //
 // Ownership: the returned *task.Set aliases the arena and is valid only
 // until the next Draw on the same Drawer. A Drawer must not be shared
@@ -73,11 +71,18 @@ func (d *Drawer) name(i int) string {
 	return d.names[i-1]
 }
 
-// Draw reseeds the drawer's RNG and draws one task set into the arena,
-// retrying degenerate draws exactly as the allocating generators do. The
-// returned set aliases the arena: it is valid until the next Draw.
+// Draw reseeds the drawer's RNG and draws one task set into the arena.
+// The returned set aliases the arena: it is valid until the next Draw.
 func (d *Drawer) Draw(seed int64) (*task.Set, error) {
 	d.rng.Seed(seed)
+	return d.draw()
+}
+
+// draw is the one draw loop of both generators: it draws candidates from
+// the RNG's current state into the arena, retrying degenerate ones (a
+// class missing, or too little utilization left for a 1 µs WCET), up to
+// 1000 attempts.
+func (d *Drawer) draw() (*task.Set, error) {
 	for attempt := 0; attempt < 1000; attempt++ {
 		var ok bool
 		if d.n > 0 {
@@ -107,8 +112,8 @@ func (d *Drawer) DrawKeyed(k SimulationKey) (*task.Set, error) {
 	return d.Draw(k.Stream(SubsystemWorkload))
 }
 
-// drawAppendixC fills the arena with one Appendix C candidate, consuming
-// the RNG exactly as draw() does. Reports whether the draw is usable.
+// drawAppendixC fills the arena with one Appendix C candidate. Reports
+// whether the draw is usable.
 func (d *Drawer) drawAppendixC() bool {
 	p, rng := d.p, d.rng
 	d.tasks = d.tasks[:0]
@@ -121,6 +126,8 @@ func (d *Drawer) drawAppendixC() bool {
 		period := p.TMin + timeunit.Time(rng.Int63n(int64(p.TMax-p.TMin)+1))
 		wcet := timeunit.Time(u * period.Float())
 		if wcet < 1 {
+			// A residual sliver that does not amount to a whole
+			// microsecond of WCET: absorb it by stopping here.
 			break
 		}
 		level := p.LOLevel
@@ -140,21 +147,15 @@ func (d *Drawer) drawAppendixC() bool {
 	return len(d.tasks) >= 2
 }
 
-// drawUUnifast fills the arena with one UUnifast candidate, consuming the
-// RNG exactly as UUnifastTaskSet does (one inner attempt).
+// drawUUnifast fills the arena with one UUnifast candidate. Reports
+// whether the draw is usable.
 func (d *Drawer) drawUUnifast() bool {
 	p, rng, n := d.p, d.rng, d.n
 	if cap(d.utils) < n {
 		d.utils = make([]float64, n)
 	}
 	utils := d.utils[:n]
-	sum := p.TargetU
-	for i := 0; i < n-1; i++ {
-		next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
-		utils[i] = sum - next
-		sum = next
-	}
-	utils[n-1] = sum
+	uunifast(rng, utils, p.TargetU)
 	d.tasks = d.tasks[:0]
 	for i, u := range utils {
 		period := p.TMin + timeunit.Time(rng.Int63n(int64(p.TMax-p.TMin)+1))

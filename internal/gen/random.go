@@ -77,58 +77,12 @@ func (p Params) Validate() error {
 // tasks are added with u ~ U[UMin, UMax] and T ~ U[TMin, TMax] until the
 // target utilization is reached (the last task is shrunk to land on the
 // target exactly). Sets lacking one of the two classes are redrawn so the
-// result is always a valid dual-criticality system.
+// result is always a valid dual-criticality system. It runs a Drawer's
+// draw loop once on rng, so the set is the one Drawer.Draw would give on
+// the same RNG state, and it owns its memory.
 func TaskSet(rng *rand.Rand, p Params) (*task.Set, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	for attempt := 0; attempt < 1000; attempt++ {
-		tasks := draw(rng, p)
-		if tasks == nil {
-			continue
-		}
-		s, err := task.NewSet(tasks)
-		if err != nil {
-			continue // single-class draw; retry
-		}
-		return s, nil
-	}
-	return nil, fmt.Errorf("gen: could not draw a dual-criticality set with U=%g after 1000 attempts", p.TargetU)
-}
-
-// draw produces one candidate task list, or nil if the draw degenerated
-// (e.g. a residual utilization too small to carry a 1 µs WCET).
-func draw(rng *rand.Rand, p Params) []task.Task {
-	var tasks []task.Task
-	total := 0.0
-	for total < p.TargetU {
-		u := p.UMin + rng.Float64()*(p.UMax-p.UMin)
-		if total+u > p.TargetU {
-			u = p.TargetU - total
-		}
-		period := p.TMin + timeunit.Time(rng.Int63n(int64(p.TMax-p.TMin)+1))
-		wcet := timeunit.Time(u * period.Float())
-		if wcet < 1 {
-			// A residual sliver that does not amount to a whole
-			// microsecond of WCET: absorb it by stopping here.
-			break
-		}
-		level := p.LOLevel
-		if rng.Float64() < p.PHI {
-			level = p.HILevel
-		}
-		tasks = append(tasks, task.Task{
-			Name:     fmt.Sprintf("τ%d", len(tasks)+1),
-			Period:   period,
-			Deadline: period,
-			WCET:     wcet,
-			Level:    level,
-			FailProb: p.FailProb,
-		})
-		total += wcet.Float() / period.Float()
-	}
-	if len(tasks) < 2 {
-		return nil
-	}
-	return tasks
+	return (&Drawer{p: p, rng: rng}).draw()
 }

@@ -6,24 +6,18 @@ import (
 	"math/rand"
 
 	"repro/internal/task"
-	"repro/internal/timeunit"
 )
 
-// UUnifast draws n per-task utilizations summing exactly to totalU,
-// uniformly over the (n−1)-simplex — the de-facto standard generator of
-// the real-time literature (Bini & Buttazzo, 2005). The paper's
-// Appendix C generator instead adds u ~ U[u−, u+] tasks until the target
-// is reached, which skews task counts with U; UUnifast holds the count
-// fixed and lets the split vary, so the two generators bracket the
-// workload-shape sensitivity of the Fig. 3 results.
-func UUnifast(rng *rand.Rand, n int, totalU float64) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gen: UUnifast needs at least one task")
-	}
-	if totalU <= 0 {
-		return nil, fmt.Errorf("gen: total utilization must be positive, got %g", totalU)
-	}
-	utils := make([]float64, n)
+// uunifast fills utils with len(utils) per-task utilizations summing
+// exactly to totalU, uniformly over the simplex — the de-facto standard
+// generator of the real-time literature (Bini & Buttazzo, 2005). The
+// paper's Appendix C generator instead adds u ~ U[u−, u+] tasks until the
+// target is reached, which skews task counts with U; UUnifast holds the
+// count fixed and lets the split vary, so the two generators bracket the
+// workload-shape sensitivity of the Fig. 3 results. utils must not be
+// empty.
+func uunifast(rng *rand.Rand, utils []float64, totalU float64) {
+	n := len(utils)
 	sum := totalU
 	for i := 0; i < n-1; i++ {
 		next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
@@ -31,7 +25,6 @@ func UUnifast(rng *rand.Rand, n int, totalU float64) ([]float64, error) {
 		sum = next
 	}
 	utils[n-1] = sum
-	return utils, nil
 }
 
 // UUnifastTaskSet draws a dual-criticality set with exactly n tasks whose
@@ -39,7 +32,7 @@ func UUnifast(rng *rand.Rand, n int, totalU float64) ([]float64, error) {
 // probability come from the same Params as the Appendix C generator
 // (UMin/UMax are ignored — UUnifast owns the split). Draws that
 // degenerate (a class missing, or a slice too small for 1 µs of WCET)
-// are retried.
+// are retried. Like TaskSet, it runs a Drawer's draw loop once on rng.
 func UUnifastTaskSet(rng *rand.Rand, n int, p Params) (*task.Set, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -47,41 +40,5 @@ func UUnifastTaskSet(rng *rand.Rand, n int, p Params) (*task.Set, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("gen: dual-criticality UUnifast set needs n >= 2, got %d", n)
 	}
-	for attempt := 0; attempt < 1000; attempt++ {
-		utils, err := UUnifast(rng, n, p.TargetU)
-		if err != nil {
-			return nil, err
-		}
-		tasks := make([]task.Task, 0, n)
-		ok := true
-		for i, u := range utils {
-			period := p.TMin + timeunit.Time(rng.Int63n(int64(p.TMax-p.TMin)+1))
-			wcet := timeunit.Time(u * period.Float())
-			if wcet < 1 {
-				ok = false
-				break
-			}
-			level := p.LOLevel
-			if rng.Float64() < p.PHI {
-				level = p.HILevel
-			}
-			tasks = append(tasks, task.Task{
-				Name:     fmt.Sprintf("τ%d", i+1),
-				Period:   period,
-				Deadline: period,
-				WCET:     wcet,
-				Level:    level,
-				FailProb: p.FailProb,
-			})
-		}
-		if !ok {
-			continue
-		}
-		s, err := task.NewSet(tasks)
-		if err != nil {
-			continue // single-class draw
-		}
-		return s, nil
-	}
-	return nil, fmt.Errorf("gen: could not draw a UUnifast dual-criticality set (n=%d, U=%g)", n, p.TargetU)
+	return (&Drawer{p: p, n: n, rng: rng}).draw()
 }

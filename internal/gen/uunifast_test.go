@@ -12,13 +12,8 @@ func TestUUnifastSumsToTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 5, 20} {
 		for _, u := range []float64{0.1, 0.7, 1.0} {
-			utils, err := UUnifast(rng, n, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(utils) != n {
-				t.Fatalf("n=%d: got %d utilizations", n, len(utils))
-			}
+			utils := make([]float64, n)
+			uunifast(rng, utils, u)
 			sum := 0.0
 			for _, v := range utils {
 				if v < 0 {
@@ -33,16 +28,6 @@ func TestUUnifastSumsToTarget(t *testing.T) {
 	}
 }
 
-func TestUUnifastErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := UUnifast(rng, 0, 0.5); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := UUnifast(rng, 3, 0); err == nil {
-		t.Error("U=0 accepted")
-	}
-}
-
 // The marginal distribution should spread: with n = 3 and U = 0.9 the
 // largest share exceeds 0.5 in a healthy fraction of draws (a uniform
 // simplex gives P ≈ 0.25·3 = 0.75... at least well above zero), while a
@@ -51,11 +36,9 @@ func TestUUnifastSpreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	large := 0
 	const draws = 500
+	utils := make([]float64, 3)
 	for i := 0; i < draws; i++ {
-		utils, err := UUnifast(rng, 3, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		uunifast(rng, utils, 0.9)
 		for _, v := range utils {
 			if v > 0.45 {
 				large++
@@ -96,6 +79,13 @@ func TestUUnifastTaskSetErrors(t *testing.T) {
 	p := PaperParams(criticality.LevelB, criticality.LevelD, 0.7, 1e-5)
 	if _, err := UUnifastTaskSet(rng, 1, p); err == nil {
 		t.Error("n=1 accepted")
+	}
+	if _, err := UUnifastTaskSet(rng, 0, p); err == nil {
+		t.Error("n=0 accepted")
+	}
+	p.TargetU = 0
+	if _, err := UUnifastTaskSet(rng, 3, p); err == nil {
+		t.Error("U=0 accepted")
 	}
 	if _, err := UUnifastTaskSet(rng, 4, Params{}); err == nil {
 		t.Error("invalid params accepted")

@@ -374,10 +374,10 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 }
 
 // checkKillBound asserts that the cached eq. (5) bound
-// (AdaptationCache.PFHLOUniform, the campaign's probe), an uncached
-// Config.KillingPFHLOUniform on a fresh adaptation model, and the
-// verdict's own pfh(LO) agree bit for bit at the successful verdict's
-// (n²_HI, n_LO).
+// (AdaptationCache.PFHLOUniform, which the campaign's MeetsLO probe
+// compares), an uncached Config.KillingPFHLOUniform on a fresh
+// adaptation model, and the verdict's own pfh(LO) agree bit for bit at
+// the successful verdict's (n²_HI, n_LO).
 func checkKillBound(vs []Violation, set *task.Set, cfg safety.Config, res core.Result) []Violation {
 	hi, lo := set.ByClass(criticality.HI), set.ByClass(criticality.LO)
 	n2, nLO := res.Profiles.NPrime, res.Profiles.NLO

@@ -195,12 +195,11 @@ func (c *AdaptationCache) DegradationPFHLOUniform(nLO, nprime int, df float64) (
 //
 // Both pfh(LO) bounds are non-increasing in the uniform adaptation
 // profile (Lemma 3.3/3.4: a larger n′ adapts the LO tasks less often),
-// so the infimum is found by exponential galloping followed by bisection
-// of the bracket — O(log n¹) bound evaluations instead of the reference
-// linear scan's n¹ (kept as MinAdaptProfileLinear and pinned to this
-// search by TestMinAdaptProfileBisectionDifferential). The monotonicity
-// precondition itself is pinned by TestKillingPFHLOMonotoneInNPrime /
-// TestDegradationPFHLOMonotoneInNPrime.
+// so MinProfile finds the infimum in O(log n¹) MeetsLO probes instead of
+// the reference linear scan's n¹ (kept as MinAdaptProfileLinear and
+// pinned to this search by TestMinAdaptProfileBisectionDifferential).
+// The monotonicity precondition itself is pinned by
+// TestKillingPFHLOMonotoneInNPrime / TestDegradationPFHLOMonotoneInNPrime.
 func (c *AdaptationCache) MinAdaptProfile(mode AdaptMode, nLO int, df float64, requirement float64) (int, error) {
 	if math.IsInf(requirement, 1) {
 		return 1, nil
@@ -209,45 +208,36 @@ func (c *AdaptationCache) MinAdaptProfile(mode AdaptMode, nLO int, df float64, r
 		return 0, err
 	}
 	probes := safetyView.Get().minAdaptProbes
-	pfh := func(n int) (float64, error) {
+	n, err := MinProfile(func(n int) (bool, error) {
 		probes.Inc()
-		return c.adaptPFHLO(mode, nLO, n, df)
+		return c.MeetsLO(mode, nLO, n, df, requirement)
+	})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("safety: no adaptation profile <= %d keeps pfh(LO) below %g under %v",
+			MaxProfile, requirement, mode)
 	}
-	// Gallop: double hi until pfh(hi) meets the requirement; (lo, hi]
-	// then brackets the infimum.
-	lo, hi := 0, 1
-	for {
-		if hi > MaxProfile {
-			hi = MaxProfile
-		}
-		v, err := pfh(hi)
-		if err != nil {
-			return 0, err
-		}
-		if v < requirement {
-			break
-		}
-		if hi == MaxProfile {
-			return 0, fmt.Errorf("safety: no adaptation profile <= %d keeps pfh(LO) below %g under %v",
-				MaxProfile, requirement, mode)
-		}
-		lo, hi = hi, hi*2
+	return n, err
+}
+
+// MeetsLO answers line 4's question at one uniform adaptation profile n′:
+// is pfh(LO) < PFH_LO? An +Inf requirement (levels D/E) is met without
+// evaluating a bound; otherwise the mode's memoized bound (PFHLOUniform)
+// must lie strictly below the requirement. Because the bound is
+// non-increasing in n′ (Lemma 3.3/3.4), one probe at n′ = n²_HI decides
+// Algorithm 1's verdict outright,
+//
+//	n¹_HI ≤ n²_HI  ⇔  MeetsLO(n²_HI),
+//
+// which is how verdict-only sweeps (the Fig. 3 campaign engine) skip the
+// line-4 search. The killing limit checkAdaptFeasible fails fast on
+// bounds every pfh(n′) from below, so an infeasible requirement fails
+// every probe.
+func (c *AdaptationCache) MeetsLO(mode AdaptMode, nLO, nprime int, df, requirement float64) (bool, error) {
+	if math.IsInf(requirement, 1) {
+		return true, nil
 	}
-	// Bisect (lo, hi]: pfh(hi) < requirement, pfh(lo) ≥ requirement (or
-	// lo = 0, the virtual always-failing candidate).
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		v, err := pfh(mid)
-		if err != nil {
-			return 0, err
-		}
-		if v < requirement {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	v, err := c.PFHLOUniform(mode, nLO, nprime, df)
+	return err == nil && v < requirement, err
 }
 
 // checkAdaptFeasible fails fast when no adaptation profile can meet the
@@ -266,28 +256,13 @@ func (c *AdaptationCache) checkAdaptFeasible(mode AdaptMode, nLO int, requiremen
 	return nil
 }
 
-// adaptPFHLO dispatches to the memoized uniform pfh(LO) bound of the
-// given mode.
-func (c *AdaptationCache) adaptPFHLO(mode AdaptMode, nLO, nprime int, df float64) (float64, error) {
+// PFHLOUniform evaluates the pfh(LO) bound of one adaptation mode at a
+// single uniform profile n′ — eq. (5) for killing, eq. (7) for
+// degradation — memoized like the line-4 search's probes. It is the way
+// to read a value that gets reported; decisions go through MeetsLO.
+func (c *AdaptationCache) PFHLOUniform(mode AdaptMode, nLO, nprime int, df float64) (float64, error) {
 	if mode == Kill {
 		return c.KillingPFHLOUniform(nLO, nprime)
 	}
 	return c.DegradationPFHLOUniform(nLO, nprime, df)
-}
-
-// PFHLOUniform evaluates the pfh(LO) bound of one adaptation mode at a
-// single uniform profile n′ — eq. (5) for killing, eq. (7) for
-// degradation, memoized like the line-4 search's probes. Because the
-// bound is non-increasing in n′ (Lemma 3.3/3.4), one evaluation at
-// n′ = n²_HI decides Algorithm 1's verdict outright:
-//
-//	n¹_HI ≤ n²_HI  ⇔  pfh(n²_HI) < PFH_LO
-//
-// (the no-adaptation limit underlying checkAdaptFeasible is a lower
-// bound of every pfh(n′), so an infeasible requirement also fails the
-// probe). Verdict-only sweeps (the Fig. 3 campaign engine) use this in
-// place of MinAdaptProfile when the exact n¹_HI is not needed, trading
-// the O(log n¹) bound evaluations of the bisection for exactly one.
-func (c *AdaptationCache) PFHLOUniform(mode AdaptMode, nLO, nprime int, df float64) (float64, error) {
-	return c.adaptPFHLO(mode, nLO, nprime, df)
 }

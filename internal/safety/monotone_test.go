@@ -1,7 +1,9 @@
 package safety
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -115,6 +117,50 @@ func TestMinAdaptProfileBisectionDifferential(t *testing.T) {
 			t.Fatalf("case %d (%v req %g): bisection n¹=%d vs linear n¹=%d",
 				cse, mode, requirement, nBis, nLin)
 		}
+	}
+}
+
+// TestMinProfile pins the line-4 search on synthetic monotone
+// predicates: the least n in [1, MaxProfile] that meets it (0 when none
+// does), at most 2⌈log₂ n⌉ + 1 probes (the gallop to n, then the
+// bisection of its last doubling), and a probe error returned as is.
+func TestMinProfile(t *testing.T) {
+	run := func(first int) (got, probes int, err error) {
+		got, err = MinProfile(func(n int) (bool, error) {
+			if n < 1 || n > MaxProfile {
+				t.Fatalf("probe at %d outside [1, MaxProfile]", n)
+			}
+			probes++
+			return first > 0 && n >= first, nil
+		})
+		return got, probes, err
+	}
+	for _, tc := range []struct {
+		name                string
+		first, want, probes int
+	}{
+		{"never holds", 0, 0, 7},
+		{"holds at 1", 1, 1, 1},
+		{"first holds at MaxProfile", MaxProfile, MaxProfile, 12},
+	} {
+		got, probes, err := run(tc.first)
+		if err != nil || got != tc.want || probes != tc.probes {
+			t.Errorf("%s: got %d after %d probes (%v), want %d after %d",
+				tc.name, got, probes, err, tc.want, tc.probes)
+		}
+	}
+	for first := 1; first <= MaxProfile; first++ {
+		got, probes, err := run(first)
+		if err != nil || got != first {
+			t.Fatalf("first=%d: got %d (%v)", first, got, err)
+		}
+		if limit := 2*bits.Len(uint(first-1)) + 1; probes > limit {
+			t.Fatalf("first=%d: %d probes, want <= %d", first, probes, limit)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := MinProfile(func(int) (bool, error) { return false, boom }); err != boom {
+		t.Errorf("probe error: got %v, want %v", err, boom)
 	}
 }
 

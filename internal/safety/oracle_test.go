@@ -17,7 +17,7 @@ func (c *AdaptationCache) MinAdaptProfileLinear(mode AdaptMode, nLO int, df floa
 		return 0, err
 	}
 	for n := 1; n <= MaxProfile; n++ {
-		pfh, err := c.adaptPFHLO(mode, nLO, n, df)
+		pfh, err := c.PFHLOUniform(mode, nLO, n, df)
 		if err != nil {
 			return 0, err
 		}

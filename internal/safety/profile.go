@@ -13,6 +13,45 @@ import (
 // with f close to 1 whose rounds stop fitting in the hour).
 const MaxProfile = 64
 
+// MinProfile returns the least n ∈ [1, MaxProfile] that meets a
+// predicate monotone in n (false…false true…true), or 0 when none does.
+// It gallops n = 1, 2, 4, … until the predicate holds, then bisects the
+// bracket: O(log n) probes instead of a linear scan's n. It is the
+// search of line 4 of Algorithm 1 for uniform and per-task profiles
+// alike; a probe error stops the search and is returned.
+func MinProfile(meets func(n int) (bool, error)) (int, error) {
+	// Gallop: double hi until meets(hi); (lo, hi] then brackets the
+	// infimum, with lo = 0 the virtual never-meeting candidate.
+	lo, hi := 0, 1
+	for {
+		hi = min(hi, MaxProfile)
+		ok, err := meets(hi)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			break
+		}
+		if hi == MaxProfile {
+			return 0, nil
+		}
+		lo, hi = hi, hi*2
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		ok, err := meets(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
 // AdaptMode selects between the two LO-task adaptation mechanisms of the
 // paper: killing (§3.3) and service degradation (§3.4).
 type AdaptMode int
@@ -64,10 +103,10 @@ func (c Config) MinReexecProfile(tasks []task.Task, requirement float64) (int, e
 // the smallest uniform adaptation profile for the HI tasks that keeps the
 // LO tasks safe, given the LO re-execution profile nLO. Both pfh(LO)
 // bounds are non-increasing in n′ (larger n′ ⇒ LO tasks adapted less
-// often), so a linear scan finds the infimum. df is only used in Degrade
-// mode. A +Inf requirement is met by n′ = 1.
+// often), so MinProfile's gallop and bisection find the infimum. df is
+// only used in Degrade mode. A +Inf requirement is met by n′ = 1.
 //
-// The scan is served through a transient AdaptationCache; callers that run
+// The search is served through a transient AdaptationCache; callers that run
 // the search repeatedly on the same (HI, LO) context (design-space sweeps)
 // should hold their own cache and call AdaptationCache.MinAdaptProfile so
 // the per-n′ models and bounds are shared across searches.

@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: summary statistics and binomial confidence intervals for
-// acceptance ratios.
+// harness uses: binomial confidence intervals for acceptance ratios.
 //
 // Acceptance ratios in the Fig. 3 experiments are binomial proportions
 // over 500 trials; the Wilson score interval is the standard choice there
@@ -13,18 +12,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
 
 // Interval is a two-sided confidence interval.
 type Interval struct {
@@ -44,11 +31,6 @@ const z95 = 1.959963984540054
 // proportion with successes k out of n trials. It panics on n < 1 or
 // k outside [0, n].
 func Wilson95(k, n int) Interval {
-	return Wilson(k, n, z95)
-}
-
-// Wilson returns the Wilson score interval for normal quantile z.
-func Wilson(k, n int, z float64) Interval {
 	if n < 1 {
 		panic("stats: Wilson interval needs n >= 1")
 	}
@@ -57,6 +39,7 @@ func Wilson(k, n int, z float64) Interval {
 	}
 	p := float64(k) / float64(n)
 	nn := float64(n)
+	z := float64(z95) // float64 arithmetic below, not exact constant folding
 	z2 := z * z
 	denom := 1 + z2/nn
 	center := (p + z2/(2*nn)) / denom

@@ -6,15 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
 func TestWilson95KnownValues(t *testing.T) {
 	// k=0: the interval starts at exactly 0 and excludes large p.
 	iv := Wilson95(0, 500)
