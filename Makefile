@@ -7,8 +7,8 @@ FUZZTIME ?= 30s
 SOAK_RUNS ?=
 
 .PHONY: all check ci vet build test race race-pool benchcheck bench \
-	perfbench-check serve-smoke dist-smoke soak soak-deep staticcheck \
-	govulncheck hygiene fuzz-smoke profile clean
+	perfbench-check serve-smoke soak soak-deep staticcheck govulncheck \
+	hygiene fuzz-smoke profile clean
 
 all: check
 
@@ -20,12 +20,11 @@ check: vet build race benchcheck
 
 # ci mirrors every GitHub Actions job locally: the check gate plus the
 # lint pair, the source hygiene checks, the fuzz smoke, the focused
-# pool/shard race pass, the perfbench build check, the serve and
-# distributed smokes and the PR-tier soak. End-to-end timings are gated
-# by the repository benchmark (bash perfbench/run.sh, bounds in
-# BENCHMARK.json), not here.
+# pool/shard race pass, the perfbench build check, the serve smoke and
+# the PR-tier soak. End-to-end timings are gated by the repository
+# benchmark (bash perfbench/run.sh, bounds in BENCHMARK.json), not here.
 ci: check staticcheck govulncheck hygiene fuzz-smoke race-pool \
-	perfbench-check serve-smoke dist-smoke soak
+	perfbench-check serve-smoke soak
 
 vet:
 	$(GO) vet ./...
@@ -42,10 +41,9 @@ race:
 # race-pool is the focused race pass over the concurrency-bearing
 # pieces: the worker pool (shared atomic claim cursor, invariance
 # across worker counts, skewed load), the distributed campaign's lease
-# plane (worker loss, lease deadline, corrupt result, idle-worker
-# deadline, hung subprocess worker), the sharded adaptation-cache pool and
-# the serve pipeline's admission (single-flight joins, shedding,
-# overload). A repeat count varies goroutine interleavings beyond what
+# plane (worker loss, corrupt result), the sharded adaptation-cache
+# pool and the serve pipeline's admission (single-flight joins,
+# shedding, overload). A repeat count varies goroutine interleavings beyond what
 # one -race run sees.
 race-pool:
 	$(GO) test -race -count 2 \
@@ -71,18 +69,6 @@ perfbench-check:
 # benchmark: bash perfbench/run.sh (workloads in BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# dist-smoke drives the distributed campaign runner end to end as CI
-# does: build ftmc-report and ftmc-worker as real binaries, then (a)
-# shard a small Fig. 3 campaign across two worker subprocesses over
-# the stdin/stdout lease protocol and (b) run the same campaign over
-# real TCP sockets with ftmc-worker -connect on the same wire v2
-# frames — each byte-diffed against the single-process run. The
-# scenarios live in TestCLIDistCampaign and TestCLIDistCampaignTCP so
-# local and CI runs are identical; the in-process protocol and
-# worker-loss/timeout paths are covered by `make race` (dist_test.go).
-dist-smoke:
-	$(GO) test -race -count 1 -v -run '^TestCLIDistCampaign' .
 
 # serve-smoke drives the serving stack end to end as CI does: build
 # ftmc-serve as a real binary, boot it on an ephemeral port, post one

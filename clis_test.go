@@ -224,115 +224,3 @@ func TestCLIServe(t *testing.T) {
 		t.Fatalf("server did not exit cleanly on SIGTERM: %v", err)
 	}
 }
-
-// TestCLIDistCampaign is the scale-out smoke: ftmc-report sharded over
-// two real ftmc-worker subprocesses must emit a report whose stdout is
-// byte-identical to the single-process run — lease accounting lives on
-// stderr precisely so this diff can be exact.
-func TestCLIDistCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI runs skipped in -short mode")
-	}
-	dir := t.TempDir()
-	reportBin := filepath.Join(dir, "ftmc-report")
-	workerBin := filepath.Join(dir, "ftmc-worker")
-	for bin, pkg := range map[string]string{reportBin: "./cmd/ftmc-report", workerBin: "./cmd/ftmc-worker"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-	args := []string{"-sets", "12", "-instances", "2", "-seed", "5"}
-	single, err := exec.Command(reportBin, args...).Output()
-	if err != nil {
-		t.Fatalf("single-process report: %v", err)
-	}
-	cmd := exec.Command(reportBin, append(args,
-		"-distributed", "2", "-worker-bin", workerBin, "-lease-sets", "7")...)
-	var distErr strings.Builder
-	cmd.Stderr = &distErr
-	dist, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("distributed report: %v\n%s", err, distErr.String())
-	}
-	if string(dist) != string(single) {
-		t.Fatalf("distributed stdout diverged from single-process bytes\n--- single ---\n%s\n--- distributed ---\n%s", single, dist)
-	}
-	if !strings.Contains(distErr.String(), "distributed campaign: 2 workers (0 lost)") {
-		t.Errorf("stderr missing lease accounting:\n%s", distErr.String())
-	}
-}
-
-// buildDistBins compiles ftmc-report and ftmc-worker into dir and
-// returns their paths; the scale-out smokes share it.
-func buildDistBins(t *testing.T) (reportBin, workerBin string) {
-	t.Helper()
-	dir := t.TempDir()
-	reportBin = filepath.Join(dir, "ftmc-report")
-	workerBin = filepath.Join(dir, "ftmc-worker")
-	for bin, pkg := range map[string]string{reportBin: "./cmd/ftmc-report", workerBin: "./cmd/ftmc-worker"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-	return reportBin, workerBin
-}
-
-// TestCLIDistCampaignTCP is the socket form of the scale-out smoke: a
-// coordinator listening on a real TCP port, two ftmc-worker -connect
-// processes dialing in over the binary frame protocol, and a stdout
-// byte-identical to the single-process run.
-func TestCLIDistCampaignTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI runs skipped in -short mode")
-	}
-	reportBin, workerBin := buildDistBins(t)
-	args := []string{"-sets", "12", "-instances", "2", "-seed", "5"}
-	single, err := exec.Command(reportBin, args...).Output()
-	if err != nil {
-		t.Fatalf("single-process report: %v", err)
-	}
-
-	cmd := exec.Command(reportBin, append(args,
-		"-distributed", "2", "-dist-listen", "127.0.0.1:0", "-lease-sets", "7")...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var distOut strings.Builder
-	cmd.Stdout = &distOut
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// The coordinator prints the bound address once it listens; scan for
-	// it, dial the workers in, then drain the rest of stderr.
-	sc := bufio.NewScanner(stderr)
-	var errLines strings.Builder
-	addr := ""
-	for sc.Scan() {
-		line := sc.Text()
-		errLines.WriteString(line + "\n")
-		if f := strings.Fields(line); addr == "" && strings.Contains(line, "waiting for") && len(f) > 6 {
-			addr = f[6]
-			for i := 0; i < 2; i++ {
-				w := exec.Command(workerBin, "-connect", addr)
-				w.Stderr = os.Stderr
-				if err := w.Start(); err != nil {
-					t.Fatal(err)
-				}
-				defer w.Wait()
-			}
-		}
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("distributed report over TCP: %v\n%s", err, errLines.String())
-	}
-	if addr == "" {
-		t.Fatalf("coordinator never announced its address:\n%s", errLines.String())
-	}
-	if distOut.String() != string(single) {
-		t.Fatalf("TCP distributed stdout diverged from single-process bytes")
-	}
-	if !strings.Contains(errLines.String(), "distributed campaign: 2 workers (0 lost)") {
-		t.Errorf("stderr missing lease accounting:\n%s", errLines.String())
-	}
-}

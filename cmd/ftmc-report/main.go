@@ -6,31 +6,14 @@
 // Usage:
 //
 //	ftmc-report [-sets 200] [-instances 100] [-seed 1]
-//	            [-distributed 0] [-worker-bin ftmc-worker] [-dist-listen addr]
-//	            [-lease-sets 64] [-lease-timeout 0]
 //
 // With the defaults the full run takes about 0.15 s on a 2-CPU host.
-//
-// -distributed N shards the Fig. 3 campaign across N protocol workers
-// (see internal/expt's DistCampaign): subprocesses of -worker-bin when
-// given, TCP workers accepted on -dist-listen when given (start them
-// with `ftmc-worker -connect`), else N in-process workers. The merged
-// output is byte-identical to the single-process run — stdout carries
-// only the report; lease accounting and any worker build-mismatch
-// warnings go to stderr.
-//
-// -lease-sets sets the sets per lease and -lease-timeout the deadline
-// after which a silent worker's leases are reassigned. Both are
-// scheduling knobs — neither changes the report.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"time"
 
 	ftmc "repro"
 	"repro/internal/criticality"
@@ -39,25 +22,10 @@ import (
 	"repro/internal/safety"
 )
 
-// distFlags is the scale-out configuration of the Fig. 3 campaign.
-type distFlags struct {
-	procs        int
-	workerBin    string
-	listen       string
-	leaseSets    int
-	leaseTimeout time.Duration
-}
-
 func main() {
 	sets := flag.Int("sets", 200, "random task sets per Fig. 3 data point")
 	instances := flag.Int("instances", 100, "FMS instances for the robustness study")
 	seed := flag.Int64("seed", 1, "experiment seed")
-	var dist distFlags
-	flag.IntVar(&dist.procs, "distributed", 0, "shard the Fig. 3 campaign across this many workers (0 = single process)")
-	flag.StringVar(&dist.workerBin, "worker-bin", "", "ftmc-worker binary to spawn as subprocess workers")
-	flag.StringVar(&dist.listen, "dist-listen", "", "accept TCP workers on this address instead of spawning")
-	flag.IntVar(&dist.leaseSets, "lease-sets", 64, "task sets per lease")
-	flag.DurationVar(&dist.leaseTimeout, "lease-timeout", 0, "per-lease deadline before reassignment (0 = none)")
 	flag.Parse()
 
 	fmt.Println("# Reproduction report")
@@ -65,50 +33,9 @@ func main() {
 
 	example31()
 	fmsFigures()
-	fig3(*sets, *seed, &dist)
+	fig3(*sets, *seed)
 	sensitivity(*instances, *seed)
 	runtimeValidation()
-}
-
-// run executes the campaign under the selected topology. The result is
-// byte-identical across all of them (expt.DistCampaign's contract), so
-// the report body never depends on the flags.
-func (d *distFlags) run(cfg expt.CampaignConfig) (expt.CampaignResult, error) {
-	if d.procs <= 0 {
-		return expt.Campaign(cfg)
-	}
-	var conns []io.ReadWriteCloser
-	var err error
-	switch {
-	case d.listen != "":
-		ln, lerr := net.Listen("tcp", d.listen)
-		if lerr != nil {
-			return expt.CampaignResult{}, lerr
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "ftmc-report: waiting for %d workers on %s (ftmc-worker -connect)\n", d.procs, ln.Addr())
-		conns, err = expt.AcceptWorkers(ln, d.procs)
-	case d.workerBin != "":
-		conns, err = expt.StartWorkerProcs(d.workerBin, d.procs)
-	default:
-		conns = expt.PipeWorkers(d.procs)
-	}
-	if err != nil {
-		return expt.CampaignResult{}, err
-	}
-	res, rep, err := expt.DistCampaign(cfg, conns, expt.DistOptions{
-		LeaseSets:    d.leaseSets,
-		LeaseTimeout: d.leaseTimeout,
-	})
-	if err != nil {
-		return expt.CampaignResult{}, err
-	}
-	fmt.Fprintf(os.Stderr, "ftmc-report: distributed campaign: %d workers (%d lost), %d leases (%d reassigned), %d B out / %d B in, manifest digest %s\n",
-		rep.Workers, rep.WorkerFailures, rep.Leases, rep.Reassigned, rep.BytesOut, rep.BytesIn, rep.Manifest.Digest)
-	for _, m := range rep.Manifest.Mismatches {
-		fmt.Fprintf(os.Stderr, "ftmc-report: warning: worker build mismatch: %s\n", m)
-	}
-	return res, nil
 }
 
 func example31() {
@@ -157,7 +84,7 @@ func fmsFigures() {
 	}
 }
 
-func fig3(sets int, seed int64, dist *distFlags) {
+func fig3(sets int, seed int64) {
 	fmt.Println("## Fig. 3 (acceptance ratios)")
 	fmt.Println()
 	// One shared-workload campaign produces all four panels: each (U, set)
@@ -165,7 +92,7 @@ func fig3(sets int, seed int64, dist *distFlags) {
 	// probability, so the curves are paired across configurations (see
 	// EXPERIMENTS.md for how this relates to independent per-curve draws).
 	cfg := expt.PaperCampaign(sets, seed)
-	res, err := dist.run(cfg)
+	res, err := expt.Campaign(cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,14 +1,13 @@
 // ftmc-serve is the FT-S verdict server: the repository's analysis
 // engine behind an HTTP/JSON API, fronted by the internal/serve
-// pipeline — canonical-hash verdict cache, bounded direct admission of
-// cache misses with identical in-flight misses sharing one analysis,
-// per-tenant token-bucket quotas and load shedding. Analyses run at
-// most FTMC_WORKERS (default: the CPU count) at a time.
+// pipeline — canonical-hash verdict cache and bounded direct admission
+// of cache misses, with identical in-flight misses sharing one analysis
+// and misses beyond -queue shed with 503. Analyses run at most
+// FTMC_WORKERS (default: the CPU count) at a time.
 //
 // Usage:
 //
 //	ftmc-serve [-addr :8080] [-cache 65536] [-queue 1024]
-//	           [-shard-contexts 0] [-quota-rate 0] [-quota-burst 0]
 //
 // Endpoints:
 //
@@ -45,24 +44,14 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	cache := flag.Int("cache", serve.DefaultCacheEntries, "verdict-cache entry bound")
 	queue := flag.Int("queue", serve.DefaultQueueDepth, "admitted cache misses, waiting plus running (beyond it requests shed with 503)")
-	shardContexts := flag.Int("shard-contexts", 0, "per-shard adaptation-context cap (0 = safety default)")
-	quotaRate := flag.Float64("quota-rate", 0, "per-tenant quota in verdicts/sec (0 disables)")
-	quotaBurst := flag.Int("quota-burst", 0, "per-tenant token-bucket depth (0 derives from rate)")
 	flag.Parse()
 
 	reg := obsv.NewRegistry()
 	obsv.SetDefault(reg)
 	reg.Publish("ftmc")
 
-	pipe := serve.NewPipeline(serve.Options{
-		CacheEntries:  *cache,
-		QueueDepth:    *queue,
-		ShardContexts: *shardContexts,
-	})
-	srv := serve.NewServer(pipe, serve.ServerOptions{
-		QuotaRate:  *quotaRate,
-		QuotaBurst: *quotaBurst,
-	})
+	pipe := serve.NewPipeline(serve.Options{CacheEntries: *cache, QueueDepth: *queue})
+	srv := serve.NewServer(pipe, serve.ServerOptions{})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -215,7 +215,7 @@ func reduceCampaignPoint(res *CampaignResult, ui int, verdicts []verdict) {
 }
 
 // campaignRunner is the evaluation engine shared by Campaign, the
-// distributed worker (ServeWorker) and the per-curve Fig3:
+// distributed worker (serveWorker) and the per-curve Fig3:
 // per-pool-worker campaignEval state reused across every range it
 // evaluates, plus the configuration-derived constants. One runner serves
 // any sequence of evalRange calls over the campaign grid.

@@ -6,16 +6,13 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
-
-	"repro/internal/obsv"
 )
 
 // This file is the coordinator side of the distributed campaign runner:
-// DistCampaign shards one expt.Campaign across worker processes (or any
-// set of byte-stream connections) and merges their partial verdicts
-// into a CampaignResult that is byte-identical to the single-process
-// Campaign on the same CampaignConfig.
+// DistCampaign shards one expt.Campaign across in-process protocol
+// workers (PipeWorkers) and merges their partial verdicts into a
+// CampaignResult that is byte-identical to the single-process Campaign
+// on the same CampaignConfig.
 //
 // Why byte-identity holds: every (utilization point ui, set i) draws
 // its workload from the keyed stream gen.SimulationKey{Seed, 0, ui, i}
@@ -47,12 +44,6 @@ type DistOptions struct {
 	// value — lease shape is a scheduling knob, like the pool's chunk
 	// size.
 	LeaseSets int
-	// LeaseTimeout, when positive, is a deadline that runs during the
-	// handshake, and while the worker holds leases: a worker that sends
-	// no ready or result frame for this long is abandoned — its
-	// connection closed so a late result can never merge — and its
-	// leases are reassigned. A worker waiting for work is not timed.
-	LeaseTimeout time.Duration
 }
 
 // withDefaults resolves the option defaults in one place.
@@ -67,7 +58,7 @@ func (o DistOptions) withDefaults() DistOptions {
 type DistReport struct {
 	// Workers is the number of connections the run started with;
 	// WorkerFailures how many were lost (handshake failure, transport
-	// error, worker-reported error or lease deadline).
+	// error or worker-reported error).
 	Workers        int `json:"workers"`
 	WorkerFailures int `json:"worker_failures"`
 	// Leases is the number of lease grants including regrants;
@@ -81,10 +72,6 @@ type DistReport struct {
 	BytesIn   uint64 `json:"bytes_in"`
 	FramesOut uint64 `json:"frames_out"`
 	FramesIn  uint64 `json:"frames_in"`
-	// Manifest records the provenance of every participating process;
-	// its Mismatches field surfaces workers built from a different
-	// toolchain or revision than the coordinator.
-	Manifest obsv.MergedManifest `json:"manifest"`
 }
 
 // lease is one unit of assigned work: sets [lo, hi) of utilization
@@ -211,7 +198,6 @@ type distDriver struct {
 	helloJSON []byte // the campaign config, marshaled once for every hello
 
 	mu        sync.Mutex // guards the fields below across drivers
-	manifests []obsv.Manifest
 	failures  int
 	bytesOut  uint64
 	bytesIn   uint64
@@ -243,13 +229,6 @@ func (d *distDriver) fail() {
 	d.mu.Unlock()
 }
 
-// addManifest records one worker's ready manifest.
-func (d *distDriver) addManifest(m obsv.Manifest) {
-	d.mu.Lock()
-	d.manifests = append(d.manifests, m)
-	d.mu.Unlock()
-}
-
 // addTraffic folds one connection's byte/frame accounting into the
 // run totals (and the expt.dist.* counters).
 func (d *distDriver) addTraffic(out, in uint64, fout, fin uint64) {
@@ -267,9 +246,8 @@ func (d *distDriver) addTraffic(out, in uint64, fout, fin uint64) {
 }
 
 // DistCampaign runs cfg sharded across the given worker connections —
-// each speaking the ServeWorker protocol, typically the stdio of a
-// cmd/ftmc-worker subprocess (StartWorkerProcs) or a TCP connection
-// (AcceptWorkers) — and merges the partial results. The returned
+// each speaking the serveWorker protocol, as the in-process workers of
+// PipeWorkers do — and merges the partial results. The returned
 // CampaignResult is byte-identical to Campaign(cfg) for any number of
 // connections, any lease size, any worker loss short of all of them
 // and any FTMC_WORKERS setting inside the workers (see the file comment
@@ -320,7 +298,6 @@ func DistCampaign(cfg CampaignConfig, conns []io.ReadWriteCloser, opt DistOption
 		BytesIn:        d.bytesIn,
 		FramesOut:      d.framesOut,
 		FramesIn:       d.framesIn,
-		Manifest:       obsv.MergeManifests(obsv.NewManifest(), d.manifests),
 	}
 	m := exptView.Get()
 	m.distLeases.Add(uint64(rep.Leases))

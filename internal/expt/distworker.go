@@ -6,18 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/exec"
-
-	"repro/internal/obsv"
 )
 
-// ServeWorker is the worker side of the distributed campaign protocol:
-// it reads the coordinator's preamble and hello, answers ready with
-// this process's manifest, and then evaluates leases until done (or
-// EOF, which a coordinator that lost interest presents). The evaluation
-// engine is the same campaignRunner the single-process Campaign uses —
-// one evalRange call per lease over the in-process pool — so a worker's
+// serveWorker is the worker side of the distributed campaign protocol:
+// it reads the coordinator's preamble and hello, answers ready with its
+// wire version, and then evaluates leases until done (or EOF, which a
+// coordinator that lost interest presents). The evaluation engine is
+// the same campaignRunner the single-process Campaign uses — one
+// evalRange call per lease over the in-process pool — so a worker's
 // verdicts for a set are bit-identical to what Campaign would have
 // computed for it, at any FTMC_WORKERS setting.
 //
@@ -27,11 +23,11 @@ import (
 // while it writes, which the coordinator's sequential driver needs on
 // a synchronous transport such as net.Pipe (pipeline.go says why).
 //
-// rw is typically the process's stdin/stdout (cmd/ftmc-worker) or a TCP
-// connection. ServeWorker returns nil after done and the transport or
-// protocol error otherwise; an evaluation error is reported to the
-// coordinator as an error frame before returning.
-func ServeWorker(rw io.ReadWriter) error {
+// rw is the worker end of a PipeWorkers net.Pipe. serveWorker returns
+// nil after done and the transport or protocol error otherwise; an
+// evaluation error is reported to the coordinator as an error frame
+// before returning.
+func serveWorker(rw io.ReadWriter) error {
 	br := bufio.NewReaderSize(rw, wireBufSize)
 	var pre [2]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
@@ -83,15 +79,8 @@ func ServeWorker(rw io.ReadWriter) error {
 		sendErr(0, err)
 		return err
 	}
-	manifest := obsv.NewManifest()
-	manifest.Seed = cfg.Seed
-	mb, err := json.Marshal(&manifest)
-	if err != nil {
-		return err
-	}
 	enc.begin(frameReady)
 	enc.uvarint(wireVersion)
-	enc.lenBytes(mb)
 	if err := enc.flush(); err != nil {
 		return err
 	}
@@ -219,11 +208,10 @@ func packVerdicts(out []verdict, packed []uint64, nCfg int) {
 
 // PipeWorkers starts n in-process protocol workers over net.Pipe and
 // returns the coordinator ends, ready to pass to DistCampaign. Each
-// worker runs ServeWorker on its own goroutine and closes its end on
-// return. In-process workers exercise the full wire protocol (framing,
-// packing, merge) without subprocess or socket plumbing — the hermetic
-// form the tests and benchmarks use; production scale-out uses
-// StartWorkerProcs or AcceptWorkers instead.
+// worker runs serveWorker on its own goroutine and closes its end on
+// return. In-process workers run the full wire protocol (framing,
+// packing, merge) and share the coordinator's build, so no worker can
+// speak another version or compute with another engine.
 func PipeWorkers(n int) []io.ReadWriteCloser {
 	conns := make([]io.ReadWriteCloser, n)
 	for i := range conns {
@@ -231,79 +219,8 @@ func PipeWorkers(n int) []io.ReadWriteCloser {
 		conns[i] = c
 		go func(w net.Conn) {
 			defer w.Close()
-			ServeWorker(w) // errors surface coordinator-side as worker loss
+			serveWorker(w) // errors surface coordinator-side as worker loss
 		}(w)
 	}
 	return conns
-}
-
-// procConn adapts a subprocess's stdin/stdout pipes to the
-// io.ReadWriteCloser DistCampaign drives; Close closes stdin (the
-// worker's EOF), then kills and reaps the process.
-type procConn struct {
-	io.Reader // the worker's stdout
-	in        io.WriteCloser
-	cmd       *exec.Cmd
-}
-
-func (p *procConn) Write(b []byte) (int, error) { return p.in.Write(b) }
-
-// Close runs only once the coordinator is done with the worker: its
-// leases are merged or requeued. The kill frees a worker that ignores
-// EOF, such as a hung one whose lease deadline fired, which Wait alone
-// would block on until it exits by itself.
-func (p *procConn) Close() error {
-	p.in.Close()
-	_ = p.cmd.Process.Kill() // fails only if the worker already exited
-	return p.cmd.Wait()
-}
-
-// StartWorkerProcs launches n copies of the worker binary (built from
-// cmd/ftmc-worker) speaking the protocol on their stdin/stdout, with
-// stderr passed through to this process's stderr. The returned
-// connections go straight to DistCampaign, which closes them —
-// reaping the subprocesses — before returning.
-func StartWorkerProcs(bin string, n int, args ...string) ([]io.ReadWriteCloser, error) {
-	conns := make([]io.ReadWriteCloser, 0, n)
-	fail := func(err error) ([]io.ReadWriteCloser, error) {
-		for _, c := range conns {
-			c.Close()
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return fail(err)
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return fail(err)
-		}
-		if err := cmd.Start(); err != nil {
-			return fail(fmt.Errorf("expt: starting worker %d: %w", i, err))
-		}
-		conns = append(conns, &procConn{Reader: out, in: in, cmd: cmd})
-	}
-	return conns, nil
-}
-
-// AcceptWorkers accepts n worker connections (cmd/ftmc-worker -connect)
-// on the listener and returns them for DistCampaign. The caller keeps
-// ownership of the listener.
-func AcceptWorkers(ln net.Listener, n int) ([]io.ReadWriteCloser, error) {
-	conns := make([]io.ReadWriteCloser, 0, n)
-	for i := 0; i < n; i++ {
-		c, err := ln.Accept()
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
-		}
-		conns = append(conns, c)
-	}
-	return conns, nil
 }

@@ -2,14 +2,10 @@ package expt
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"time"
-
-	"repro/internal/obsv"
 )
 
 // This file is the coordinator driver of the wire protocol. One
@@ -21,14 +17,14 @@ import (
 // idles on a round-trip.
 //
 // Any loss abandons the worker: a transport error, an error frame, a
-// result whose id is not in the window, a result that does not decode,
-// or the lease deadline. One deferred block then closes the connection
-// (first, so the dead worker stops computing for nothing) and requeues
-// every lease still in the window. Only this goroutine ever reads the
+// result whose id is not in the window, or a result that does not
+// decode. One deferred block then closes the connection (first, so the
+// dead worker stops computing for nothing) and requeues every lease
+// still in the window. Only this goroutine ever reads the
 // connection, so once it stops reading no late result can merge: a
 // requeued lease merges only at its next holder.
 //
-// The worker side keeps one reader goroutine (ServeWorker), and must:
+// The worker side keeps one reader goroutine (serveWorker), and must:
 // net.Pipe, which PipeWorkers and the tests use, is synchronous, so a
 // write blocks until the other side reads. Were the worker one
 // sequential loop like this driver, a driver blocked writing lease k+2
@@ -51,30 +47,14 @@ type grantRec struct {
 // the worker is lost.
 func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	m := exptView.Get()
-	// The deadline and the loop both close the connection, and a
-	// subprocess connection's Close reaps the process, which must not
-	// run twice.
-	var closeOnce sync.Once
-	closeConn := func() { closeOnce.Do(func() { conn.Close() }) }
 	bw := bufio.NewWriterSize(conn, wireBufSize)
 	enc := newFrameEnc(bw)
 	dec := newFrameDec(bufio.NewReaderSize(conn, wireBufSize))
 
-	// The lease deadline closes the connection, which fails whatever
-	// read or write the loop is blocked in. It runs during the
-	// handshake and while the window holds leases, never while the
-	// driver waits for work.
-	var deadline *time.Timer
-	if d.opt.LeaseTimeout > 0 {
-		deadline = time.AfterFunc(d.opt.LeaseTimeout, closeConn)
-	}
 	var win []grantRec
 	lost := true
 	defer func() {
-		if deadline != nil {
-			deadline.Stop()
-		}
-		closeConn()
+		conn.Close()
 		if lost {
 			for _, g := range win {
 				d.table.abandon(g.l)
@@ -92,15 +72,12 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	enc.bytesOut += 2
 	enc.begin(frameHello)
 	enc.lenBytes(d.helloJSON)
-	if enc.flush() != nil || bw.Flush() != nil || d.readReady(dec) != nil {
+	if enc.flush() != nil || bw.Flush() != nil || readReady(dec) != nil {
 		return
 	}
 
 	var words []uint64 // one result's verdict words, reused
 	for {
-		if len(win) == 0 && deadline != nil {
-			deadline.Stop()
-		}
 		// Top the window up. Only an empty window may block: with leases
 		// in flight the driver must go on reading their results.
 		for len(win) < leaseWindow {
@@ -128,9 +105,6 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 				return
 			}
 			m.distLeaseSets.Observe(int64(l.hi - l.lo))
-		}
-		if deadline != nil {
-			deadline.Reset(d.opt.LeaseTimeout)
 		}
 		if bw.Flush() != nil { // writes only if this pass granted
 			return
@@ -162,9 +136,9 @@ func (d *distDriver) runWorkerWire(conn io.ReadWriteCloser) {
 	}
 }
 
-// readReady reads the worker's ready frame, checks its wire version
-// and records its manifest.
-func (d *distDriver) readReady(dec *frameDec) error {
+// readReady reads the worker's ready frame and checks its wire
+// version.
+func readReady(dec *frameDec) error {
 	t, body, err := dec.next()
 	if err != nil {
 		return err
@@ -180,14 +154,5 @@ func (d *distDriver) readReady(dec *frameDec) error {
 	if v != wireVersion {
 		return fmt.Errorf("expt: worker speaks wire version %d, coordinator speaks %d", v, wireVersion)
 	}
-	mb, err := r.lenBytes()
-	if err != nil {
-		return err
-	}
-	var man obsv.Manifest
-	if err := json.Unmarshal(mb, &man); err != nil {
-		return fmt.Errorf("expt: worker manifest: %w", err)
-	}
-	d.addManifest(man)
 	return nil
 }

@@ -24,7 +24,7 @@ import (
 // Frame bodies are varint-packed (binary.Uvarint):
 //
 //	hello  : uvarint(len) json(CampaignConfig)
-//	ready  : uvarint(version) uvarint(len) json(Manifest)
+//	ready  : uvarint(version)
 //	lease  : uvarint(id) uvarint(ui) uvarint(lo) uvarint(hi)
 //	result : uvarint(id) uvarint(n) token*
 //	token  : uvarint(delta ≠ 0) | 0x00 uvarint(zero-run length)

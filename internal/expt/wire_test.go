@@ -11,24 +11,22 @@ import (
 )
 
 // TestWireFrameRoundTrip drives the codec over every frame shape:
-// small bodies, a large ready body, a result bitmap and an empty done
-// frame, back to back on one stream.
+// a large hello body, a one-field ready body, a result bitmap and an
+// empty done frame, back to back on one stream.
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := newFrameEnc(&buf)
 
-	small := []byte("hello")
 	big := bytes.Repeat([]byte("fault-tolerant mixed criticality "), 64)
 	words := []uint64{0, 0, 7, 7, 7, 1 << 62, 0, 42}
 
 	enc.begin(frameHello)
-	enc.lenBytes(small)
+	enc.lenBytes(big)
 	if err := enc.flush(); err != nil {
 		t.Fatal(err)
 	}
 	enc.begin(frameReady)
 	enc.uvarint(wireVersion)
-	enc.lenBytes(big)
 	if err := enc.flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +50,16 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1: type %#x err %v", ft, err)
 	}
 	r := wireBuf{b: body}
-	if got, err := r.lenBytes(); err != nil || !bytes.Equal(got, small) {
-		t.Fatalf("hello body: %q err %v", got, err)
+	if got, err := r.lenBytes(); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("hello body did not round-trip (len %d, err %v)", len(got), err)
 	}
 	ft, body, err = dec.next()
 	if err != nil || ft != frameReady {
 		t.Fatalf("frame 2: type %#x err %v", ft, err)
 	}
 	r = wireBuf{b: body}
-	if v, err := r.uvarint(); err != nil || v != wireVersion {
-		t.Fatalf("ready version: %d err %v", v, err)
-	}
-	if got, err := r.lenBytes(); err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("ready body did not round-trip (len %d, err %v)", len(got), err)
+	if v, err := r.uvarint(); err != nil || v != wireVersion || len(r.b) != 0 {
+		t.Fatalf("ready body: version %d, %d bytes left, err %v", v, len(r.b), err)
 	}
 	ft, body, err = dec.next()
 	if err != nil || ft != frameResult {
@@ -238,7 +233,7 @@ func TestServeWorkerRejectsBadPreamble(t *testing.T) {
 			io.Copy(io.Discard, c) // hold the stream open; take any reply
 		}()
 		errc := make(chan error, 1)
-		go func() { errc <- ServeWorker(w) }()
+		go func() { errc <- serveWorker(w) }()
 		select {
 		case err := <-errc:
 			if err == nil {

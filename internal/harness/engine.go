@@ -24,8 +24,8 @@ type Options struct {
 	// Chunk is the pool's lease width (indices claimed per CAS); ≤ 0
 	// selects 8.
 	Chunk int
-	// ShardContexts caps the shared caches' per-shard context count;
-	// ≤ 0 selects the deliberately tiny NewRunEnv default.
+	// ShardContexts caps the adaptation-shard pool's per-shard context
+	// count; ≤ 0 selects the deliberately tiny NewRunEnv default.
 	ShardContexts int
 	// Space is the sweep cross-product; nil selects DefaultSpace().
 	Space *Space

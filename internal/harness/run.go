@@ -35,23 +35,20 @@ type RunEnv struct {
 }
 
 // NewRunEnv builds a sweep environment. shardContexts caps the per-shard
-// context count of both cache pools; values ≤ 0 select 2 — small enough
-// that the sweep's workload diversity (hundreds of distinct sets in
-// flight) forces continuous multi-context eviction, the concurrency
-// regime the single-threaded benchmarks never reach. The serve pipeline
-// is likewise configured tiny (256 verdict entries) so its cache churns
-// instead of saturating.
+// context count of the adaptation-shard pool; values ≤ 0 select 2 —
+// small enough that the sweep's workload diversity (hundreds of
+// distinct sets in flight) forces continuous multi-context eviction,
+// the concurrency regime the single-threaded benchmarks never reach.
+// The serve pipeline is likewise configured tiny (256 verdict entries)
+// so its cache churns instead of saturating.
 func NewRunEnv(shardContexts int, checks ...Check) *RunEnv {
 	if shardContexts <= 0 {
 		shardContexts = 2
 	}
 	return &RunEnv{
-		Pipeline: serve.NewPipeline(serve.Options{
-			CacheEntries:  256,
-			ShardContexts: shardContexts,
-		}),
-		Shards: safety.NewCacheShardsCap(shardContexts),
-		Checks: checks,
+		Pipeline: serve.NewPipeline(serve.Options{CacheEntries: 256}),
+		Shards:   safety.NewCacheShardsCap(shardContexts),
+		Checks:   checks,
 	}
 }
 

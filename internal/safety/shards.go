@@ -19,8 +19,8 @@ const shardCount = 64
 // DefaultShardContexts is the default per-shard context cap of a
 // CacheShards pool: 128 contexts × 64 shards = 8192 pooled adaptation
 // caches before eviction starts. Design sweeps stay far below it; a
-// many-tenant serve workload churns through it, which is the point —
-// the pool's memory is bounded by the cap, not by the tenant universe.
+// stream of distinct sets churns through it, which is the point — the
+// pool's memory is bounded by the cap, not by the sets it has seen.
 const DefaultShardContexts = 128
 
 // CacheShards is a concurrency-safe pool of AdaptationCaches keyed by
@@ -34,18 +34,18 @@ const DefaultShardContexts = 128
 // Each shard is a small LRU: when a shard exceeds its per-shard context
 // cap the least-recently-resolved context is evicted (its hit/miss
 // totals fold into the pool's retired statistics, so Stats() stays
-// monotone across evictions). Long-running servers therefore hold at
-// most cap×64 adaptation caches no matter how many distinct tenants
-// submit sets. Entries own private copies of the task slices, so
+// monotone across evictions). A long-lived pool therefore holds at
+// most cap×64 adaptation caches no matter how many distinct sets reach
+// it. Entries own private copies of the task slices, so
 // callers may pass views into per-worker arenas that are recycled
 // immediately after Get returns.
 //
 // The context identity is order-sensitive (task.SameTasksOrdered): the
 // pooled caches memoize floating-point bounds whose bit patterns depend
 // on summation order, so two orderings of the same multiset must NOT
-// share a cache. Layers that want permutations to collide (the serve
-// verdict cache) canonicalize the task order with task.SortCanonical
-// before reaching this pool.
+// share a cache. Callers that want permutations to collide
+// canonicalize the task order with task.SortCanonical before reaching
+// this pool.
 type CacheShards struct {
 	perShard int
 	clock    atomic.Uint64

@@ -7,9 +7,8 @@ import "repro/internal/obsv"
 // effectiveness, end-to-end verdict latency, and the admission profile
 // — analyses started against single-flight joins (requests that waited
 // on an identical analysis already in flight instead of running their
-// own), plus the admitted-miss gauge that QueueDepth bounds. Shed
-// counters split admission overflow (503) from quota rejection (429) so
-// an overload incident is attributable. Fields are nil while metrics
+// own), plus the admitted-miss gauge that QueueDepth bounds and the
+// count of misses shed beyond it (503). Fields are nil while metrics
 // are disabled (nil-safe no-op methods).
 type serveMetrics struct {
 	requests    *obsv.Counter
@@ -23,7 +22,6 @@ type serveMetrics struct {
 	queueDepth *obsv.Gauge
 
 	shedQueue *obsv.Counter
-	shedQuota *obsv.Counter
 }
 
 var serveView = obsv.NewView(func(r *obsv.Registry) *serveMetrics {
@@ -37,6 +35,5 @@ var serveView = obsv.NewView(func(r *obsv.Registry) *serveMetrics {
 		joins:       r.Counter("serve.singleflight.joins"),
 		queueDepth:  r.Gauge("serve.queue.depth"),
 		shedQueue:   r.Counter("serve.shed.queue"),
-		shedQuota:   r.Counter("serve.shed.quota"),
 	}
 })

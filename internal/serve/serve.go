@@ -4,7 +4,7 @@
 // set plus analysis options; the answer is the complete Algorithm 1
 // verdict (profiles, failure classification, achieved PFH bounds).
 //
-// The pipeline has three parts:
+// The pipeline has two parts:
 //
 //   - A sharded LRU verdict cache keyed by the canonical (order-
 //     insensitive) task-set hash and the analysis options. Resubmitted
@@ -19,21 +19,17 @@
 //     in flight together share one analysis (single-flight): the first
 //     leaves a pending entry in the verdict cache and the others wait
 //     for it, so N concurrent submissions of a new set cost one
-//     analysis.
-//
-//   - The per-context safety.CacheShards pool underneath, shared by
-//     every analysis the pipeline runs, so repeated analysis contexts
-//     (e.g. the same set under a different schedulability test) reuse
-//     memoized eq. (3)/(5)/(7) state even when the verdict cache
-//     missed.
+//     analysis. Each analysis builds its own adaptation cache, as
+//     core.FTS does by default.
 //
 // Verdicts are computed on the canonical task ordering
 // (task.SortCanonical), so every permutation of one multiset is
 // answered by bitwise the same verdict — cached or not. The pipeline is
 // pinned to the direct core path by TestPipelineDifferential.
 //
-// The HTTP layer (server.go) adds per-tenant token-bucket quotas and
-// load shedding on top; cmd/ftmc-serve is the runnable server.
+// The HTTP layer (server.go) maps the pipeline onto POST /v1/verdict,
+// with 503 for shed misses and 400/413 for refused bodies;
+// cmd/ftmc-serve is the runnable server.
 package serve
 
 import (
@@ -188,10 +184,6 @@ type Options struct {
 	// identical in-flight analysis take no admission. <= 0 selects
 	// DefaultQueueDepth.
 	QueueDepth int
-	// ShardContexts caps the per-shard context count of the underlying
-	// safety.CacheShards pool (see safety.NewCacheShardsCap); 0 selects
-	// the safety default.
-	ShardContexts int
 }
 
 // Pipeline defaults, sized for the single-process serve workload: a
@@ -201,12 +193,11 @@ const (
 	DefaultQueueDepth   = 1024
 )
 
-// Pipeline is the verdict pipeline: cache, admission, shared adaptation
-// shards. Safe for concurrent use. Create with NewPipeline; Close waits
-// for admitted analyses.
+// Pipeline is the verdict pipeline: cache and admission. Safe for
+// concurrent use. Create with NewPipeline; Close waits for admitted
+// analyses.
 type Pipeline struct {
-	cache  *verdictCache
-	shards *safety.CacheShards
+	cache *verdictCache
 	// slots holds one token per running analysis; its capacity,
 	// expt.Workers() at construction, bounds the analyses run at once.
 	slots    chan struct{}
@@ -229,17 +220,10 @@ func NewPipeline(o Options) *Pipeline {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = DefaultQueueDepth
 	}
-	var shards *safety.CacheShards
-	if o.ShardContexts > 0 {
-		shards = safety.NewCacheShardsCap(o.ShardContexts)
-	} else {
-		shards = safety.NewCacheShards()
-	}
 	return &Pipeline{
-		cache:  newVerdictCache(o.CacheEntries),
-		shards: shards,
-		slots:  make(chan struct{}, expt.Workers()),
-		depth:  int64(o.QueueDepth),
+		cache: newVerdictCache(o.CacheEntries),
+		slots: make(chan struct{}, expt.Workers()),
+		depth: int64(o.QueueDepth),
 	}
 }
 
@@ -290,7 +274,6 @@ func (p *Pipeline) Verdict(req Request) (Verdict, error) {
 				Mode:   req.Mode,
 				DF:     df,
 				Test:   test,
-				Shared: p.shards,
 			})
 			return e.v, e.err
 		}
@@ -376,11 +359,6 @@ func verdictOf(res core.Result, hash uint64) Verdict {
 func (p *Pipeline) CacheStats() (hits, misses, evictions uint64, entries int) {
 	return p.cache.stats()
 }
-
-// Contexts returns the number of adaptation contexts pooled underneath
-// the verdict cache (bounded by the shard cap; overload tests use it as
-// a memory-leak probe).
-func (p *Pipeline) Contexts() int { return p.shards.Contexts() }
 
 // Close rejects new analyses and waits for the admitted ones to finish;
 // afterwards Verdict calls that need analysis return ErrClosed (cache

@@ -16,16 +16,9 @@ import (
 	"repro/internal/task"
 )
 
-// ServerOptions configures the HTTP front of the pipeline.
-type ServerOptions struct {
-	// QuotaRate is the per-tenant admission rate in verdicts/second
-	// (tenants are distinguished by the X-FTMC-Tenant header); <= 0
-	// disables quotas.
-	QuotaRate float64
-	// QuotaBurst is the token-bucket depth; <= 0 derives it from the
-	// rate (at least one).
-	QuotaBurst int
-}
+// ServerOptions configures the HTTP front of the pipeline. It has no
+// fields: admission is bounded by the pipeline's Options.QueueDepth.
+type ServerOptions struct{}
 
 // shedRetryAfter is the Retry-After hint on 503 responses (admission
 // full or server draining).
@@ -41,23 +34,17 @@ const shedRetryAfter = time.Second
 //	                      exposition format, for stock scrapers
 //
 // Overload surfaces as fast failure, never as unbounded queueing: a
-// tenant over its quota gets 429, a miss beyond the pipeline's
-// admission bound gets 503, both with a Retry-After. Create with
-// NewServer; Close drains the pipeline.
+// miss beyond the pipeline's admission bound gets 503 with a
+// Retry-After. Create with NewServer; Close drains the pipeline.
 type Server struct {
-	pipe   *Pipeline
-	quotas *quotaTable
-	mux    *http.ServeMux
+	pipe *Pipeline
+	mux  *http.ServeMux
 }
 
 // NewServer wraps p. The server does not own p's lifecycle unless
 // Close is used.
-func NewServer(p *Pipeline, o ServerOptions) *Server {
-	s := &Server{
-		pipe:   p,
-		quotas: newQuotaTable(o.QuotaRate, o.QuotaBurst),
-		mux:    http.NewServeMux(),
-	}
+func NewServer(p *Pipeline, _ ServerOptions) *Server {
+	s := &Server{pipe: p, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/v1/verdict", s.handleVerdict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.Handle("/metrics", expvar.Handler())
@@ -115,12 +102,6 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, wireError{Error: "POST only"})
 		return
 	}
-	if ok, wait := s.quotas.allow(r.Header.Get("X-FTMC-Tenant"), time.Now()); !ok {
-		serveView.Get().shedQuota.Inc()
-		setRetryAfter(w, wait)
-		writeJSON(w, http.StatusTooManyRequests, wireError{Error: "tenant quota exhausted"})
-		return
-	}
 	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		serveView.Get().invalid.Inc()
@@ -141,14 +122,26 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 
 // decodeRequest is the decode-and-validate step of POST /v1/verdict:
 // the JSON body, the paper defaults (toRequest), the analysis options
-// (keyOf) and the task set (task.NewSet). Every error it returns wraps
-// ErrInvalid, so a body it rejects is answered 400 — or 413 when the
-// decoder's error is the handler's body cap (*http.MaxBytesError), which
-// the chain keeps alongside ErrInvalid.
+// (keyOf) and the task set (task.NewSet). The body must be exactly one
+// JSON object with no unknown top-level field: a misspelled option
+// would otherwise be dropped and the paper default analysed in its
+// place. Every error it returns wraps ErrInvalid, so a body it rejects
+// is answered 400 — or 413 when the decoder's error is the handler's
+// body cap (*http.MaxBytesError), which the chain keeps alongside
+// ErrInvalid.
 func decodeRequest(body io.Reader) (Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	var in wireRequest
-	if err := json.NewDecoder(body).Decode(&in); err != nil {
+	if err := dec.Decode(&in); err != nil {
 		return Request{}, fmt.Errorf("%w: decoding request: %w", ErrInvalid, err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return Request{}, fmt.Errorf("%w: trailing data after the request object: %w", ErrInvalid, err)
 	}
 	req, err := in.toRequest()
 	if err != nil {

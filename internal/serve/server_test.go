@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,7 @@ import (
 )
 
 // postVerdict marshals a wire request for ts and POSTs it.
-func postVerdict(t *testing.T, client *http.Client, url string, ts []task.Task, extra map[string]any, tenant string) *http.Response {
+func postVerdict(t *testing.T, client *http.Client, url string, ts []task.Task, extra map[string]any) *http.Response {
 	t.Helper()
 	s, err := task.NewSet(append([]task.Task(nil), ts...))
 	if err != nil {
@@ -36,9 +35,6 @@ func postVerdict(t *testing.T, client *http.Client, url string, ts []task.Task, 
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-FTMC-Tenant", tenant)
-	}
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +64,7 @@ func TestServerVerdictHTTP(t *testing.T) {
 	tasksets := serveCorpus(t, 61, 4)
 	for i, ts := range tasksets {
 		want := directVerdict(t, Request{Tasks: ts, Safety: safety.DefaultConfig(), Mode: safety.Kill})
-		resp := postVerdict(t, srv.Client(), srv.URL, ts, nil, "")
+		resp := postVerdict(t, srv.Client(), srv.URL, ts, nil)
 		if resp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(resp.Body)
 			t.Fatalf("set %d: status %d: %s", i, resp.StatusCode, b)
@@ -77,7 +73,7 @@ func TestServerVerdictHTTP(t *testing.T) {
 		if !sameVerdict(got, want) {
 			t.Fatalf("set %d: HTTP verdict diverged\n got %+v\nwant %+v", i, got, want)
 		}
-		again := decodeVerdict(t, postVerdict(t, srv.Client(), srv.URL, ts, nil, ""))
+		again := decodeVerdict(t, postVerdict(t, srv.Client(), srv.URL, ts, nil))
 		if !again.Cached {
 			t.Fatalf("set %d: resubmission missed the cache", i)
 		}
@@ -89,7 +85,7 @@ func TestServerVerdictHTTP(t *testing.T) {
 	// Degrade mode over the wire.
 	ts := tasksets[0]
 	wantD := directVerdict(t, Request{Tasks: ts, Safety: safety.DefaultConfig(), Mode: safety.Degrade, DF: 1.3})
-	resp := postVerdict(t, srv.Client(), srv.URL, ts, map[string]any{"mode": "degrade", "df": 1.3}, "")
+	resp := postVerdict(t, srv.Client(), srv.URL, ts, map[string]any{"mode": "degrade", "df": 1.3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degrade: status %d", resp.StatusCode)
 	}
@@ -124,21 +120,42 @@ func TestServerBadRequests(t *testing.T) {
 			t.Fatalf("GET verdict: status %d, want 405", resp.StatusCode)
 		}
 	}
-	if resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", bytes.NewReader([]byte("{not json"))); err != nil {
+	s, err := task.NewSet(append([]task.Task(nil), ts...))
+	if err != nil {
 		t.Fatal(err)
-	} else {
+	}
+	set, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A body is one JSON object and nothing after it: a second value or
+	// trailing bytes would otherwise be ignored, and the verdict would
+	// not be for the options the client sent.
+	for i, body := range []string{
+		"{not json",
+		`{"set":` + string(set) + `} {"os_hours":999}`,
+		`{"set":` + string(set) + `}garbage`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad JSON: status %d, want 400", resp.StatusCode)
+			t.Fatalf("body %d (%.40q…): status %d, want 400", i, body, resp.StatusCode)
 		}
 	}
+	// An unknown field is refused, so a misspelled option cannot fall
+	// back to the paper default.
 	for i, extra := range []map[string]any{
 		{"mode": "panic"},
 		{"mode": "degrade", "df": 1.0},
 		{"test": "no-such-test"},
 		{"os_hours": -3},
+		{"os_hour": 10},
+		{"full_wcett": false},
 	} {
-		resp := postVerdict(t, srv.Client(), srv.URL, ts, extra, "")
+		resp := postVerdict(t, srv.Client(), srv.URL, ts, extra)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad request %d (%v): status %d, want 400", i, extra, resp.StatusCode)
@@ -189,7 +206,7 @@ func TestServerOSHoursBound(t *testing.T) {
 		{maxOSHours + 1, http.StatusBadRequest},
 		{2_562_047_789, http.StatusBadRequest},
 	} {
-		resp := postVerdict(t, srv.Client(), srv.URL, ts, map[string]any{"os_hours": tc.hours}, "")
+		resp := postVerdict(t, srv.Client(), srv.URL, ts, map[string]any{"os_hours": tc.hours})
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("os_hours %d: status %d, want %d", tc.hours, resp.StatusCode, tc.want)
@@ -225,44 +242,12 @@ func TestServerDemandIntervalUlp(t *testing.T) {
 	}
 }
 
-// TestServerQuota: a tenant over its token bucket gets 429 with a
-// Retry-After hint; other tenants are unaffected.
-func TestServerQuota(t *testing.T) {
-	p := NewPipeline(Options{})
-	srv := httptest.NewServer(NewServer(p, ServerOptions{QuotaRate: 1e-6, QuotaBurst: 2}))
-	defer srv.Close()
-	defer p.Close()
-	ts := serveCorpus(t, 71, 1)[0]
-
-	for i := 0; i < 2; i++ {
-		resp := postVerdict(t, srv.Client(), srv.URL, ts, nil, "tenant-a")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("burst request %d: status %d", i, resp.StatusCode)
-		}
-	}
-	resp := postVerdict(t, srv.Client(), srv.URL, ts, nil, "tenant-a")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota request: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("429 without a usable Retry-After (%q)", ra)
-	}
-	// A different tenant has its own bucket.
-	resp = postVerdict(t, srv.Client(), srv.URL, ts, nil, "tenant-b")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh tenant: status %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestServerOverload: with the pipeline's admission bound reached,
 // verdict requests fail fast with 503 + Retry-After (no queueing), the
 // admitted request still completes with the exact verdict once a slot
-// frees, and the server leaks neither goroutines nor analysis
-// contexts. The test holds every analysis slot, so saturation is
-// constructed, not raced — see TestPipelineShedsWhenQueueFull.
+// frees, and the server leaks no goroutines. The test holds every
+// analysis slot, so saturation is constructed, not raced — see
+// TestPipelineShedsWhenQueueFull.
 func TestServerOverload(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := NewPipeline(Options{CacheEntries: 64, QueueDepth: 1})
@@ -274,7 +259,7 @@ func TestServerOverload(t *testing.T) {
 	defer release()
 	admitted := make(chan Verdict, 1)
 	go func() {
-		resp := postVerdict(t, srv.Client(), srv.URL, tasksets[0], nil, "")
+		resp := postVerdict(t, srv.Client(), srv.URL, tasksets[0], nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("admitted request: status %d", resp.StatusCode)
 		}
@@ -285,7 +270,7 @@ func TestServerOverload(t *testing.T) {
 	var accepted time.Duration
 	for _, ts := range tasksets[1:] {
 		t0 := time.Now()
-		resp := postVerdict(t, srv.Client(), srv.URL, ts, nil, "")
+		resp := postVerdict(t, srv.Client(), srv.URL, ts, nil)
 		resp.Body.Close()
 		if d := time.Since(t0); d > accepted {
 			accepted = d
@@ -306,9 +291,6 @@ func TestServerOverload(t *testing.T) {
 	if got := <-admitted; !sameVerdict(got, want) {
 		t.Fatalf("drained verdict diverged\n got %+v\nwant %+v", got, want)
 	}
-	if n := p.Contexts(); n > 64*safety.DefaultShardContexts {
-		t.Fatalf("context pool grew unboundedly: %d", n)
-	}
 
 	srv.Close()
 	p.Close()
@@ -319,19 +301,6 @@ func TestServerOverload(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		t.Fatalf("goroutines leaked: %d now vs %d at start", n, baseline)
-	}
-}
-
-// TestQuotaTableBounded: the lazily-grown tenant table cannot exceed
-// its cap even under a distinct-tenant flood.
-func TestQuotaTableBounded(t *testing.T) {
-	q := newQuotaTable(100, 10)
-	now := time.Now()
-	for i := 0; i < 3*maxTenants; i++ {
-		q.allow(fmt.Sprintf("tenant-%d", i), now)
-		if len(q.m) > maxTenants {
-			t.Fatalf("quota table grew to %d tenants, cap is %d", len(q.m), maxTenants)
-		}
 	}
 }
 
@@ -357,6 +326,9 @@ func FuzzVerdictRequest(f *testing.F) {
 		`{"set":` + string(set) + `,"test":"no-such-test"}`,
 		`{"set":` + string(set) + `,"os_hours":-3}`,
 		`{"set":` + string(set) + `,"os_hours":11}`,
+		`{"set":` + string(set) + `} {"os_hours":999}`,
+		`{"set":` + string(set) + `}garbage`,
+		`{"os_hour":10,"full_wcett":false,"set":` + string(set) + `}`,
 		`{"set":{"tasks":[]}}`,
 		`{"set":{"tasks":[{"T":"10ms","C":"20ms","level":"B","f":1e-5}]}}`,
 		`{"mode":"panic"}`,
