@@ -140,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/timeunit
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime $(FUZZTIME) ./internal/expt
+	$(GO) test -run '^$$' -fuzz '^FuzzKillInterval$$' -fuzztime $(FUZZTIME) ./internal/safety
 
 # profile writes pprof CPU and heap profiles of the full Fig. 3 campaign
 # (BenchmarkCampaignFigure: draw, line 2, line 8 and the eq. (5)/(7)

@@ -263,7 +263,7 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 
 	// Eq. (5) at the run's (n²_HI, n_LO): on a successful kill verdict
 	// the cached and uncached evaluations of the bound must reproduce
-	// the verdict's pfh(LO) bit for bit.
+	// the verdict's pfh(LO) bit for bit, inside the certified interval.
 	if out.Scalar.OK && opt.Mode == safety.Kill {
 		out.Violations = checkKillBound(out.Violations, set, opt.Safety, out.Scalar)
 	}
@@ -371,10 +371,12 @@ func Execute(spec RunSpec, env *RunEnv) (out RunOutcome) {
 }
 
 // checkKillBound asserts that the cached eq. (5) bound
-// (AdaptationCache.PFHLOUniform, which the campaign's MeetsLO probe
-// compares), an uncached Config.KillingPFHLOUniform on a fresh
-// adaptation model, and the verdict's own pfh(LO) agree bit for bit at
-// the successful verdict's (n²_HI, n_LO).
+// (AdaptationCache.PFHLOUniform, which a MeetsLO probe falls back to),
+// an uncached Config.KillingPFHLOUniform on a fresh adaptation model,
+// and the verdict's own pfh(LO) agree bit for bit at the successful
+// verdict's (n²_HI, n_LO), and that the certified interval MeetsLO
+// settles probes with (Config.KillingIntervalUniform) contains that
+// exact value.
 func checkKillBound(vs []Violation, set *task.Set, cfg safety.Config, res core.Result) []Violation {
 	hi, lo := set.ByClass(criticality.HI), set.ByClass(criticality.LO)
 	n2, nLO := res.Profiles.NPrime, res.Profiles.NLO
@@ -385,6 +387,9 @@ func checkKillBound(vs []Violation, set *task.Set, cfg safety.Config, res core.R
 	adapt, err := safety.NewUniformAdaptation(cfg, hi, n2)
 	if err != nil {
 		return violationf(vs, "kill-bound-agreement", "NewUniformAdaptation error: %v", err)
+	}
+	if l, h := cfg.KillingIntervalUniform(lo, nLO, adapt); !(l <= cached && cached <= h) {
+		vs = violationf(vs, "kill-interval-containment", "exact pfh(LO) %v outside the interval [%v, %v]", cached, l, h)
 	}
 	if uncached := cfg.KillingPFHLOUniform(lo, nLO, adapt); math.Float64bits(uncached) != math.Float64bits(cached) {
 		vs = violationf(vs, "kill-bound-agreement", "uncached KillingPFHLOUniform %v != cached PFHLOUniform %v", uncached, cached)
