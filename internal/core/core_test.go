@@ -334,3 +334,36 @@ func TestFTSWithAlternativeSchedulers(t *testing.T) {
 		}
 	}
 }
+
+// Line 8 at the utilization boundary: each HI/LO pair below sums to
+// exactly 1.0 in float64 while its exact utilization is
+// 1 + 1/(T1·T2), so FT-S must fail it; the 1 − 1/(T1·T2) mirror (the
+// complementary WCETs) must succeed.
+func TestFTSUtilizationBoundary(t *testing.T) {
+	us := func(v int64) timeunit.Time { return timeunit.Time(v) }
+	for _, c := range []struct {
+		test           mcsched.Test
+		T1, C1, T2, C2 int64
+	}{
+		{mcsched.EDFWorstCase{}, 90_000_001, 49_500_001, 70_000_003, 31_500_001},
+		{mcsched.EDFVD{}, 90_000_001, 89_587_157, 70_000_025, 321_101},
+	} {
+		for _, mirror := range []bool{false, true} {
+			C1, C2 := c.C1, c.C2
+			if mirror {
+				C1, C2 = c.T1-C1, c.T2-C2
+			}
+			s := task.MustNewSet([]task.Task{
+				{Name: "h", Period: us(c.T1), Deadline: us(c.T1), WCET: us(C1), Level: criticality.LevelB, FailProb: 1e-12},
+				{Name: "l", Period: us(c.T2), Deadline: us(c.T2), WCET: us(C2), Level: criticality.LevelD, FailProb: 1e-12},
+			})
+			res, err := FTS(s, Options{Safety: safety.DefaultConfig(), Mode: safety.Kill, Test: c.test})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OK != mirror {
+				t.Errorf("%s on C1=%d C2=%d: OK = %v, want %v (%v)", c.test.Name(), C1, C2, res.OK, mirror, res)
+			}
+		}
+	}
+}

@@ -31,22 +31,28 @@ func (EDFVD) Factor(s *MCSet) float64 {
 	return s.Util(criticality.HI, criticality.LO) / (1 - uLOLO)
 }
 
-// Bound returns the left-hand side of eq. (10); the set passes when the
-// bound is ≤ 1. This is the "mixed-criticality system utilization" UMC
-// the FMS experiment (Fig. 1) plots.
+// Bound returns the left-hand side of eq. (10) in float64; the set
+// passes when the exact value is ≤ 1. This is the "mixed-criticality
+// system utilization" UMC the FMS experiment (Fig. 1) plots.
 func (v EDFVD) Bound(s *MCSet) float64 {
-	uHILO := s.Util(criticality.HI, criticality.LO)
-	uHIHI := s.Util(criticality.HI, criticality.HI)
-	uLOLO := s.Util(criticality.LO, criticality.LO)
-	loMode := uHILO + uLOLO
-	if uLOLO >= 1 {
-		return math.Inf(1)
-	}
-	x := uHILO / (1 - uLOLO)
-	return math.Max(loMode, uHIHI+x*uLOLO)
+	return eq10(s.Util(criticality.HI, criticality.LO), s.Util(criticality.LO, criticality.LO),
+		s.Util(criticality.HI, criticality.HI))
 }
 
-// Schedulable implements Test via eq. (10).
+// Schedulable implements Test via eq. (10). The float64 bound decides
+// when it clears 1 by more than its rounding error — eq10 evaluated at
+// both corners of the utilization sums' error boxes, widened by its own
+// few roundings; inside that band the exact rational test decides.
 func (v EDFVD) Schedulable(s *MCSet) bool {
-	return v.Bound(s) <= 1
+	a := s.Util(criticality.HI, criticality.LO)
+	b := s.Util(criticality.LO, criticality.LO)
+	c := s.Util(criticality.HI, criticality.HI)
+	e := utilErr(len(s.tasks))
+	switch {
+	case eq10(a*(1+e), b*(1+e), c*(1+e))*(1+8*unitRoundoff) <= 1:
+		return true
+	case eq10(a*(1-e), b*(1-e), c*(1-e))*(1-8*unitRoundoff) > 1:
+		return false
+	}
+	return eq10Exact(s)
 }

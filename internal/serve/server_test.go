@@ -331,6 +331,9 @@ func FuzzVerdictRequest(f *testing.F) {
 		`{"os_hour":10,"full_wcett":false,"set":` + string(set) + `}`,
 		`{"set":{"tasks":[]}}`,
 		`{"set":{"tasks":[{"T":"10ms","C":"20ms","level":"B","f":1e-5}]}}`,
+		// Exact utilization 1 + 1/6,300,000,340,000,003; the float64 sum is 1.0.
+		`{"set":{"tasks":[{"name":"h","T":"90000001us","C":"49500001us","level":"B","f":1e-12},` +
+			`{"name":"l","T":"70000003us","C":"31500001us","level":"D","f":1e-12}]},"test":"edf"}`,
 		`{"mode":"panic"}`,
 		`{not json`,
 		`null`,
