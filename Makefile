@@ -42,12 +42,13 @@ race:
 # pieces: the worker pool (shared atomic claim cursor, invariance
 # across worker counts, skewed load), the distributed campaign's lease
 # plane (worker loss, corrupt result), the sharded adaptation-cache
-# pool and the serve pipeline's admission (single-flight joins,
+# pool, the serve pipeline's verdict cache (entry bound, concurrent
+# hits and evictions) and its admission (single-flight joins,
 # shedding, overload). A repeat count varies goroutine interleavings beyond what
 # one -race run sees.
 race-pool:
 	$(GO) test -race -count 2 \
-		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|DistributedCampaign|DistCampaign|CacheShards|ContextHash|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
+		-run 'ForEachWorker|StealPool|Invariance|WorkersBadEnv|DistributedCampaign|DistCampaign|CacheShards|ContextHash|VerdictCache|SingleFlight|ShedsWhenQueueFull|ServerOverload' \
 		./internal/expt/ ./internal/safety/ ./internal/serve/
 
 # benchcheck runs every Benchmark* function in the module once, as the

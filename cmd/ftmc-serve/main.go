@@ -42,7 +42,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	cache := flag.Int("cache", serve.DefaultCacheEntries, "verdict-cache entry bound")
+	cache := flag.Int("cache", serve.DefaultCacheEntries, "most verdicts the cache holds (least recently used evicted beyond it)")
 	queue := flag.Int("queue", serve.DefaultQueueDepth, "admitted cache misses, waiting plus running (beyond it requests shed with 503)")
 	flag.Parse()
 

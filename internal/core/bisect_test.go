@@ -104,12 +104,7 @@ func ftsLinearRef(s *task.Set, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	res.PFHHI = cfg.PlainPFHUniform(hi, nHI)
-	switch opt.Mode {
-	case safety.Kill:
-		res.PFHLO, err = cache.KillingPFHLOUniform(nLO, n2)
-	case safety.Degrade:
-		res.PFHLO, err = cache.DegradationPFHLOUniform(nLO, n2, opt.DF)
-	}
+	res.PFHLO, err = cache.PFHLOUniform(opt.Mode, nLO, n2, opt.DF)
 	if err != nil {
 		return Result{}, err
 	}

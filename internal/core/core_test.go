@@ -367,3 +367,52 @@ func TestFTSUtilizationBoundary(t *testing.T) {
 		}
 	}
 }
+
+// Line 4 at the no-kill limit: each set below has two level-C LO tasks
+// whose eq. (2) bound at n_LO = 1 equals the requirement 1e-5 exactly.
+// At OS = 1 that bound is also the n′ → ∞ limit of eq. (5), below which
+// no pfh(LO) falls, so no adaptation profile meets the strict
+// requirement: FT-S must fail at line 4 with n¹_HI = MaxProfile+1. The exact eq. (5) kernel rounds
+// these bounds just below the limit at large n′; the first set (HI
+// f = 0, so pfh(LO) is the limit at every n′) would otherwise pass.
+func TestFTSKillLimitBoundary(t *testing.T) {
+	us := func(v int64) timeunit.Time { return timeunit.Time(v) }
+	cfg := safety.DefaultConfig()
+	for _, c := range []struct {
+		hiF            float64
+		T1, C1, T2, C2 int64
+	}{
+		{0, 1_843_187, 225_957, 30_924_998, 724_677},
+		{1e-5, 386_415, 24_218, 174_098_765, 35_507_323},
+	} {
+		lo := []task.Task{
+			{Name: "l1", Period: us(c.T1), Deadline: us(c.T1), WCET: us(c.C1), Level: criticality.LevelC},
+			{Name: "l2", Period: us(c.T2), Deadline: us(c.T2), WCET: us(c.C2), Level: criticality.LevelC},
+		}
+		req := criticality.LevelC.PFHRequirement()
+		lo[0].FailProb = 0.8 * req / float64(cfg.Rounds(lo[0], 1, cfg.Horizon()))
+		// Walk l2's failure probability ulp by ulp to the one that puts
+		// the eq. (2) sum exactly on the requirement.
+		f := (req - cfg.PlainPFHUniform(lo[:1], 1)) / float64(cfg.Rounds(lo[1], 1, cfg.Horizon()))
+		for k := 0; k < 3000; k++ {
+			f = math.Nextafter(f, 0)
+		}
+		for k := 0; k < 6000 && cfg.PlainPFHUniform(lo, 1) != req; k++ {
+			lo[1].FailProb = f
+			f = math.Nextafter(f, 1)
+		}
+		if got := cfg.KillingPFHLOLimit(lo, []int{1, 1}); got != req {
+			t.Fatalf("hi f=%g: no-kill limit %.17g, want the requirement %.17g", c.hiF, got, req)
+		}
+		s := task.MustNewSet(append([]task.Task{
+			{Name: "h", Period: ms(60), Deadline: ms(60), WCET: ms(5), Level: criticality.LevelB, FailProb: c.hiF},
+		}, lo...))
+		res, err := FTS(s, Options{Safety: cfg, Mode: safety.Kill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reason != FailSafetyAdapt || res.N1HI != safety.MaxProfile+1 {
+			t.Errorf("hi f=%g: %v; want %q with n¹_HI = %d", c.hiF, res, FailSafetyAdapt, safety.MaxProfile+1)
+		}
+	}
+}

@@ -296,9 +296,10 @@ func ftsSchedule(s *task.Set, opt Options, cache *safety.AdaptationCache, sv Saf
 			return Result{}, err
 		}
 	}
-	// The achieved bounds reuse the cache: the line-4 scan has already
-	// evaluated pfh(LO) for every n′ its bisection probed, and n²_HI ≤
-	// n_HI often falls in that range.
+	// The achieved bounds. Line 4's kill probes are settled by the
+	// certified interval and memoize no value, so in Kill mode this read
+	// is usually the analysis's one exact eq. (5) sweep; in Degrade mode
+	// eq. (7) is evaluated from the cache's eq. (3) model of n²_HI.
 	res.PFHHI = cfg.PlainPFHUniform(hi, nHI)
 	res.PFHLO, err = cache.PFHLOUniform(opt.Mode, nLO, n2, opt.DF)
 	if err != nil {

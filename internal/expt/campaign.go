@@ -70,8 +70,8 @@ func (c CampaignConfig) Validate() error {
 		if !c.HI.MoreCriticalThan(p.LO) {
 			return fmt.Errorf("expt: panel %q: HI level %v must exceed LO level %v", p.Name, c.HI, p.LO)
 		}
-		if p.Mode == safety.Degrade && p.DF <= 1 {
-			return fmt.Errorf("expt: panel %q: degradation factor must be > 1, got %g", p.Name, p.DF)
+		if err := (core.Options{Safety: safety.DefaultConfig(), Mode: p.Mode, DF: p.DF}).Validate(); err != nil {
+			return fmt.Errorf("expt: panel %q: %w", p.Name, err)
 		}
 	}
 	if len(c.FailProbs) == 0 || len(c.Utils) == 0 || c.SetsPerPoint < 1 {
@@ -337,9 +337,9 @@ func (ev *campaignEval) evalSet(cfg *CampaignConfig, u float64, key gen.Simulati
 			return err
 		}
 		// Rebind the cache to the restamped tasks: eq. (3) models and
-		// eq. (5)/(7) partials are valid across panels within this f group
-		// (degrade's eq. (7) is df-independent, and kill and degrade share
-		// the eq. (3) models), but not across f values.
+		// exact eq. (5) values are valid across panels within this f group
+		// (kill and degrade share the eq. (3) models), but not across f
+		// values.
 		if ev.cache == nil {
 			ev.cache = safety.NewAdaptationCache(scfg, hi, lo)
 		} else {

@@ -139,6 +139,7 @@ func TestCampaignValidate(t *testing.T) {
 		{"no panels", func(c *CampaignConfig) { c.Panels = nil }},
 		{"LO not below HI", func(c *CampaignConfig) { c.Panels[0].LO = criticality.LevelA }},
 		{"degrade df", func(c *CampaignConfig) { c.Panels[2].DF = 1 }},
+		{"unknown mode", func(c *CampaignConfig) { c.Panels[1].Mode = 7 }},
 		{"no fail probs", func(c *CampaignConfig) { c.FailProbs = nil }},
 		{"no utils", func(c *CampaignConfig) { c.Utils = nil }},
 		{"no sets", func(c *CampaignConfig) { c.SetsPerPoint = 0 }},

@@ -135,6 +135,7 @@ func TestFig3ConfigValidate(t *testing.T) {
 	bad := []func(*Fig3Config){
 		func(c *Fig3Config) { c.HI = criticality.LevelD; c.LO = criticality.LevelB },
 		func(c *Fig3Config) { c.Mode = safety.Degrade; c.DF = 1 },
+		func(c *Fig3Config) { c.Mode = 7 },
 		func(c *Fig3Config) { c.FailProbs = nil },
 		func(c *Fig3Config) { c.Utils = nil },
 		func(c *Fig3Config) { c.SetsPerPoint = 0 },

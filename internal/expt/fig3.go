@@ -65,8 +65,8 @@ func (c Fig3Config) Validate() error {
 	if !c.HI.MoreCriticalThan(c.LO) {
 		return fmt.Errorf("expt: HI level %v must exceed LO level %v", c.HI, c.LO)
 	}
-	if c.Mode == safety.Degrade && c.DF <= 1 {
-		return fmt.Errorf("expt: degradation factor must be > 1, got %g", c.DF)
+	if err := (core.Options{Safety: safety.DefaultConfig(), Mode: c.Mode, DF: c.DF}).Validate(); err != nil {
+		return fmt.Errorf("expt: %w", err)
 	}
 	if len(c.FailProbs) == 0 || len(c.Utils) == 0 || c.SetsPerPoint < 1 {
 		return fmt.Errorf("expt: need failure probabilities, utilizations and sets per point")

@@ -8,32 +8,26 @@ import (
 	"repro/internal/task"
 )
 
-// AdaptationCache memoizes the adaptation-side quantities of the FT-S
-// profile searches for one fixed analysis context (Config, HI tasks, LO
-// tasks): the per-n′ Adaptation models of eq. (3) and the per-profile
-// pfh(LO) bounds of eq. (5) and eq. (7). The searches of Algorithm 1 —
-// and, far more so, design-space sweeps that re-run Algorithm 1 on the
-// same set under several schedulability tests S or degradation factors df
-// (internal/explore, the Fig. 1/2 n′ sweeps) — evaluate these values
-// repeatedly with identical arguments; the cache collapses the repeats
-// into lookups. Eq. (7) factors as (1 − R(t))·ω(1, t)/OS with neither
-// factor depending on df, so every degrade design point after the first
-// is served entirely from cache.
+// AdaptationCache memoizes, for one fixed analysis context (Config, HI
+// tasks, LO tasks), the two values the FT-S searches read more than once:
+// the eq. (3) Adaptation model of each n′, shared by every kill and
+// degrade probe at n′, and the exact eq. (5) bound of each (n′, nLO),
+// which design-space sweeps (internal/explore) re-read across tests S.
+// Eq. (7) is evaluated from the memoized model on each call.
 //
-// The cache is safe for concurrent use (the experiment sweeps fan FT-S
-// across workers) and keeps hit/miss counters, exposed via Stats.
+// PFHLOUniform reads a value that gets reported; MeetsLO answers line 4's
+// question. The cache is safe for concurrent use and keeps hit/miss
+// counters, exposed via Stats.
 type AdaptationCache struct {
 	cfg Config
 	hi  []task.Task
 	lo  []task.Task
 
-	mu      sync.Mutex
-	models  map[int]*Adaptation // n′ → eq. (3) model
-	kill    map[[2]int]float64  // (n′, nLO) → eq. (5) bound
-	adaptPr map[int]float64     // n′ → 1 − R(t) at t = Horizon
-	omega   map[int]float64     // nLO → ω(1, t)
-	hits    uint64
-	misses  uint64
+	mu     sync.Mutex
+	models map[int]*Adaptation // n′ → eq. (3) model
+	kill   map[[2]int]float64  // (n′, nLO) → eq. (5) bound
+	hits   uint64
+	misses uint64
 	// free pools retired Adaptation models across Reset calls so pooled
 	// sweeps (the Fig. 3 campaign, explore) rebuild models without
 	// reallocating their profile/logTerm slices; scr is the
@@ -68,15 +62,10 @@ func (s CacheStats) String() string {
 func NewAdaptationCache(cfg Config, hiTasks, loTasks []task.Task) *AdaptationCache {
 	return &AdaptationCache{
 		cfg: cfg, hi: hiTasks, lo: loTasks,
-		models:  make(map[int]*Adaptation),
-		kill:    make(map[[2]int]float64),
-		adaptPr: make(map[int]float64),
-		omega:   make(map[int]float64),
+		models: make(map[int]*Adaptation),
+		kill:   make(map[[2]int]float64),
 	}
 }
-
-// Config returns the analysis configuration the cache is bound to.
-func (c *AdaptationCache) Config() Config { return c.cfg }
 
 // Reset rebinds the cache to a new analysis context, invalidating every
 // memoized model and bound while keeping the allocated storage: the maps
@@ -94,8 +83,6 @@ func (c *AdaptationCache) Reset(cfg Config, hiTasks, loTasks []task.Task) {
 		delete(c.models, n)
 	}
 	clear(c.kill)
-	clear(c.adaptPr)
-	clear(c.omega)
 }
 
 // Stats returns this cache's hit/miss counters.
@@ -122,27 +109,22 @@ func (c *AdaptationCache) uniformLocked(nprime int) (*Adaptation, error) {
 	}
 	var a *Adaptation
 	if n := len(c.free); n > 0 {
-		a = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		if err := a.resetUniform(c.cfg, c.hi, nprime); err != nil {
-			return nil, err
-		}
+		a, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		var err error
-		a, err = NewUniformAdaptation(c.cfg, c.hi, nprime)
-		if err != nil {
-			return nil, err
-		}
+		a = new(Adaptation)
+	}
+	a, err := a.init(c.cfg, c.hi, nil, nprime)
+	if err != nil {
+		return nil, err
 	}
 	c.miss()
 	c.models[nprime] = a
 	return a, nil
 }
 
-// KillingPFHLOUniform returns the (memoized) eq. (5) bound for the cached
+// killingPFHLOUniform returns the (memoized) eq. (5) bound for the cached
 // LO tasks under the uniform profiles (nLO, n′).
-func (c *AdaptationCache) KillingPFHLOUniform(nLO, nprime int) (float64, error) {
+func (c *AdaptationCache) killingPFHLOUniform(nLO, nprime int) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := [2]int{nprime, nLO}
@@ -166,59 +148,53 @@ func (c *AdaptationCache) sweepKillLocked(nLO, nprime int, a *Adaptation) float6
 }
 
 // meetsKill is MeetsLO in Kill mode for a finite requirement. A memoized
-// exact value answers directly. Otherwise the certified interval
+// exact value decides directly. Otherwise the certified interval
 // (Config.KillingIntervalUniform) settles the probe when the requirement
 // lies outside it, and only a requirement inside it pays the exact sweep,
 // whose value is memoized for the pfh(LO) a verdict reports. A settled
 // answer equals the exact comparison: every value the kernel can return
-// lies in the interval.
+// lies in the interval. An exact "met" stands only for a requirement
+// above the no-kill limit (Config.KillingPFHLOLimit): no pfh(n′) lies
+// below that limit (Lemma 3.3), but where the kill probability has
+// vanished the kernel can round a value at the limit to just below it.
 func (c *AdaptationCache) meetsKill(nLO, nprime int, requirement float64) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.kill[[2]int{nprime, nLO}]; ok {
+	v, ok := c.kill[[2]int{nprime, nLO}]
+	if ok {
 		c.hit()
-		return v < requirement, nil
+	} else {
+		a, err := c.uniformLocked(nprime)
+		if err != nil {
+			return false, err
+		}
+		m := safetyView.Get()
+		if lo, hi := c.cfg.KillingIntervalUniform(c.lo, nLO, a); requirement > hi || requirement < lo {
+			m.killSettled.Inc()
+			return requirement > hi, nil
+		}
+		m.killFallbacks.Inc()
+		v = c.sweepKillLocked(nLO, nprime, a)
 	}
-	a, err := c.uniformLocked(nprime)
-	if err != nil {
-		return false, err
-	}
-	m := safetyView.Get()
-	if lo, hi := c.cfg.KillingIntervalUniform(c.lo, nLO, a); requirement > hi || requirement < lo {
-		m.killSettled.Inc()
-		return requirement > hi, nil
-	}
-	m.killFallbacks.Inc()
-	return c.sweepKillLocked(nLO, nprime, a) < requirement, nil
+	return v < requirement && requirement > c.cfg.killingPFHLOLimit(c.lo, nil, nLO), nil
 }
 
-// DegradationPFHLOUniform returns the (memoized) eq. (7) bound for the
-// cached LO tasks under the uniform profiles (nLO, n′). df only scales
-// the post-trigger service, not the bound (eq. 7 uses ω(1, t)), so both
-// memoized factors are df-independent; df is still validated to keep the
-// contract of Config.DegradationPFHLO.
-func (c *AdaptationCache) DegradationPFHLOUniform(nLO, nprime int, df float64) (float64, error) {
+// degradationPFHLOUniform returns the eq. (7) bound for the cached LO
+// tasks under the uniform profiles (nLO, n′), evaluated from the memoized
+// eq. (3) model of n′. df only scales the post-trigger service, not the
+// bound (eq. 7 uses ω(1, t)); it is still validated to keep the contract
+// of Config.DegradationPFHLO.
+func (c *AdaptationCache) degradationPFHLOUniform(nLO, nprime int, df float64) (float64, error) {
 	if df <= 1 {
 		return 0, fmt.Errorf("safety: degradation factor must be > 1, got %g", df)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.cfg.Horizon()
-	pAdapt, ok := c.adaptPr[nprime]
-	if !ok {
-		a, err := c.uniformLocked(nprime)
-		if err != nil {
-			return 0, err
-		}
-		pAdapt = a.AdaptProb(t)
-		c.adaptPr[nprime] = pAdapt
+	a, err := c.uniformLocked(nprime)
+	if err != nil {
+		return 0, err
 	}
-	w, ok := c.omega[nLO]
-	if !ok {
-		w = c.cfg.omegaUniform(c.lo, nLO, 1, t)
-		c.omega[nLO] = w
-	}
-	return pAdapt * w / float64(c.cfg.OperationHours), nil
+	return c.cfg.degradationPFHLO(c.lo, nil, nLO, a, df), nil
 }
 
 // MinAdaptProfile is Config.MinAdaptProfile served from the cache: line 4
@@ -233,12 +209,11 @@ func (c *AdaptationCache) DegradationPFHLOUniform(nLO, nprime int, df float64) (
 // pinned to this search by TestMinAdaptProfileBisectionDifferential).
 // The monotonicity precondition itself is pinned by
 // TestKillingPFHLOMonotoneInNPrime / TestDegradationPFHLOMonotoneInNPrime.
+// A requirement that no profile meets fails every probe, and the search
+// reports an error; so does an unknown mode.
 func (c *AdaptationCache) MinAdaptProfile(mode AdaptMode, nLO int, df float64, requirement float64) (int, error) {
 	if math.IsInf(requirement, 1) {
 		return 1, nil
-	}
-	if err := c.checkAdaptFeasible(mode, nLO, requirement); err != nil {
-		return 0, err
 	}
 	probes := safetyView.Get().minAdaptProbes
 	n, err := MinProfile(func(n int) (bool, error) {
@@ -254,55 +229,48 @@ func (c *AdaptationCache) MinAdaptProfile(mode AdaptMode, nLO int, df float64, r
 
 // MeetsLO answers line 4's question at one uniform adaptation profile n′:
 // is pfh(LO) < PFH_LO? An +Inf requirement (levels D/E) is met without
-// evaluating a bound; otherwise the mode's bound (PFHLOUniform) must lie
-// strictly below the requirement. In Kill mode a certified interval
-// around eq. (5) decides the question whenever the requirement falls
-// outside it (meetsKill), so the exact sweep runs only for the rare probe
-// whose requirement is within the interval's width of the bound, and for
-// the value a verdict reports. Because the bound is
-// non-increasing in n′ (Lemma 3.3/3.4), one probe at n′ = n²_HI decides
-// Algorithm 1's verdict outright,
+// evaluating a bound; otherwise the mode's bound must lie strictly below
+// the requirement. In Kill mode a certified interval around eq. (5)
+// decides the question whenever the requirement falls outside it
+// (meetsKill), so the exact sweep runs only for the rare probe whose
+// requirement is within the interval's width of the bound, and for the
+// value a verdict reports. Because the bound is non-increasing in n′
+// (Lemma 3.3/3.4), one probe at n′ = n²_HI decides Algorithm 1's verdict
+// outright,
 //
 //	n¹_HI ≤ n²_HI  ⇔  MeetsLO(n²_HI),
 //
 // which is how verdict-only sweeps (the Fig. 3 campaign engine) skip the
-// line-4 search. The killing limit checkAdaptFeasible fails fast on
-// bounds every pfh(n′) from below, so an infeasible requirement fails
-// every probe.
+// line-4 search. A mode other than Kill or Degrade is an error.
 func (c *AdaptationCache) MeetsLO(mode AdaptMode, nLO, nprime int, df, requirement float64) (bool, error) {
-	if math.IsInf(requirement, 1) {
+	switch {
+	case mode != Kill && mode != Degrade:
+		return false, unknownMode(mode)
+	case math.IsInf(requirement, 1):
 		return true, nil
-	}
-	if mode == Kill {
+	case mode == Kill:
 		return c.meetsKill(nLO, nprime, requirement)
 	}
-	v, err := c.PFHLOUniform(mode, nLO, nprime, df)
+	v, err := c.degradationPFHLOUniform(nLO, nprime, df)
 	return err == nil && v < requirement, err
 }
 
-// checkAdaptFeasible fails fast when no adaptation profile can meet the
-// requirement: the killing bound never drops below its n′ → ∞ limit, so
-// refusing here avoids paying for eq. (5) MaxProfile times.
-func (c *AdaptationCache) checkAdaptFeasible(mode AdaptMode, nLO int, requirement float64) error {
+// PFHLOUniform evaluates the pfh(LO) bound of one adaptation mode at a
+// single uniform profile n′ — eq. (5) for killing, memoized, and eq. (7)
+// for degradation. It is the way to read a value that gets reported;
+// decisions go through MeetsLO. A mode other than Kill or Degrade is an
+// error.
+func (c *AdaptationCache) PFHLOUniform(mode AdaptMode, nLO, nprime int, df float64) (float64, error) {
 	switch mode {
 	case Kill:
-		if limit := c.cfg.killingPFHLOLimitUniform(c.lo, nLO); limit >= requirement {
-			return fmt.Errorf("safety: killing cannot keep pfh(LO) below %g: the no-kill limit is already %g", requirement, limit)
-		}
+		return c.killingPFHLOUniform(nLO, nprime)
 	case Degrade:
-	default:
-		return fmt.Errorf("safety: unknown adaptation mode %d", mode)
+		return c.degradationPFHLOUniform(nLO, nprime, df)
 	}
-	return nil
+	return 0, unknownMode(mode)
 }
 
-// PFHLOUniform evaluates the pfh(LO) bound of one adaptation mode at a
-// single uniform profile n′ — eq. (5) for killing, eq. (7) for
-// degradation — memoized like the line-4 search's probes. It is the way
-// to read a value that gets reported; decisions go through MeetsLO.
-func (c *AdaptationCache) PFHLOUniform(mode AdaptMode, nLO, nprime int, df float64) (float64, error) {
-	if mode == Kill {
-		return c.KillingPFHLOUniform(nLO, nprime)
-	}
-	return c.DegradationPFHLOUniform(nLO, nprime, df)
+// unknownMode is the error of a mode other than Kill or Degrade.
+func unknownMode(mode AdaptMode) error {
+	return fmt.Errorf("safety: unknown adaptation mode %d", int(mode))
 }

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestAdaptationCacheConsistency(t *testing.T) {
 		for nLO := 1; nLO <= 2; nLO++ {
 			want := cfg.KillingPFHLOUniform(lo, nLO, adapt)
 			for pass := 0; pass < 2; pass++ { // second pass must hit
-				got, err := cache.KillingPFHLOUniform(nLO, np)
+				got, err := cache.killingPFHLOUniform(nLO, np)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -32,7 +33,7 @@ func TestAdaptationCacheConsistency(t *testing.T) {
 				}
 			}
 			want = cfg.DegradationPFHLOUniform(lo, nLO, adapt, 6)
-			got, err := cache.DegradationPFHLOUniform(nLO, np, 6)
+			got, err := cache.degradationPFHLOUniform(nLO, np, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestAdaptationCacheConsistency(t *testing.T) {
 	if st.Misses > 9 {
 		t.Fatalf("too many misses for 9 distinct keys: %+v", st)
 	}
-	if _, err := cache.DegradationPFHLOUniform(1, 1, 0.5); err == nil {
+	if _, err := cache.degradationPFHLOUniform(1, 1, 0.5); err == nil {
 		t.Fatal("df <= 1 must be rejected")
 	}
 }
@@ -86,12 +87,12 @@ func TestAdaptationCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, err := cache.KillingPFHLOUniform(2, 1+g%3)
+			v, err := cache.killingPFHLOUniform(2, 1+g%3)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			w, err := cache.KillingPFHLOUniform(2, 1+g%3)
+			w, err := cache.killingPFHLOUniform(2, 1+g%3)
 			if err != nil || v != w {
 				t.Errorf("goroutine %d: unstable cached value %g vs %g (%v)", g, v, w, err)
 				return
@@ -104,5 +105,26 @@ func TestAdaptationCacheConcurrent(t *testing.T) {
 		if vals[g] != vals[g%3] {
 			t.Fatalf("goroutines %d and %d disagree: %g vs %g", g, g%3, vals[g], vals[g%3])
 		}
+	}
+}
+
+// TestAdaptationCacheRejectsUnknownMode: a mode other than Kill or
+// Degrade is an error on the read path, the decision path and the line-4
+// search, not a silent eq. (7) evaluation.
+func TestAdaptationCacheRejectsUnknownMode(t *testing.T) {
+	cfg := DefaultConfig()
+	s31 := example31()
+	cache := NewAdaptationCache(cfg, s31.ByClass(criticality.HI), s31.ByClass(criticality.LO))
+	const mode AdaptMode = 7
+	if v, err := cache.PFHLOUniform(mode, 1, 2, 6); err == nil {
+		t.Errorf("PFHLOUniform answered %g for mode %d", v, mode)
+	}
+	for _, req := range []float64{1e-5, math.Inf(1)} {
+		if ok, err := cache.MeetsLO(mode, 1, 2, 6, req); err == nil {
+			t.Errorf("MeetsLO answered %v for mode %d at requirement %g", ok, mode, req)
+		}
+	}
+	if n, err := cache.MinAdaptProfile(mode, 1, 6, 1e-5); err == nil {
+		t.Errorf("MinAdaptProfile answered n¹=%d for mode %d", n, mode)
 	}
 }

@@ -16,13 +16,22 @@ import (
 // ω(1, t) is the undegraded failure count; degradation (df > 1) fits fewer
 // rounds into the window, so ω decreases with df.
 func (c Config) Omega(loTasks []task.Task, ns []int, df float64, t timeunit.Time) float64 {
-	if len(ns) != len(loTasks) {
+	return c.omegaSum(loTasks, ns, 0, df, t)
+}
+
+// omegaSum evaluates eq. (6) with per-task LO profiles ns, or the uniform
+// profile n for every LO task when ns is nil.
+func (c Config) omegaSum(loTasks []task.Task, ns []int, n int, df float64, t timeunit.Time) float64 {
+	if ns != nil && len(ns) != len(loTasks) {
 		panic(fmt.Sprintf("safety: %d profiles for %d LO tasks", len(ns), len(loTasks)))
 	}
 	var sum prob.KahanSum
 	for i, lo := range loTasks {
-		r := c.RoundsStretched(lo, ns[i], df, t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, ns[i]))
+		if ns != nil {
+			n = ns[i]
+		}
+		r := c.RoundsStretched(lo, n, df, t)
+		sum.Add(float64(r) * prob.Pow(lo.FailProb, n))
 	}
 	return sum.Value()
 }
@@ -39,19 +48,18 @@ func (c Config) Omega(loTasks []task.Task, ns []int, df float64, t timeunit.Time
 // n_i attempts count as failures; pfh(LO) here is never worse than the
 // plain bound of eq. (2).
 func (c Config) DegradationPFHLO(loTasks []task.Task, ns []int, adapt *Adaptation, df float64) float64 {
-	if df <= 1 {
-		panic(fmt.Sprintf("safety: degradation factor must be > 1, got %g", df))
-	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	t := c.Horizon()
-	return adapt.AdaptProb(t) * c.Omega(loTasks, ns, 1, t) / float64(c.OperationHours)
+	return c.degradationPFHLO(loTasks, ns, 0, adapt, df)
 }
 
 // DegradationPFHLOUniform is DegradationPFHLO with a uniform LO
 // re-execution profile n_LO.
 func (c Config) DegradationPFHLOUniform(loTasks []task.Task, nLO int, adapt *Adaptation, df float64) float64 {
+	return c.degradationPFHLO(loTasks, nil, nLO, adapt, df)
+}
+
+// degradationPFHLO evaluates eq. (7) with per-task LO profiles ns, or the
+// uniform profile n for every LO task when ns is nil.
+func (c Config) degradationPFHLO(loTasks []task.Task, ns []int, n int, adapt *Adaptation, df float64) float64 {
 	if df <= 1 {
 		panic(fmt.Sprintf("safety: degradation factor must be > 1, got %g", df))
 	}
@@ -59,16 +67,5 @@ func (c Config) DegradationPFHLOUniform(loTasks []task.Task, nLO int, adapt *Ada
 		panic(err)
 	}
 	t := c.Horizon()
-	return adapt.AdaptProb(t) * c.omegaUniform(loTasks, nLO, 1, t) / float64(c.OperationHours)
-}
-
-// omegaUniform is Omega with a uniform LO re-execution profile, evaluated
-// without materializing the profile slice (same summation order).
-func (c Config) omegaUniform(loTasks []task.Task, n int, df float64, t timeunit.Time) float64 {
-	var sum prob.KahanSum
-	for _, lo := range loTasks {
-		r := c.RoundsStretched(lo, n, df, t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, n))
-	}
-	return sum.Value()
+	return adapt.AdaptProb(t) * c.omegaSum(loTasks, ns, n, 1, t) / float64(c.OperationHours)
 }

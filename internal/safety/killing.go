@@ -2,6 +2,7 @@ package safety
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/prob"
 	"repro/internal/task"
@@ -25,50 +26,45 @@ type Adaptation struct {
 // NewAdaptation builds the adaptation model for the given HI tasks with
 // per-task adaptation profiles.
 func NewAdaptation(cfg Config, hiTasks []task.Task, nprime []int) (*Adaptation, error) {
-	if len(nprime) != len(hiTasks) {
-		return nil, fmt.Errorf("safety: %d adaptation profiles for %d HI tasks", len(nprime), len(hiTasks))
-	}
-	logTerm := make([]float64, len(nprime))
-	for i, n := range nprime {
-		if n < 1 {
-			return nil, fmt.Errorf("safety: adaptation profile of %q must be >= 1, got %d", hiTasks[i].Name, n)
-		}
-		if f := hiTasks[i].FailProb; f > 0 {
-			logTerm[i] = prob.Log1mPow(f, n)
-		}
-	}
-	return &Adaptation{hi: hiTasks, nprime: nprime, logTerm: logTerm, cfg: cfg}, nil
+	return new(Adaptation).init(cfg, hiTasks, nprime, 0)
 }
 
 // NewUniformAdaptation builds the model with the same profile n′ for every
 // HI task, the restriction Algorithm 1 works under.
 func NewUniformAdaptation(cfg Config, hiTasks []task.Task, nprime int) (*Adaptation, error) {
-	ns := make([]int, len(hiTasks))
-	for i := range ns {
-		ns[i] = nprime
-	}
-	return NewAdaptation(cfg, hiTasks, ns)
+	return new(Adaptation).init(cfg, hiTasks, nil, nprime)
 }
 
-// resetUniform reinitializes a (possibly recycled) model in place for a
-// new analysis context with a uniform profile n′, reusing the profile and
-// logTerm buffers — the AdaptationCache's pooled construction path.
-func (a *Adaptation) resetUniform(cfg Config, hiTasks []task.Task, nprime int) error {
-	if nprime < 1 {
-		return fmt.Errorf("safety: adaptation profile must be >= 1, got %d", nprime)
+// init (re)initializes a in place for the HI tasks with per-task
+// profiles ns, or the uniform profile n for every task when ns is nil,
+// and returns it. It reuses a's profile and logTerm buffers: the
+// constructors start from empty ones, and the AdaptationCache recycles
+// retired models through it.
+func (a *Adaptation) init(cfg Config, hiTasks []task.Task, ns []int, n int) (*Adaptation, error) {
+	if ns != nil && len(ns) != len(hiTasks) {
+		return nil, fmt.Errorf("safety: %d adaptation profiles for %d HI tasks", len(ns), len(hiTasks))
 	}
-	ns := a.nprime[:0]
-	lt := a.logTerm[:0]
-	for _, t := range hiTasks {
-		ns = append(ns, nprime)
+	if ns == nil && n < 1 {
+		return nil, fmt.Errorf("safety: adaptation profile must be >= 1, got %d", n)
+	}
+	nprime := slices.Grow(a.nprime[:0], len(hiTasks))
+	logTerm := slices.Grow(a.logTerm[:0], len(hiTasks))
+	for i, t := range hiTasks {
+		if ns != nil {
+			n = ns[i]
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("safety: adaptation profile of %q must be >= 1, got %d", t.Name, n)
+		}
 		term := 0.0
 		if f := t.FailProb; f > 0 {
-			term = prob.Log1mPow(f, nprime)
+			term = prob.Log1mPow(f, n)
 		}
-		lt = append(lt, term)
+		nprime = append(nprime, n)
+		logTerm = append(logTerm, term)
 	}
-	a.cfg, a.hi, a.nprime, a.logTerm = cfg, hiTasks, ns, lt
-	return nil
+	a.cfg, a.hi, a.nprime, a.logTerm = cfg, hiTasks, nprime, logTerm
+	return a, nil
 }
 
 // logR returns log R(N′_HI, t) per eq. (3):
@@ -130,17 +126,28 @@ func (c Config) KillingPFHLO(loTasks []task.Task, ns []int, adapt *Adaptation) f
 //	lim pfh(LO) = Σ_{τ_i∈τ_LO} r_i(n_i, OS·1h) · f_i^{n_i} / OS.
 //
 // The killing bound is non-increasing in n′ and never drops below this
-// limit; MinAdaptProfile uses it to fail fast when no adaptation profile
-// can meet the requirement.
+// limit, so no adaptation profile meets a requirement at or below it: the
+// per-task line 4 of FTSPerTask fails fast on that, and the uniform kill
+// probe (AdaptationCache.MeetsLO) refuses such a requirement whatever the
+// exact kernel's last bits say.
 func (c Config) KillingPFHLOLimit(loTasks []task.Task, ns []int) float64 {
-	if len(ns) != len(loTasks) {
+	return c.killingPFHLOLimit(loTasks, ns, 0)
+}
+
+// killingPFHLOLimit evaluates the no-kill limit with per-task LO profiles
+// ns, or the uniform profile n for every LO task when ns is nil.
+func (c Config) killingPFHLOLimit(loTasks []task.Task, ns []int, n int) float64 {
+	if ns != nil && len(ns) != len(loTasks) {
 		panic(fmt.Sprintf("safety: %d profiles for %d LO tasks", len(ns), len(loTasks)))
 	}
 	t := c.Horizon()
 	var sum prob.KahanSum
 	for i, lo := range loTasks {
-		r := c.Rounds(lo, ns[i], t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, ns[i]))
+		if ns != nil {
+			n = ns[i]
+		}
+		r := c.Rounds(lo, n, t)
+		sum.Add(float64(r) * prob.Pow(lo.FailProb, n))
 	}
 	return sum.Value() / float64(c.OperationHours)
 }
@@ -149,16 +156,4 @@ func (c Config) KillingPFHLOLimit(loTasks []task.Task, ns []int) float64 {
 // profile n_LO, evaluated without materializing the profile slice.
 func (c Config) KillingPFHLOUniform(loTasks []task.Task, nLO int, adapt *Adaptation) float64 {
 	return c.killingPFHLOFast(loTasks, nil, nLO, adapt, nil)
-}
-
-// killingPFHLOLimitUniform is KillingPFHLOLimit with a uniform LO
-// re-execution profile, allocation-free for the line-4 fail-fast check.
-func (c Config) killingPFHLOLimitUniform(loTasks []task.Task, nLO int) float64 {
-	t := c.Horizon()
-	var sum prob.KahanSum
-	for _, lo := range loTasks {
-		r := c.Rounds(lo, nLO, t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, nLO))
-	}
-	return sum.Value() / float64(c.OperationHours)
 }

@@ -51,7 +51,7 @@ func (c Config) KillingBatch(jobs []KillJob, out []float64, b *BatchLO) {
 		if jb.NLO < 1 {
 			panic(fmt.Sprintf("safety: batched LO re-execution profile must be >= 1, got %d", jb.NLO))
 		}
-		if err := b.adapt.resetUniform(c, jb.HI, jb.NPrime); err != nil {
+		if _, err := b.adapt.init(c, jb.HI, nil, jb.NPrime); err != nil {
 			panic(err) // NPrime < 1
 		}
 		out[i] = c.killingPFHLOFast(jb.LO, nil, jb.NLO, &b.adapt, &b.scr)

@@ -121,67 +121,11 @@ func (c Config) killingPFHLOFast(loTasks []task.Task, ns []int, uniform int, ada
 // mergeTail accumulates the m = 1 .. r−1 terms of eq. (5) for one LO
 // task under its re-execution profile n: α_m = t − n·C − m·T + D, swept
 // in decreasing order while the HI staircases are advanced by their
-// phase recurrences. scr provides the staircase and pattern buffers.
+// phase recurrences. The sweep builds the staircases at the first tail
+// point, emits it, collapses the patterned region geometrically when
+// applicable, and steps through the rest one point at a time. scr
+// provides the staircase and pattern buffers.
 func (c Config) mergeTail(lo task.Task, n int, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) {
-	ts := c.tailEnter(lo, n, r, log1mq, adapt, scr, sum)
-	stairs, s, m := ts.stairs, ts.s, ts.m
-
-	// Division-free per-staircase sweep (the generic path, and the tail
-	// of the patterned one, where staircases start hitting zero).
-	for m < r {
-		for idx := 0; idx < len(stairs); {
-			st := &stairs[idx]
-			st.phi -= st.rem
-			d := st.base
-			if st.phi < 0 {
-				st.phi += st.period
-				d++
-			}
-			if st.r <= d {
-				// The staircase reaches (or would pass) zero: the actual
-				// round count clamps at 0 and never recovers.
-				s.Add(float64(-st.r) * st.logTerm)
-				stairs[idx] = stairs[len(stairs)-1]
-				stairs = stairs[:len(stairs)-1]
-				continue
-			}
-			if d > 0 {
-				st.r -= d
-				s.Add(float64(-d) * st.logTerm)
-			}
-			idx++
-		}
-		x := s.Value() + log1mq
-		if x > 0 {
-			x = 0
-		}
-		sum.Add(prob.OneMinusExpFast(x))
-		m++
-		if len(stairs) == 0 {
-			emitRun(sum, r-m, &s, log1mq)
-			return
-		}
-	}
-}
-
-// tailState is the resume point of one LO task's tail sweep after the
-// setup phases of tailEnter: the live staircases, the running logR Kahan
-// sum and the next point index m. m == r means the whole tail was
-// emitted during setup (no active staircase, or the patterned collapse
-// covered every point).
-type tailState struct {
-	stairs []hiStair
-	s      prob.KahanSum
-	m      int64
-}
-
-// tailEnter runs the setup phases of the tail sweep for one LO task —
-// staircase construction at the first tail point, the first emit, and
-// the patterned cycle collapse when applicable — feeding the emitted
-// eq. (5) terms into sum and returning the generic-sweep resume state.
-// The returned staircases alias scr.stairs and are valid until the next
-// call on the same scratch.
-func (c Config) tailEnter(lo task.Task, n int, r int64, log1mq float64, adapt *Adaptation, scr *kernelScratch, sum *prob.KahanSum) tailState {
 	t := c.Horizon()
 	T := int64(lo.Period)
 	alpha := t - c.effectiveRoundCost(lo.WCET, n) - lo.Period + lo.Deadline
@@ -218,7 +162,7 @@ func (c Config) tailEnter(lo task.Task, n int, r int64, log1mq float64, adapt *A
 	if len(stairs) == 0 {
 		// No staircase active: logR is constant over the whole tail.
 		emitRun(sum, r-m, &s, log1mq)
-		return tailState{stairs: stairs, s: s, m: r}
+		return
 	}
 
 	// Patterned fast path: precompute one period of per-step ΔS values
@@ -287,7 +231,42 @@ func (c Config) tailEnter(lo task.Task, n int, r int64, log1mq float64, adapt *A
 		}
 	}
 
-	return tailState{stairs: stairs, s: s, m: m}
+	// Division-free per-staircase sweep (the generic path, and the tail
+	// of the patterned one, where staircases start hitting zero).
+	for m < r {
+		for idx := 0; idx < len(stairs); {
+			st := &stairs[idx]
+			st.phi -= st.rem
+			d := st.base
+			if st.phi < 0 {
+				st.phi += st.period
+				d++
+			}
+			if st.r <= d {
+				// The staircase reaches (or would pass) zero: the actual
+				// round count clamps at 0 and never recovers.
+				s.Add(float64(-st.r) * st.logTerm)
+				stairs[idx] = stairs[len(stairs)-1]
+				stairs = stairs[:len(stairs)-1]
+				continue
+			}
+			if d > 0 {
+				st.r -= d
+				s.Add(float64(-d) * st.logTerm)
+			}
+			idx++
+		}
+		x := s.Value() + log1mq
+		if x > 0 {
+			x = 0
+		}
+		sum.Add(prob.OneMinusExpFast(x))
+		m++
+		if len(stairs) == 0 {
+			emitRun(sum, r-m, &s, log1mq)
+			return
+		}
+	}
 }
 
 // emitRun adds k eq. (5) terms that share the current logR value and

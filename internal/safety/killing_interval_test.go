@@ -260,7 +260,7 @@ func TestMeetsLOIntervalCounters(t *testing.T) {
 	s := gen.FMSAt(gen.DefaultFMSKillSeed)
 	cfg := Config{OperationHours: gen.FMSOperationHours, AssumeFullWCET: true}
 	cache := NewAdaptationCache(cfg, s.ByClass(criticality.HI), s.ByClass(criticality.LO))
-	v, err := cache.KillingPFHLOUniform(2, 3)
+	v, err := cache.killingPFHLOUniform(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

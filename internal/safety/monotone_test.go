@@ -100,7 +100,7 @@ func TestMinAdaptProfileBisectionDifferential(t *testing.T) {
 				}
 				v = cfg.KillingPFHLOUniform(lo, nLO, adapt)
 			} else {
-				v, err = cache.DegradationPFHLOUniform(nLO, probe, df)
+				v, err = cache.degradationPFHLOUniform(nLO, probe, df)
 				if err != nil {
 					t.Fatalf("case %d: %v", cse, err)
 				}
@@ -116,6 +116,30 @@ func TestMinAdaptProfileBisectionDifferential(t *testing.T) {
 		if nBis != nLin {
 			t.Fatalf("case %d (%v req %g): bisection n¹=%d vs linear n¹=%d",
 				cse, mode, requirement, nBis, nLin)
+		}
+		if mode != Kill {
+			continue
+		}
+		// Requirements at and just below the no-kill limit, below which
+		// no pfh(n′) falls. At large n′ the certified interval cannot
+		// settle them and the exact kernel can round a bound at the limit
+		// to just below it, so only the kill probe's limit rule keeps the
+		// search from accepting.
+		ns := make([]int, len(lo))
+		for i := range ns {
+			ns[i] = nLO
+		}
+		limit := cfg.KillingPFHLOLimit(lo, ns)
+		for _, req := range []float64{limit, limit * (1 - 1e-12)} {
+			if req <= 0 {
+				continue
+			}
+			nBis, errBis := cache.MinAdaptProfile(Kill, nLO, 0, req)
+			nLin, errLin := cache.MinAdaptProfileLinear(Kill, nLO, 0, req)
+			if errBis == nil || errLin == nil {
+				t.Fatalf("case %d (limit %.17g, req %.17g): accepted a requirement at or below the no-kill limit: bisection n¹=%d (%v), linear n¹=%d (%v)",
+					cse, limit, req, nBis, errBis, nLin, errLin)
+			}
 		}
 	}
 }
@@ -190,7 +214,7 @@ func TestAdaptEvalMatchesConfig(t *testing.T) {
 			wantKill := cfg.KillingPFHLOUniform(lo, nLO, adapt)
 			wantDeg := cfg.DegradationPFHLOUniform(lo, nLO, adapt, df)
 			for _, cache := range []*AdaptationCache{NewAdaptationCache(cfg, hi, lo), pooled} {
-				kill, err := cache.KillingPFHLOUniform(nLO, nprime)
+				kill, err := cache.killingPFHLOUniform(nLO, nprime)
 				if err != nil {
 					t.Fatalf("case %d: %v", cse, err)
 				}
@@ -198,7 +222,7 @@ func TestAdaptEvalMatchesConfig(t *testing.T) {
 					t.Errorf("case %d (n_LO=%d n'=%d): cache killing %.17g vs config %.17g",
 						cse, nLO, nprime, kill, wantKill)
 				}
-				deg, err := cache.DegradationPFHLOUniform(nLO, nprime, df)
+				deg, err := cache.degradationPFHLOUniform(nLO, nprime, df)
 				if err != nil {
 					t.Fatalf("case %d: %v", cse, err)
 				}

@@ -32,7 +32,7 @@ func TestCacheShardsLRUBound(t *testing.T) {
 	var prev CacheStats
 	for k := 0; k < contexts; k++ {
 		c := p.Get(cfg, perturbHI(hi, k), lo)
-		if _, err := c.KillingPFHLOUniform(2, 2); err != nil {
+		if _, err := c.killingPFHLOUniform(2, 2); err != nil {
 			t.Fatal(err)
 		}
 		if n := p.Contexts(); n > perShard*shardCount {
@@ -115,7 +115,7 @@ func TestCacheShardsChurnSoak(t *testing.T) {
 	for i := 0; i < contexts; i++ {
 		cfg, hi, lo := shardContext(t, int64(300+i))
 		cfgs[i], his[i], los[i] = cfg, hi, lo
-		v, err := NewAdaptationCache(cfg, hi, lo).KillingPFHLOUniform(2, 1+i%3)
+		v, err := NewAdaptationCache(cfg, hi, lo).killingPFHLOUniform(2, 1+i%3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestCacheShardsChurnSoak(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				i := rng.Intn(contexts)
 				c := p.Get(cfgs[i], his[i], los[i])
-				got, err := c.KillingPFHLOUniform(2, 1+i%3)
+				got, err := c.killingPFHLOUniform(2, 1+i%3)
 				if err != nil {
 					errs[w] = err
 					return
@@ -173,7 +173,7 @@ func TestCacheShardsChurnSoak(t *testing.T) {
 // eviction drops the pool's reference, never the cache's state.
 func TestCacheShardsEvictedCacheStaysValid(t *testing.T) {
 	cfg, hi, lo := shardContext(t, 53)
-	want, err := NewAdaptationCache(cfg, hi, lo).KillingPFHLOUniform(2, 2)
+	want, err := NewAdaptationCache(cfg, hi, lo).killingPFHLOUniform(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCacheShardsEvictedCacheStaysValid(t *testing.T) {
 		}
 		p.Get(cfg, hiK, loK)
 	}
-	got, err := held.KillingPFHLOUniform(2, 2)
+	got, err := held.killingPFHLOUniform(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

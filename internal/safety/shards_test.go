@@ -72,7 +72,7 @@ func TestCacheShardsSharing(t *testing.T) {
 // the pooled cache still match a cache built on stable slices.
 func TestCacheShardsCopiesTasks(t *testing.T) {
 	cfg, hi, lo := shardContext(t, 3)
-	want, err := NewAdaptationCache(cfg, hi, lo).KillingPFHLOUniform(2, 2)
+	want, err := NewAdaptationCache(cfg, hi, lo).killingPFHLOUniform(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCacheShardsCopiesTasks(t *testing.T) {
 	for i := range arenaLO {
 		arenaLO[i] = task.Task{}
 	}
-	got, err := c.KillingPFHLOUniform(2, 2)
+	got, err := c.killingPFHLOUniform(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCacheShardsConcurrent(t *testing.T) {
 	for i := 0; i < contexts; i++ {
 		cfg, hi, lo := shardContext(t, int64(10+i))
 		cfgs[i], his[i], los[i] = cfg, hi, lo
-		v, err := NewAdaptationCache(cfg, hi, lo).KillingPFHLOUniform(2, 1+i%3)
+		v, err := NewAdaptationCache(cfg, hi, lo).killingPFHLOUniform(2, 1+i%3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestCacheShardsConcurrent(t *testing.T) {
 			for rep := 0; rep < 20; rep++ {
 				i := (w + rep) % contexts
 				c := p.Get(cfgs[i], his[i], los[i])
-				got, err := c.KillingPFHLOUniform(2, 1+i%3)
+				got, err := c.killingPFHLOUniform(2, 1+i%3)
 				if err != nil {
 					errs[w] = err
 					return
@@ -196,7 +196,7 @@ func BenchmarkCacheShardsConcurrent8(b *testing.B) {
 			k := i % contexts
 			i++
 			c := pool.Get(scfg, his[k], los[k])
-			if v, err := c.KillingPFHLOUniform(2, 1+k%3); err != nil || v <= 0 {
+			if v, err := c.killingPFHLOUniform(2, 1+k%3); err != nil || v <= 0 {
 				b.Error("bad pooled bound")
 				return
 			}

@@ -2,16 +2,11 @@ package serve
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/task"
 )
-
-// vshardCount is the power-of-two shard width of the verdict cache.
-// Hits take one shard mutex for a map probe plus an LRU touch; 16
-// shards keep contention negligible at serve concurrency while the
-// per-shard LRU lists stay short enough to reason about.
-const vshardCount = 16
 
 // ckey is the full verdict-cache key: the canonical task-multiset hash
 // plus the analysis options. Distinct multisets colliding on the hash
@@ -23,57 +18,43 @@ type ckey struct {
 
 // ventry is one verdict with its collision guard (the canonical task
 // tuples the verdict was computed from). An entry is born in flight,
-// when a miss claims the analysis, and joins the shard's LRU list once
-// settle stores the verdict; until then requests for the same multiset
-// wait on wg instead of starting a second analysis.
+// when a miss claims the analysis, and joins the LRU list once settle
+// stores the verdict; until then requests for the same multiset wait on
+// wg instead of starting a second analysis.
 type ventry struct {
 	key   ckey
 	tasks []task.Task
 	v     Verdict
 	err   error          // set by a failed analysis, whose entry is removed
-	elem  *list.Element  // position in the shard's LRU list; nil in flight
+	elem  *list.Element  // position in the LRU list; nil in flight
 	wg    sync.WaitGroup // done when the analysis settles
 }
 
-// vshard is one verdict-cache shard: a key-chained map plus an LRU
-// list (front = most recent) of the settled entries.
-type vshard struct {
+// verdictCache is the LRU verdict cache: one mutex over a key-chained
+// map and an LRU list (front = most recent) of the settled entries. cap
+// bounds the settled entries exactly; in-flight entries are bounded by
+// the pipeline's admission limit.
+type verdictCache struct {
 	mu        sync.Mutex
 	m         map[ckey][]*ventry
 	lru       *list.List
+	cap       int
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-// verdictCache is the sharded LRU verdict cache. cap is per shard and
-// counts settled entries only; in-flight entries are bounded by the
-// pipeline's admission limit.
-type verdictCache struct {
-	shards [vshardCount]vshard
-	cap    int
-}
-
-// newVerdictCache builds a cache bounding totalEntries across shards
-// (rounded up to a whole number per shard, minimum one).
-func newVerdictCache(totalEntries int) *verdictCache {
-	per := (totalEntries + vshardCount - 1) / vshardCount
-	if per < 1 {
-		per = 1
-	}
-	c := &verdictCache{cap: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[ckey][]*ventry)
-		c.shards[i].lru = list.New()
-	}
-	return c
+// newVerdictCache builds a cache holding at most entries (≥ 1) settled
+// verdicts.
+func newVerdictCache(entries int) *verdictCache {
+	return &verdictCache{m: make(map[ckey][]*ventry), lru: list.New(), cap: entries}
 }
 
 // find returns the entry of the multiset ts under k, or nil. ts may be
 // in any order: the guard is order-insensitive, so permutations match.
-// Called with the shard lock held.
-func (sh *vshard) find(k ckey, ts []task.Task) *ventry {
-	for _, e := range sh.m[k] {
+// Called with the lock held.
+func (c *verdictCache) find(k ckey, ts []task.Task) *ventry {
+	for _, e := range c.m[k] {
 		if task.SameTasksCanonical(e.tasks, ts) {
 			return e
 		}
@@ -85,15 +66,14 @@ func (sh *vshard) find(k ckey, ts []task.Task) *ventry {
 // otherwise e is the in-flight entry to wait for, or nil when there is
 // none.
 func (c *verdictCache) get(hash uint64, opt optKey, ts []task.Task) (v Verdict, e *ventry, hit bool) {
-	sh := &c.shards[hash&(vshardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e = sh.find(ckey{hash: hash, opt: opt}, ts)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e = c.find(ckey{hash: hash, opt: opt}, ts)
 	if e == nil || e.elem == nil {
 		return Verdict{}, e, false
 	}
-	sh.lru.MoveToFront(e.elem)
-	sh.hits++
+	c.lru.MoveToFront(e.elem)
+	c.hits++
 	return e.v, nil, true
 }
 
@@ -103,11 +83,10 @@ func (c *verdictCache) get(hash uint64, opt optKey, ts []task.Task) (v Verdict, 
 // own slice, never mutated — and returns it with lead true: the caller
 // must analyze and settle it. A refused admission returns nil.
 func (c *verdictCache) claim(hash uint64, opt optKey, ts []task.Task, admit func() bool) (e *ventry, lead bool) {
-	sh := &c.shards[hash&(vshardCount-1)]
 	k := ckey{hash: hash, opt: opt}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e = sh.find(k, ts); e != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e = c.find(k, ts); e != nil {
 		return e, false
 	}
 	if !admit() {
@@ -115,70 +94,47 @@ func (c *verdictCache) claim(hash uint64, opt optKey, ts []task.Task, admit func
 	}
 	e = &ventry{key: k, tasks: ts}
 	e.wg.Add(1)
-	sh.m[k] = append(sh.m[k], e)
-	sh.misses++
+	c.m[k] = append(c.m[k], e)
+	c.misses++
 	return e, true
 }
 
 // settle completes the in-flight entry e: on success it becomes a
-// cached verdict at the front of the LRU list; on failure it is
-// removed, so the next request analyzes afresh. Either way the
-// requests waiting on e are released.
+// cached verdict at the front of the LRU list, evicting the least
+// recent one when the cache is full; on failure it is removed, so the
+// next request analyzes afresh. Either way the requests waiting on e
+// are released.
 func (c *verdictCache) settle(e *ventry, v Verdict, err error) {
-	sh := &c.shards[e.key.hash&(vshardCount-1)]
-	sh.mu.Lock()
+	c.mu.Lock()
 	e.v, e.err = v, err
 	if err != nil {
-		sh.unlink(e)
+		c.unlink(e)
 	} else {
-		if sh.lru.Len() >= c.cap {
-			sh.evictOldest()
+		if c.lru.Len() >= c.cap {
+			back := c.lru.Back()
+			c.lru.Remove(back)
+			c.unlink(back.Value.(*ventry))
+			c.evictions++
 		}
-		e.elem = sh.lru.PushFront(e)
+		e.elem = c.lru.PushFront(e)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	e.wg.Done()
 }
 
-// evictOldest removes the shard's LRU entry. Called with the shard lock
-// held.
-func (sh *vshard) evictOldest() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	sh.lru.Remove(back)
-	sh.unlink(back.Value.(*ventry))
-	sh.evictions++
-}
-
-// unlink removes e from its key chain. Called with the shard lock held.
-func (sh *vshard) unlink(e *ventry) {
-	es := sh.m[e.key]
-	for i, cand := range es {
-		if cand == e {
-			es[i] = es[len(es)-1]
-			es = es[:len(es)-1]
-			break
-		}
-	}
-	if len(es) == 0 {
-		delete(sh.m, e.key)
+// unlink removes e from its key chain. Called with the lock held.
+func (c *verdictCache) unlink(e *ventry) {
+	if es := slices.DeleteFunc(c.m[e.key], func(x *ventry) bool { return x == e }); len(es) > 0 {
+		c.m[e.key] = es
 	} else {
-		sh.m[e.key] = es
+		delete(c.m, e.key)
 	}
 }
 
-// stats aggregates hit/miss/eviction counters and current occupancy.
+// stats returns the hit/miss/eviction counters and the number of
+// settled entries.
 func (c *verdictCache) stats() (hits, misses, evictions uint64, entries int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		evictions += sh.evictions
-		entries += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.evictions, c.lru.Len()
 }

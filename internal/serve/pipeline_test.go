@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -287,38 +288,112 @@ func TestVerdictCacheFailedLeader(t *testing.T) {
 	}
 }
 
-// TestPipelineVerdictCacheLRU: the verdict cache stays within its entry
-// bound under churn, counts evictions, and keeps the hottest entry
-// resident.
+// TestPipelineVerdictCacheLRU: the verdict cache holds at most
+// CacheEntries verdicts under churn (5·N + 40 distinct sets), counts
+// evictions, and keeps the most recent insert resident — for bounds below,
+// at and above any power of two.
 func TestPipelineVerdictCacheLRU(t *testing.T) {
-	const entries = 16
+	cfg := safety.DefaultConfig()
+	corpus := serveCorpus(t, 37, 5*100+40)
+	for _, entries := range []int{1, 5, 17, 100} {
+		t.Run(fmt.Sprint(entries), func(t *testing.T) {
+			p := NewPipeline(Options{CacheEntries: entries})
+			defer p.Close()
+			tasksets := corpus[:5*entries+40]
+			for _, ts := range tasksets {
+				if _, err := p.Verdict(Request{Tasks: ts, Safety: cfg, Mode: safety.Kill}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hits, misses, evictions, live := p.CacheStats()
+			if live > entries {
+				t.Fatalf("cache holds %d entries, bound is %d", live, entries)
+			}
+			if evictions == 0 {
+				t.Fatalf("overcommitted cache evicted nothing (hits %d misses %d)", hits, misses)
+			}
+			if misses < uint64(len(tasksets)) {
+				t.Fatalf("expected >= %d misses, got %d", len(tasksets), misses)
+			}
+			last := Request{Tasks: permuted(tasksets[len(tasksets)-1], 99), Safety: cfg, Mode: safety.Kill}
+			v, err := p.Verdict(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Cached {
+				t.Fatal("most recently inserted verdict was not resident")
+			}
+		})
+	}
+}
+
+// TestPipelineVerdictCacheConcurrent: eight goroutines share one
+// 7-entry cache, first resubmitting the 7 resident sets (every answer a
+// hit), then submitting 4 never-seen sets each (every answer a miss that
+// evicts). The counters come out exact and the bound holds throughout.
+func TestPipelineVerdictCacheConcurrent(t *testing.T) {
+	const (
+		entries    = 7
+		goroutines = 8
+		repeats    = 3
+		distinct   = 4
+	)
+	cfg := safety.DefaultConfig()
+	corpus := serveCorpus(t, 41, entries+goroutines*distinct)
+	hot, fresh := corpus[:entries], corpus[entries:]
 	p := NewPipeline(Options{CacheEntries: entries})
 	defer p.Close()
-	cfg := safety.DefaultConfig()
-	tasksets := serveCorpus(t, 37, 5*entries)
-	for _, ts := range tasksets {
+	for _, ts := range hot {
 		if _, err := p.Verdict(Request{Tasks: ts, Safety: cfg, Mode: safety.Kill}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// run submits each goroutine's sets concurrently and checks that
+	// every answer's cache provenance is cached.
+	run := func(sets func(g int) [][]task.Task, cached bool) {
+		t.Helper()
+		errs := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i, ts := range sets(g) {
+					v, err := p.Verdict(Request{Tasks: permuted(ts, int64(g*100+i)), Safety: cfg, Mode: safety.Kill})
+					if err == nil && v.Cached != cached {
+						err = fmt.Errorf("goroutine %d set %d: cached %v, want %v", g, i, v.Cached, cached)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if _, _, _, live := p.CacheStats(); live > entries {
+			t.Fatalf("cache holds %d entries, bound is %d", live, entries)
+		}
+	}
+	run(func(int) [][]task.Task {
+		var sets [][]task.Task
+		for r := 0; r < repeats; r++ {
+			sets = append(sets, hot...)
+		}
+		return sets
+	}, true)
+	run(func(g int) [][]task.Task { return fresh[g*distinct : (g+1)*distinct] }, false)
+
 	hits, misses, evictions, live := p.CacheStats()
-	if live > entries {
-		t.Fatalf("cache holds %d entries, cap is %d", live, entries)
-	}
-	if evictions == 0 {
-		t.Fatalf("5x-overcommitted cache evicted nothing (hits %d misses %d)", hits, misses)
-	}
-	if misses < uint64(len(tasksets)) {
-		t.Fatalf("expected >= %d misses, got %d", len(tasksets), misses)
-	}
-	// The most recent insert is by construction still resident.
-	last := Request{Tasks: permuted(tasksets[len(tasksets)-1], 99), Safety: cfg, Mode: safety.Kill}
-	v, err := p.Verdict(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Cached {
-		t.Fatal("most recently inserted verdict was not resident")
+	wantHits := uint64(goroutines * repeats * entries)
+	wantMisses := uint64(entries + goroutines*distinct)
+	if hits != wantHits || misses != wantMisses || evictions != wantMisses-entries || live != entries {
+		t.Fatalf("cache stats: %d hits, %d misses, %d evictions, %d live; want %d, %d, %d, %d",
+			hits, misses, evictions, live, wantHits, wantMisses, wantMisses-entries, entries)
 	}
 }
 

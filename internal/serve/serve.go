@@ -6,11 +6,12 @@
 //
 // The pipeline has two parts:
 //
-//   - A sharded LRU verdict cache keyed by the canonical (order-
-//     insensitive) task-set hash and the analysis options. Resubmitted
-//     sets — including permutations — are answered without touching the
-//     analysis at all; a hit is a hash, a shard lock and a multiset
-//     guard, hundreds of times cheaper than an uncached analysis.
+//   - An LRU verdict cache keyed by the canonical (order-insensitive)
+//     task-set hash and the analysis options, holding at most
+//     Options.CacheEntries verdicts under one mutex. Resubmitted sets —
+//     including permutations — are answered without touching the
+//     analysis at all; a hit is a hash, a lock and a multiset guard,
+//     hundreds of times cheaper than an uncached analysis.
 //
 //   - Direct admission of cache misses. A miss runs core.FTS on the
 //     request's own goroutine once it holds one of expt.Workers()
@@ -175,8 +176,9 @@ func keyOf(req Request) (optKey, mcsched.Test, error) {
 
 // Options configures a Pipeline.
 type Options struct {
-	// CacheEntries bounds the verdict cache (total entries across its
-	// shards); <= 0 selects DefaultCacheEntries.
+	// CacheEntries is the most verdicts the cache holds; beyond it the
+	// least recently used verdict is evicted. <= 0 selects
+	// DefaultCacheEntries.
 	CacheEntries int
 	// QueueDepth bounds the cache misses admitted at once: analyses
 	// waiting for a slot plus analyses running. A full pipeline sheds
@@ -265,14 +267,10 @@ func (p *Pipeline) Verdict(req Request) (Verdict, error) {
 			return Verdict{}, err
 		}
 		if lead {
-			df := req.DF
-			if req.Mode == safety.Kill {
-				df = 0
-			}
 			p.analyze(e, set, core.Options{
 				Safety: req.Safety,
 				Mode:   req.Mode,
-				DF:     df,
+				DF:     math.Float64frombits(key.df),
 				Test:   test,
 			})
 			return e.v, e.err
