@@ -66,7 +66,9 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # bench runs every microbenchmark (Benchmark* in the _test.go files) with
-# allocation counts. End-to-end numbers come from the repository
+# allocation counts: BenchmarkDrawKeyed (internal/gen) reports the
+# campaign's per-set draw cost in ns/set beside BenchmarkCampaignFigure
+# (internal/expt). End-to-end numbers come from the repository
 # benchmark: bash perfbench/run.sh (workloads in BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -142,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime $(FUZZTIME) ./internal/expt
 	$(GO) test -run '^$$' -fuzz '^FuzzKillInterval$$' -fuzztime $(FUZZTIME) ./internal/safety
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/gen
 
 # profile writes pprof CPU and heap profiles of the full Fig. 3 campaign
 # (BenchmarkCampaignFigure: draw, line 2, line 8 and the eq. (5)/(7)

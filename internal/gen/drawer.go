@@ -18,7 +18,9 @@ import (
 // Determinism: TaskSet (Appendix C) and UUnifastTaskSet run the same
 // draw loop once on the caller's RNG, so Draw(seed), which reseeds the
 // drawer's private RNG, gives the set they give on a fresh
-// rand.New(rand.NewSource(seed)) (TestDrawerMatchesTaskSet).
+// rand.New(rand.NewSource(seed)) (TestDrawerMatchesTaskSet). The private
+// RNG runs on source, math/rand's generator with a cheaper Seed, which
+// gives the same stream for every seed.
 //
 // Ownership: the returned *task.Set aliases the arena and is valid only
 // until the next Draw on the same Drawer. A Drawer must not be shared
@@ -43,7 +45,8 @@ func NewDrawer(p Params, tasksPerSet int) (*Drawer, error) {
 	if tasksPerSet != 0 && tasksPerSet < 2 {
 		return nil, fmt.Errorf("gen: dual-criticality UUnifast set needs n >= 2, got %d", tasksPerSet)
 	}
-	return &Drawer{p: p, n: tasksPerSet, rng: rand.New(rand.NewSource(1))}, nil
+	// Draw seeds the source before every draw.
+	return &Drawer{p: p, n: tasksPerSet, rng: rand.New(new(source))}, nil
 }
 
 // Retarget moves the drawer to a new target utilization, revalidating the
@@ -81,7 +84,9 @@ func (d *Drawer) Draw(seed int64) (*task.Set, error) {
 // draw is the one draw loop of both generators: it draws candidates from
 // the RNG's current state into the arena, retrying degenerate ones (a
 // class missing, or too little utilization left for a 1 µs WCET), up to
-// 1000 attempts.
+// 1000 attempts. The generators reject a single-class candidate
+// themselves, so a retry builds no task.Set error; Reset refuses a
+// generated task only for a NaN f, which Params.Validate lets through.
 func (d *Drawer) draw() (*task.Set, error) {
 	for attempt := 0; attempt < 1000; attempt++ {
 		var ok bool
@@ -90,13 +95,9 @@ func (d *Drawer) draw() (*task.Set, error) {
 		} else {
 			ok = d.drawAppendixC()
 		}
-		if !ok {
-			continue
+		if ok && d.set.Reset(d.tasks) == nil {
+			return &d.set, nil
 		}
-		if err := d.set.Reset(d.tasks); err != nil {
-			continue // single-class draw; retry
-		}
-		return &d.set, nil
 	}
 	if d.n > 0 {
 		return nil, fmt.Errorf("gen: could not draw a UUnifast dual-criticality set (n=%d, U=%g)", d.n, d.p.TargetU)
@@ -113,11 +114,11 @@ func (d *Drawer) DrawKeyed(k SimulationKey) (*task.Set, error) {
 }
 
 // drawAppendixC fills the arena with one Appendix C candidate. Reports
-// whether the draw is usable.
+// whether the draw is usable: both classes drawn.
 func (d *Drawer) drawAppendixC() bool {
 	p, rng := d.p, d.rng
 	d.tasks = d.tasks[:0]
-	total := 0.0
+	total, nHI := 0.0, 0
 	for total < p.TargetU {
 		u := p.UMin + rng.Float64()*(p.UMax-p.UMin)
 		if total+u > p.TargetU {
@@ -133,6 +134,7 @@ func (d *Drawer) drawAppendixC() bool {
 		level := p.LOLevel
 		if rng.Float64() < p.PHI {
 			level = p.HILevel
+			nHI++
 		}
 		d.tasks = append(d.tasks, task.Task{
 			Name:     d.name(len(d.tasks) + 1),
@@ -144,11 +146,12 @@ func (d *Drawer) drawAppendixC() bool {
 		})
 		total += wcet.Float() / period.Float()
 	}
-	return len(d.tasks) >= 2
+	return 0 < nHI && nHI < len(d.tasks)
 }
 
 // drawUUnifast fills the arena with one UUnifast candidate. Reports
-// whether the draw is usable.
+// whether the draw is usable: every WCET at least 1 µs and both classes
+// drawn.
 func (d *Drawer) drawUUnifast() bool {
 	p, rng, n := d.p, d.rng, d.n
 	if cap(d.utils) < n {
@@ -157,6 +160,7 @@ func (d *Drawer) drawUUnifast() bool {
 	utils := d.utils[:n]
 	uunifast(rng, utils, p.TargetU)
 	d.tasks = d.tasks[:0]
+	nHI := 0
 	for i, u := range utils {
 		period := p.TMin + timeunit.Time(rng.Int63n(int64(p.TMax-p.TMin)+1))
 		wcet := timeunit.Time(u * period.Float())
@@ -166,6 +170,7 @@ func (d *Drawer) drawUUnifast() bool {
 		level := p.LOLevel
 		if rng.Float64() < p.PHI {
 			level = p.HILevel
+			nHI++
 		}
 		d.tasks = append(d.tasks, task.Task{
 			Name:     d.name(i + 1),
@@ -176,5 +181,5 @@ func (d *Drawer) drawUUnifast() bool {
 			FailProb: p.FailProb,
 		})
 	}
-	return true
+	return 0 < nHI && nHI < n
 }

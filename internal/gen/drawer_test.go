@@ -77,3 +77,31 @@ func TestDrawerArenaReuse(t *testing.T) {
 		t.Fatalf("second draw corrupted by arena reuse")
 	}
 }
+
+// BenchmarkDrawKeyed times the Fig. 3 campaign's draw: one Appendix C
+// set per paper utilization point (U = 0.30, 0.35, …, 1.00), each
+// reseeded from its SimulationKey. ns/set is the cost of one draw,
+// reseed included.
+func BenchmarkDrawKeyed(b *testing.B) {
+	var utils []float64
+	for u := 0.30; u <= 1.001; u += 0.05 {
+		utils = append(utils, u)
+	}
+	d, err := NewDrawer(PaperParams(criticality.LevelB, criticality.LevelD, utils[0], 1e-5), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for ui, u := range utils {
+			if err := d.Retarget(u); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.DrawKeyed(SimulationKey{Seed: 1, Point: ui, Set: i}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(utils)), "ns/set")
+}

@@ -130,11 +130,17 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	// A body is one JSON object and nothing after it: a second value or
 	// trailing bytes would otherwise be ignored, and the verdict would
-	// not be for the options the client sent.
+	// not be for the options the client sent. Likewise an unknown field
+	// in the set or in a task: a task spelling its deadline "Deadline"
+	// would be analysed with D = T.
 	for i, body := range []string{
 		"{not json",
 		`{"set":` + string(set) + `} {"os_hours":999}`,
 		`{"set":` + string(set) + `}garbage`,
+		`{"set":{"tasks":[{"name":"a","T":"100ms","Deadline":"50ms","C":"10ms","level":"B","f":1e-5},` +
+			`{"name":"b","T":"200ms","C":"20ms","level":"D","f":1e-5}]}}`,
+		`{"set":{"tasks":[{"name":"a","T":"100ms","C":"10ms","level":"B","f":1e-5},` +
+			`{"name":"b","T":"200ms","C":"20ms","level":"D","f":1e-5}],"mode":"degrade"}}`,
 	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -329,6 +335,8 @@ func FuzzVerdictRequest(f *testing.F) {
 		`{"set":` + string(set) + `} {"os_hours":999}`,
 		`{"set":` + string(set) + `}garbage`,
 		`{"os_hour":10,"full_wcett":false,"set":` + string(set) + `}`,
+		`{"set":{"tasks":[{"name":"a","T":"100ms","Deadline":"50ms","C":"10ms","level":"B","f":1e-5},` +
+			`{"name":"b","T":"200ms","C":"20ms","level":"D","f":1e-5}]}}`,
 		`{"set":{"tasks":[]}}`,
 		`{"set":{"tasks":[{"T":"10ms","C":"20ms","level":"B","f":1e-5}]}}`,
 		// Exact utilization 1 + 1/6,300,000,340,000,003; the float64 sum is 1.0.

@@ -14,6 +14,7 @@ func FuzzSetUnmarshal(f *testing.F) {
 	f.Add(`{"tasks":[{"T":"0","C":"1","level":"B","f":0}]}`)
 	f.Add(`{`)
 	f.Add(`{"tasks":[{"T":"1h","D":"30m","C":"1s","level":"A","f":0.5},{"T":"1s","C":"1ms","level":"E","f":0}]}`)
+	f.Add(`{"tasks":[{"name":"a","T":"100ms","Deadline":"50ms","C":"10ms","level":"B","f":1e-5},{"T":"40ms","C":"7ms","level":"D","f":1e-5}]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		var s Set
 		if err := json.Unmarshal([]byte(data), &s); err != nil {

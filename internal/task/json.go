@@ -1,8 +1,11 @@
 package task
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/criticality"
 	"repro/internal/timeunit"
@@ -43,11 +46,18 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Set.
+// UnmarshalJSON implements json.Unmarshaler for Set. An unknown field,
+// in the set object or in a task, is an error: a misspelled "D" would
+// otherwise be dropped and the implicit deadline analysed in its place.
 func (s *Set) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var in jsonSet
-	if err := json.Unmarshal(b, &in); err != nil {
+	if err := dec.Decode(&in); err != nil {
 		return fmt.Errorf("task: decoding set: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("task: decoding set: trailing data after the set object")
 	}
 	tasks := make([]Task, 0, len(in.Tasks))
 	for i, jt := range in.Tasks {

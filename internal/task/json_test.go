@@ -77,6 +77,10 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"bad level", `{"tasks":[{"T":"1","C":"1","level":"Q","f":0}]}`, "level"},
 		{"empty", `{"tasks":[]}`, "empty"},
 		{"one level", `{"tasks":[{"T":"1","C":"1","level":"B","f":0},{"T":"2","C":"1","level":"B","f":0}]}`, "levels"},
+		// A task spelling its deadline "Deadline" would otherwise decode
+		// with D = T and be analysed as an implicit-deadline task.
+		{"unknown task field", `{"tasks":[{"T":"100","Deadline":"50","C":"10","level":"B","f":0},{"T":"40","C":"7","level":"D","f":0}]}`, "unknown field"},
+		{"unknown set field", `{"tasks":[{"T":"60","C":"5","level":"B","f":0},{"T":"40","C":"7","level":"D","f":0}],"os_hours":10}`, "unknown field"},
 	}
 	for _, c := range cases {
 		var s Set
@@ -88,6 +92,11 @@ func TestUnmarshalErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.substr) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.substr)
 		}
+	}
+	// Called directly, UnmarshalJSON still refuses a second value.
+	var s Set
+	if err := s.UnmarshalJSON([]byte(`{"tasks":[]} {}`)); err == nil {
+		t.Errorf("trailing data accepted")
 	}
 }
 
