@@ -41,10 +41,11 @@ race:
 # race-pool is the focused race pass over the concurrency-bearing
 # pieces: the worker pool (shared atomic claim cursor, invariance
 # across worker counts, skewed load), the distributed campaign's lease
-# plane (worker loss, corrupt result), the sharded adaptation-cache
-# pool, the serve pipeline's verdict cache (entry bound, concurrent
-# hits and evictions) and its admission (single-flight joins,
-# shedding, overload). A repeat count varies goroutine interleavings beyond what
+# plane (worker loss, corrupt result), the adaptation-cache pool
+# (one LRU under one lock: context bound, churn under eviction), the
+# serve pipeline's verdict cache (entry bound, concurrent hits and
+# evictions) and its admission (single-flight joins, shedding,
+# overload). A repeat count varies goroutine interleavings beyond what
 # one -race run sees.
 race-pool:
 	$(GO) test -race -count 2 \

@@ -6,6 +6,7 @@ package ftmc
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -222,5 +223,26 @@ func TestCLIServe(t *testing.T) {
 	}
 	if err := srv.Wait(); err != nil {
 		t.Fatalf("server did not exit cleanly on SIGTERM: %v", err)
+	}
+}
+
+// TestCLIGenRejectsNaN checks ftmc-gen refuses a NaN failure probability
+// up front: exit status 1 and the parameter check's message, not a
+// thousand failed draws.
+func TestCLIGenRejectsNaN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI runs skipped in -short mode")
+	}
+	genBin := filepath.Join(t.TempDir(), "ftmc-gen")
+	if out, err := exec.Command("go", "build", "-o", genBin, "./cmd/ftmc-gen").CombinedOutput(); err != nil {
+		t.Fatalf("building ./cmd/ftmc-gen: %v\n%s", err, out)
+	}
+	out, err := exec.Command(genBin, "-f", "NaN").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ftmc-gen -f NaN: err %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "failure probability is NaN") {
+		t.Errorf("ftmc-gen -f NaN printed:\n%s", out)
 	}
 }

@@ -31,10 +31,10 @@ type Options struct {
 	// or the degradation factor df can share one cache across every
 	// design point.
 	Cache *safety.AdaptationCache
-	// Shared, when Cache is nil, resolves the adaptation cache from a
-	// process-wide sharded pool keyed by the canonical analysis context
-	// (safety.CacheShards), so concurrent workers — and successive design
-	// points — evaluating the same set share one set of memoized bounds.
+	// Shared, when Cache is nil, resolves the adaptation cache from an
+	// LRU pool keyed by the analysis context — the Safety config and the
+	// HI and LO tasks in set order (safety.CacheShards) — so concurrent
+	// workers evaluating the same set share one set of memoized bounds.
 	// With neither Cache nor Shared, each call builds a fresh cache.
 	Shared *safety.CacheShards
 	// Scratch, when non-nil, is the conversion arena of line 8 (see

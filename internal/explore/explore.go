@@ -92,10 +92,10 @@ type Options struct {
 	Safety safety.Config
 	// DFs lists the degradation factors to explore; empty means {2, 6, 12}.
 	DFs []float64
-	// KillTests lists the schedulability tests for the killing designs;
-	// empty means EDF-VD, AMC-rtb, SMC and DBF-tune.
-	KillTests []mcsched.Test
 }
+
+// killTests are the schedulability tests of the killing designs.
+var killTests = []mcsched.Test{mcsched.EDFVD{}, mcsched.AMCrtb{}, mcsched.SMC{}, mcsched.DBFTune{}}
 
 // Explore evaluates the design space and marks the Pareto front.
 func Explore(s *task.Set, opt Options) ([]Design, error) {
@@ -105,10 +105,6 @@ func Explore(s *task.Set, opt Options) ([]Design, error) {
 	dfs := opt.DFs
 	if len(dfs) == 0 {
 		dfs = []float64{2, 6, 12}
-	}
-	killTests := opt.KillTests
-	if len(killTests) == 0 {
-		killTests = []mcsched.Test{mcsched.EDFVD{}, mcsched.AMCrtb{}, mcsched.SMC{}, mcsched.DBFTune{}}
 	}
 	// Every design point analyzes the same task set under the same safety
 	// config — only S and df vary, and the safety half of Algorithm 1

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -150,6 +151,22 @@ func TestCampaignValidate(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := Campaign(cfg); err == nil {
 			t.Errorf("%s: Campaign accepted an invalid config", tc.name)
+		}
+	}
+	// Non-finite grid values go through Validate only: at +Inf a draw
+	// that slipped past it would never return.
+	for _, tc := range []struct {
+		name string
+		mut  func(*CampaignConfig)
+	}{
+		{"infinite util", func(c *CampaignConfig) { c.Utils = []float64{0.5, math.Inf(1)} }},
+		{"NaN util", func(c *CampaignConfig) { c.Utils = []float64{math.NaN()} }},
+		{"NaN fail prob", func(c *CampaignConfig) { c.FailProbs = []float64{math.NaN()} }},
+	} {
+		cfg := good
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid config", tc.name)
 		}
 	}
 }

@@ -139,6 +139,9 @@ func TestFig3ConfigValidate(t *testing.T) {
 		func(c *Fig3Config) { c.FailProbs = nil },
 		func(c *Fig3Config) { c.Utils = nil },
 		func(c *Fig3Config) { c.SetsPerPoint = 0 },
+		func(c *Fig3Config) { c.Utils = []float64{0.5, math.Inf(1)} },
+		func(c *Fig3Config) { c.Utils = []float64{math.NaN()} },
+		func(c *Fig3Config) { c.FailProbs = []float64{1e-5, math.NaN()} },
 	}
 	for i, mutate := range bad {
 		cfg := good

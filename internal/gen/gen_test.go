@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/criticality"
@@ -41,6 +42,25 @@ func TestParamsValidateRejections(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+	// Non-finite values are refused with their own messages, never drawn
+	// from: a draw toward +Inf would append tasks forever.
+	for _, c := range []struct {
+		mutate func(*Params)
+		want   string
+	}{
+		{func(p *Params) { p.TargetU = math.Inf(1) }, "target utilization must be finite"},
+		{func(p *Params) { p.TargetU = math.NaN() }, "target utilization is NaN"},
+		{func(p *Params) { p.FailProb = math.NaN() }, "failure probability is NaN"},
+	} {
+		p := good
+		c.mutate(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Validate(%+v) = %v, want an error containing %q", p, err, c.want)
+		}
+		if _, err := NewDrawer(p, 0); err == nil {
+			t.Errorf("NewDrawer accepted %+v", p)
 		}
 	}
 }

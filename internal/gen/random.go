@@ -6,6 +6,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/criticality"
@@ -55,7 +56,12 @@ func (p Params) Validate() error {
 	if !(0 < p.UMin && p.UMin < p.UMax && p.UMax <= 1) {
 		return fmt.Errorf("gen: need 0 < UMin < UMax <= 1, got [%g, %g]", p.UMin, p.UMax)
 	}
-	if p.TargetU <= 0 {
+	switch {
+	case math.IsNaN(p.TargetU):
+		return fmt.Errorf("gen: target utilization is NaN")
+	case math.IsInf(p.TargetU, 1):
+		return fmt.Errorf("gen: target utilization must be finite, got %g", p.TargetU)
+	case p.TargetU <= 0:
 		return fmt.Errorf("gen: target utilization must be positive, got %g", p.TargetU)
 	}
 	if !(0 < p.TMin && p.TMin <= p.TMax) {
@@ -66,6 +72,9 @@ func (p Params) Validate() error {
 	}
 	if !p.HILevel.MoreCriticalThan(p.LOLevel) {
 		return fmt.Errorf("gen: HI level %v must be more critical than LO level %v", p.HILevel, p.LOLevel)
+	}
+	if math.IsNaN(p.FailProb) {
+		return fmt.Errorf("gen: failure probability is NaN")
 	}
 	if p.FailProb < 0 || p.FailProb >= 1 {
 		return fmt.Errorf("gen: failure probability must be in [0,1), got %g", p.FailProb)

@@ -24,9 +24,6 @@ type Options struct {
 	// Chunk is the pool's lease width (indices claimed per CAS); ≤ 0
 	// selects 8.
 	Chunk int
-	// ShardContexts caps the adaptation-shard pool's per-shard context
-	// count; ≤ 0 selects the deliberately tiny NewRunEnv default.
-	ShardContexts int
 	// Space is the sweep cross-product; nil selects DefaultSpace().
 	Space *Space
 	// Checks are extra invariants evaluated on every run.
@@ -38,9 +35,6 @@ type Options struct {
 	// written; ≤ 0 selects 8. Runs beyond the cap still count in
 	// ViolationRuns/PanicRuns.
 	MaxFailures int
-	// ShrinkBudget caps the shrinker's re-executions per failure; ≤ 0
-	// selects the triage default.
-	ShrinkBudget int
 }
 
 // RunFailure is one failing run of a sweep: the spec as it failed, its
@@ -120,7 +114,7 @@ func Soak(o Options) (Result, error) {
 		maxFailures = 8
 	}
 
-	env := NewRunEnv(o.ShardContexts, o.Checks...)
+	env := NewRunEnv(o.Checks...)
 	defer env.Close()
 
 	start := time.Now()
@@ -160,7 +154,7 @@ func Soak(o Options) (Result, error) {
 	// Triage the kept failures serially: shrink each to a minimized,
 	// pinned repro and (optionally) write it out.
 	for fi := range kept {
-		rec := Triage(kept[fi].Spec, kept[fi].Violations, env, o.ShrinkBudget)
+		rec := Triage(kept[fi].Spec, kept[fi].Violations, env)
 		kept[fi].Record = rec
 		if rec != nil && o.TriageDir != "" {
 			path, err := WriteRecord(o.TriageDir, rec)

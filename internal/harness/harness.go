@@ -35,10 +35,10 @@
 // The engine ships in two budgeted tiers of one test, TestSoakSmoke:
 // the seconds-scale PR tier runs it under -race (`make soak`), the deep
 // tier runs it without -race at ≥ 10^5 runs (`make soak-deep`). Both
-// share one serve.Pipeline and one deliberately tiny safety.CacheShards
-// pool across all concurrent runs, so the sweep churns multi-context
-// cache eviction and worker-pool skew — exactly the concurrent paths
-// a single benchmark box cannot stress.
+// share one serve.Pipeline and one deliberately small safety.CacheShards
+// pool (128 contexts) across all concurrent runs, so the sweep churns
+// multi-context cache eviction and worker-pool skew — exactly the
+// concurrent paths a single benchmark box cannot stress.
 package harness
 
 import (

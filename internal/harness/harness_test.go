@@ -191,7 +191,7 @@ func TestHostileDFRejected(t *testing.T) {
 // executing a spec with its drawn set pinned in produces the same
 // outcome digest as the draw-from-coordinates path.
 func TestExecutePinnedSetMatchesDrawn(t *testing.T) {
-	env := NewRunEnv(0)
+	env := NewRunEnv()
 	defer env.Close()
 	space := DefaultSpace()
 	for _, idx := range []int{0, 17, 100} {
@@ -230,7 +230,7 @@ func TestRunSpecJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	env := NewRunEnv(0)
+	env := NewRunEnv()
 	defer env.Close()
 	a, b := Execute(spec, env), Execute(back, env)
 	if a.Digest() != b.Digest() {

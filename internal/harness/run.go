@@ -20,10 +20,10 @@ import (
 )
 
 // RunEnv is the shared environment one soak sweep executes in: a single
-// serve pipeline and a single adaptation-shard pool deliberately shared
+// serve pipeline and a single adaptation-cache pool deliberately shared
 // (and deliberately small, see NewRunEnv) across all concurrent runs,
-// so every run contends on eviction and shard locking — plus the extra
-// checks evaluated on each run. One RunEnv serves many concurrent
+// so every run contends on eviction and on the pool's lock — plus the
+// extra checks evaluated on each run. One RunEnv serves many concurrent
 // Execute calls.
 type RunEnv struct {
 	// Pipeline is the serve-path analysis route.
@@ -34,20 +34,16 @@ type RunEnv struct {
 	Checks []Check
 }
 
-// NewRunEnv builds a sweep environment. shardContexts caps the per-shard
-// context count of the adaptation-shard pool; values ≤ 0 select 2 —
-// small enough that the sweep's workload diversity (hundreds of
-// distinct sets in flight) forces continuous multi-context eviction,
-// the concurrency regime the single-threaded benchmarks never reach.
-// The serve pipeline is likewise configured tiny (256 verdict entries)
-// so its cache churns instead of saturating.
-func NewRunEnv(shardContexts int, checks ...Check) *RunEnv {
-	if shardContexts <= 0 {
-		shardContexts = 2
-	}
+// NewRunEnv builds a sweep environment. Its adaptation-cache pool holds
+// 128 contexts — small enough that the sweep's workload diversity
+// (hundreds of distinct sets in flight) forces continuous eviction, the
+// concurrency regime the single-threaded benchmarks never reach. The
+// serve pipeline is likewise configured tiny (256 verdict entries) so
+// its cache churns instead of saturating.
+func NewRunEnv(checks ...Check) *RunEnv {
 	return &RunEnv{
 		Pipeline: serve.NewPipeline(serve.Options{CacheEntries: 256}),
-		Shards:   safety.NewCacheShardsCap(shardContexts),
+		Shards:   safety.NewCacheShardsCap(128),
 		Checks:   checks,
 	}
 }

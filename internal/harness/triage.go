@@ -47,17 +47,14 @@ type TriageRecord struct {
 
 // Triage pins, shrinks and packages one failing run. violations must be
 // the non-empty violation list Execute produced for spec; the first
-// entry's invariant is the property the shrinker preserves. budget ≤ 0
-// selects DefaultShrinkBudget. Returns nil if the spec cannot be pinned
-// or no longer fails (a flaky failure — by construction impossible for
-// deterministic checks, and exactly what the record should not
-// fabricate a repro for).
-func Triage(spec RunSpec, violations []Violation, env *RunEnv, budget int) *TriageRecord {
+// entry's invariant is the property the shrinker preserves, within
+// DefaultShrinkBudget re-executions. Returns nil if the spec cannot be
+// pinned or no longer fails (a flaky failure — by construction
+// impossible for deterministic checks, and exactly what the record
+// should not fabricate a repro for).
+func Triage(spec RunSpec, violations []Violation, env *RunEnv) *TriageRecord {
 	if len(violations) == 0 {
 		return nil
-	}
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
 	}
 	primary := violations[0].Invariant
 
@@ -77,7 +74,7 @@ func Triage(spec RunSpec, violations []Violation, env *RunEnv, budget int) *Tria
 	}
 	original := spec
 
-	sh := &shrinker{env: env, primary: primary, budget: budget}
+	sh := &shrinker{env: env, primary: primary, budget: DefaultShrinkBudget}
 	if !sh.fails(spec) {
 		return nil
 	}

@@ -44,7 +44,7 @@ func failingSpec(t *testing.T, env *RunEnv) RunSpec {
 // invariant, and shrinking the same failure twice yields the identical
 // record.
 func TestTriageShrinksToStableMinimum(t *testing.T) {
-	env := NewRunEnv(0, injectedLOPair)
+	env := NewRunEnv(injectedLOPair)
 	defer env.Close()
 	spec := failingSpec(t, env)
 	out := Execute(spec, env)
@@ -58,7 +58,7 @@ func TestTriageShrinksToStableMinimum(t *testing.T) {
 		t.Fatalf("spec %d did not trip the injected invariant: %v", spec.Index, out.Violations)
 	}
 
-	rec := Triage(spec, primary, env, 0)
+	rec := Triage(spec, primary, env)
 	if rec == nil {
 		t.Fatal("Triage returned nil for a deterministic failure")
 	}
@@ -104,7 +104,7 @@ func TestTriageShrinksToStableMinimum(t *testing.T) {
 	}
 
 	// Stability: a second triage of the same failure is byte-identical.
-	again := Triage(spec, primary, env, 0)
+	again := Triage(spec, primary, env)
 	a, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +122,11 @@ func TestTriageShrinksToStableMinimum(t *testing.T) {
 // to end: a record written to disk, read back in a fresh environment,
 // reproduces the violation on every replay.
 func TestTriageRecordReplaysDeterministically(t *testing.T) {
-	env := NewRunEnv(0, injectedLOPair)
+	env := NewRunEnv(injectedLOPair)
 	defer env.Close()
 	spec := failingSpec(t, env)
 	out := Execute(spec, env)
-	rec := Triage(spec, out.Violations, env, 0)
+	rec := Triage(spec, out.Violations, env)
 	if rec == nil {
 		t.Fatal("Triage returned nil")
 	}
@@ -141,7 +141,7 @@ func TestTriageRecordReplaysDeterministically(t *testing.T) {
 	}
 
 	// A fresh environment: replay must not depend on warmed caches.
-	fresh := NewRunEnv(0, injectedLOPair)
+	fresh := NewRunEnv(injectedLOPair)
 	defer fresh.Close()
 	for round := 0; round < 3; round++ {
 		vs := Replay(loaded, fresh)
@@ -173,10 +173,10 @@ func TestTriageRecordReplaysDeterministically(t *testing.T) {
 // TestTriageOfPassingRunIsNil pins the no-fabrication rule: a spec that
 // does not fail produces no record.
 func TestTriageOfPassingRunIsNil(t *testing.T) {
-	env := NewRunEnv(0)
+	env := NewRunEnv()
 	defer env.Close()
 	spec := DefaultSpace().SpecAt(1, 0)
-	if rec := Triage(spec, []Violation{{Invariant: "made-up", Detail: "x"}}, env, 0); rec != nil {
+	if rec := Triage(spec, []Violation{{Invariant: "made-up", Detail: "x"}}, env); rec != nil {
 		t.Fatalf("Triage fabricated a record for a passing spec: %+v", rec)
 	}
 }

@@ -36,10 +36,11 @@ import (
 // budget D − C(LO) ⇒ unschedulable). The final verdict is decided solely
 // by the two demand checks, so tuning quality affects precision, never
 // soundness.
-type DBFTune struct {
-	// MaxPasses caps the fixpoint iteration; 0 means 100.
-	MaxPasses int
-}
+type DBFTune struct{}
+
+// maxTunePasses caps the offset fixpoint iteration; a set that has not
+// converged by then is rejected.
+const maxTunePasses = 100
 
 // Name implements Test.
 func (DBFTune) Name() string { return "DBF-tune" }
@@ -157,11 +158,32 @@ func demandPoints(tasks []demandTask, limit timeunit.Time) []timeunit.Time {
 }
 
 // Schedulable implements Test.
-func (d DBFTune) Schedulable(s *MCSet) bool {
-	maxPasses := d.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 100
+func (DBFTune) Schedulable(s *MCSet) bool {
+	_, _, ok := tune(s)
+	return ok
+}
+
+// VirtualDeadlines returns the tuned per-task virtual relative deadlines
+// D^LO for the HI tasks (in set order), or ok = false if the set is not
+// schedulable under this test. The runtime uses these as the LO-mode EDF
+// deadlines of the HI tasks.
+func (DBFTune) VirtualDeadlines(s *MCSet) (map[string]timeunit.Time, bool) {
+	hi, offs, ok := tune(s)
+	if !ok {
+		return nil, false
 	}
+	out := make(map[string]timeunit.Time, len(hi))
+	for i, t := range hi {
+		out[t.Name] = t.Deadline - offs[i]
+	}
+	return out, true
+}
+
+// tune drives the HI tasks' offsets to their least joint fixpoint and
+// runs the two final demand checks. It returns the HI tasks in set order
+// with their tuned offsets, or false if the set is not schedulable under
+// this test.
+func tune(s *MCSet) ([]MCTask, []timeunit.Time, bool) {
 	var hi, lo []MCTask
 	for _, t := range s.Tasks() {
 		if t.Class == criticality.HI {
@@ -179,26 +201,23 @@ func (d DBFTune) Schedulable(s *MCSet) bool {
 		offs[i] = t.CHI
 		budget[i] = t.Deadline - t.CLO
 		if offs[i] > budget[i] {
-			return false // D < C(HI) + C(LO): no virtual deadline exists
+			return nil, nil, false // D < C(HI) + C(LO): no virtual deadline exists
 		}
 		uHI += t.CHI.Float() / t.Period.Float()
 	}
 	if uHI > 1 {
-		return false
+		return nil, nil, false
 	}
 
 	// Joint fixpoint: grow each offset to the least value making the
 	// task's own demand points feasible given the others.
 	if len(hi) > 0 {
-		for pass := 0; pass < maxPasses; pass++ {
+		for pass := 0; pass < maxTunePasses; pass++ {
 			changed := false
 			for i := range hi {
-				next, ok := d.leastOffset(hi, offs, i, uHI)
-				if !ok {
-					return false
-				}
-				if next > budget[i] {
-					return false
+				next, ok := leastOffset(hi, offs, i, uHI)
+				if !ok || next > budget[i] {
+					return nil, nil, false
 				}
 				if next > offs[i] {
 					offs[i] = next
@@ -208,8 +227,8 @@ func (d DBFTune) Schedulable(s *MCSet) bool {
 			if !changed {
 				break
 			}
-			if pass == maxPasses-1 {
-				return false // did not converge: conservative reject
+			if pass == maxTunePasses-1 {
+				return nil, nil, false // did not converge: conservative reject
 			}
 		}
 	}
@@ -221,7 +240,7 @@ func (d DBFTune) Schedulable(s *MCSet) bool {
 		hiTasks[i] = demandTask{c: t.CHI, d: offs[i], t: t.Period}
 	}
 	if len(hi) > 0 && !demandFeasible(hiTasks) {
-		return false
+		return nil, nil, false
 	}
 	// LO mode: everyone at C(LO); HI tasks against D^LO = D − off.
 	loTasks := make([]demandTask, 0, len(hi)+len(lo))
@@ -231,53 +250,10 @@ func (d DBFTune) Schedulable(s *MCSet) bool {
 	for _, t := range lo {
 		loTasks = append(loTasks, demandTask{c: t.CLO, d: t.Deadline, t: t.Period})
 	}
-	return demandFeasible(loTasks)
-}
-
-// VirtualDeadlines returns the tuned per-task virtual relative deadlines
-// D^LO for the HI tasks (in set order), or ok = false if the set is not
-// schedulable under this test. The runtime uses these as the LO-mode EDF
-// deadlines of the HI tasks.
-func (d DBFTune) VirtualDeadlines(s *MCSet) (map[string]timeunit.Time, bool) {
-	// Re-run the tuning, capturing the offsets. Schedulable is cheap for
-	// the set sizes at hand; keeping one code path avoids drift.
-	if !d.Schedulable(s) {
-		return nil, false
+	if !demandFeasible(loTasks) {
+		return nil, nil, false
 	}
-	maxPasses := d.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 100
-	}
-	var hi []MCTask
-	for _, t := range s.Tasks() {
-		if t.Class == criticality.HI {
-			hi = append(hi, t)
-		}
-	}
-	offs := make([]timeunit.Time, len(hi))
-	uHI := 0.0
-	for i, t := range hi {
-		offs[i] = t.CHI
-		uHI += t.CHI.Float() / t.Period.Float()
-	}
-	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for i := range hi {
-			next, ok := d.leastOffset(hi, offs, i, uHI)
-			if ok && next > offs[i] {
-				offs[i] = next
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	out := make(map[string]timeunit.Time, len(hi))
-	for i, t := range hi {
-		out[t.Name] = t.Deadline - offs[i]
-	}
-	return out, true
+	return hi, offs, true
 }
 
 // leastOffset computes the smallest offset ≥ the current one that makes
@@ -290,7 +266,7 @@ func (d DBFTune) VirtualDeadlines(s *MCSet) (map[string]timeunit.Time, bool) {
 // fixpoint is exact; values move between discrete demand levels, so the
 // iteration takes at most a few steps per level. ok = false signals
 // divergence past the testing bound.
-func (d DBFTune) leastOffset(hi []MCTask, offs []timeunit.Time, i int, uHI float64) (timeunit.Time, bool) {
+func leastOffset(hi []MCTask, offs []timeunit.Time, i int, uHI float64) (timeunit.Time, bool) {
 	off := offs[i]
 	ti := hi[i].Period
 	ci := hi[i].CHI

@@ -16,8 +16,8 @@ import (
 // Eq. (7) is evaluated from the memoized model on each call.
 //
 // PFHLOUniform reads a value that gets reported; MeetsLO answers line 4's
-// question. The cache is safe for concurrent use and keeps hit/miss
-// counters, exposed via Stats.
+// question. The cache is safe for concurrent use; its memo hits and
+// misses go to the safety.cache.hits and .misses counters.
 type AdaptationCache struct {
 	cfg Config
 	hi  []task.Task
@@ -26,35 +26,12 @@ type AdaptationCache struct {
 	mu     sync.Mutex
 	models map[int]*Adaptation // n′ → eq. (3) model
 	kill   map[[2]int]float64  // (n′, nLO) → eq. (5) bound
-	hits   uint64
-	misses uint64
 	// free pools retired Adaptation models across Reset calls so pooled
 	// sweeps (the Fig. 3 campaign, explore) rebuild models without
 	// reallocating their profile/logTerm slices; scr is the
 	// boundary-merge kernel scratch, used under mu.
 	free []*Adaptation
 	scr  kernelScratch
-}
-
-// CacheStats reports cache effectiveness. Evictions is only nonzero for
-// aggregates over an LRU-bounded pool (CacheShards.Stats): the number of
-// contexts the pool has retired to stay within its cap.
-type CacheStats struct {
-	Hits, Misses uint64
-	Evictions    uint64
-}
-
-// HitRate returns Hits/(Hits+Misses), 0 when empty.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// String renders e.g. "adaptation cache: 42 hits / 7 misses (85.7%)".
-func (s CacheStats) String() string {
-	return fmt.Sprintf("adaptation cache: %d hits / %d misses (%.1f%%)", s.Hits, s.Misses, 100*s.HitRate())
 }
 
 // NewAdaptationCache builds an empty cache for the given analysis
@@ -72,8 +49,7 @@ func NewAdaptationCache(cfg Config, hiTasks, loTasks []task.Task) *AdaptationCac
 // retain their buckets and the retired Adaptation models go to a free
 // pool for reuse, so re-running Algorithm 1 on a stream of task sets
 // (the Fig. 3 campaign engine) is allocation-free in the steady state.
-// The hit/miss counters are cumulative across resets. The task slices
-// must not be mutated while the cache is live.
+// The task slices must not be mutated while the cache is live.
 func (c *AdaptationCache) Reset(cfg Config, hiTasks, loTasks []task.Task) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,15 +61,8 @@ func (c *AdaptationCache) Reset(cfg Config, hiTasks, loTasks []task.Task) {
 	clear(c.kill)
 }
 
-// Stats returns this cache's hit/miss counters.
-func (c *AdaptationCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses}
-}
-
-func (c *AdaptationCache) hit()  { c.hits++; safetyView.Get().cacheHits.Inc() }
-func (c *AdaptationCache) miss() { c.misses++; safetyView.Get().cacheMisses.Inc() }
+func (c *AdaptationCache) hit()  { safetyView.Get().cacheHits.Inc() }
+func (c *AdaptationCache) miss() { safetyView.Get().cacheMisses.Inc() }
 
 // Uniform returns the (memoized) uniform-profile Adaptation model for n′.
 func (c *AdaptationCache) Uniform(nprime int) (*Adaptation, error) {
@@ -197,12 +166,14 @@ func (c *AdaptationCache) degradationPFHLOUniform(nLO, nprime int, df float64) (
 	return c.cfg.degradationPFHLO(c.lo, nil, nLO, a, df), nil
 }
 
-// MinAdaptProfile is Config.MinAdaptProfile served from the cache: line 4
-// of Algorithm 1 on the cached (HI, LO) context,
+// MinAdaptProfile computes line 4 of Algorithm 1 on the cached (HI, LO)
+// context,
 //
-//	n¹_HI ← inf{ n′ ∈ ℕ : pfh(LO) < PFH_LO }.
+//	n¹_HI ← inf{ n′ ∈ ℕ : pfh(LO) < PFH_LO }   (eq. 5 or eq. 7),
 //
-// Both pfh(LO) bounds are non-increasing in the uniform adaptation
+// the smallest uniform adaptation profile of the HI tasks that keeps the
+// LO tasks at profile nLO safe. df is read only in Degrade mode, and a
+// +Inf requirement is met by n′ = 1. Both pfh(LO) bounds are non-increasing in the uniform adaptation
 // profile (Lemma 3.3/3.4: a larger n′ adapts the LO tasks less often),
 // so MinProfile finds the infimum in O(log n¹) MeetsLO probes instead of
 // the reference linear scan's n¹ (kept as MinAdaptProfileLinear and

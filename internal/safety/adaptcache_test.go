@@ -9,8 +9,9 @@ import (
 )
 
 // TestAdaptationCacheConsistency checks that cached values equal the
-// uncached evaluations and that the hit/miss counters track lookups.
+// uncached evaluations and that the safety.cache counters track lookups.
 func TestAdaptationCacheConsistency(t *testing.T) {
+	counter := installRegistry(t)
 	cfg := DefaultConfig()
 	s31 := example31()
 	hi, lo := s31.ByClass(criticality.HI), s31.ByClass(criticality.LO)
@@ -43,22 +44,22 @@ func TestAdaptationCacheConsistency(t *testing.T) {
 		}
 	}
 
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("expected both hits and misses, got %+v", st)
+	hits, misses := counter("safety.cache.hits"), counter("safety.cache.misses")
+	if hits == 0 || misses == 0 {
+		t.Fatalf("expected both hits and misses, got %d hits, %d misses", hits, misses)
 	}
 	// Misses are bounded by the distinct keys: 3 models + 6 kill bounds.
-	if st.Misses > 9 {
-		t.Fatalf("too many misses for 9 distinct keys: %+v", st)
+	if misses > 9 {
+		t.Fatalf("too many misses for 9 distinct keys: %d", misses)
 	}
 	if _, err := cache.degradationPFHLOUniform(1, 1, 0.5); err == nil {
 		t.Fatal("df <= 1 must be rejected")
 	}
 }
 
-// TestAdaptationCacheMinAdaptProfile pins the delegation: the cached
-// search must agree with Config.MinAdaptProfile (which itself delegates,
-// so cross-check against a hand scan too).
+// TestAdaptationCacheMinAdaptProfile pins the memo: one cache searched
+// at several requirements must answer each as the linear reference scan
+// does on a fresh cache.
 func TestAdaptationCacheMinAdaptProfile(t *testing.T) {
 	cfg := DefaultConfig()
 	s31 := example31()
@@ -66,9 +67,9 @@ func TestAdaptationCacheMinAdaptProfile(t *testing.T) {
 	cache := NewAdaptationCache(cfg, hi, lo)
 	for _, req := range []float64{1e-3, 1e-6, 1e-9} {
 		got, err1 := cache.MinAdaptProfile(Kill, 2, 0, req)
-		want, err2 := cfg.MinAdaptProfile(Kill, hi, lo, 2, 0, req)
+		want, err2 := NewAdaptationCache(cfg, hi, lo).MinAdaptProfileLinear(Kill, 2, 0, req)
 		if (err1 == nil) != (err2 == nil) || got != want {
-			t.Fatalf("req %g: cache (%d,%v) vs config (%d,%v)", req, got, err1, want, err2)
+			t.Fatalf("req %g: cache (%d,%v) vs fresh linear scan (%d,%v)", req, got, err1, want, err2)
 		}
 	}
 }

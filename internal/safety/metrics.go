@@ -4,18 +4,17 @@ import "repro/internal/obsv"
 
 // safetyMetrics is the package's instrument bundle (see internal/obsv):
 // adaptation-cache effectiveness (hits and misses summed over every
-// AdaptationCache), the line-4 search's pfh(LO) probe volume, and how
-// the Kill-mode MeetsLO probes that reach eq. (5) were decided: by the
-// certified interval (settled) or by the exact sweep (fallbacks). Fields
-// are nil while metrics are disabled (nil-safe no-op methods).
+// AdaptationCache), the line-4 search's pfh(LO) probe volume, how the
+// Kill-mode MeetsLO probes that reach eq. (5) were decided (by the
+// certified interval, settled, or by the exact sweep, fallbacks), and
+// the CacheShards pool's traffic. Fields are nil while metrics are
+// disabled (nil-safe no-op methods).
 type safetyMetrics struct {
 	cacheHits      *obsv.Counter
 	cacheMisses    *obsv.Counter
 	minAdaptProbes *obsv.Counter
 	killSettled    *obsv.Counter
 	killFallbacks  *obsv.Counter
-	// Sharded-cache effectiveness mirrors the per-CacheShards counters
-	// into the exported snapshot.
 	shardHits      *obsv.Counter
 	shardMisses    *obsv.Counter
 	shardEvictions *obsv.Counter

@@ -95,21 +95,3 @@ func (c Config) MinReexecProfile(tasks []task.Task, requirement float64) (int, e
 	return 0, fmt.Errorf("safety: no re-execution profile <= %d meets PFH requirement %g (pfh at cap: %g)",
 		MaxProfile, requirement, c.PlainPFHUniform(tasks, MaxProfile))
 }
-
-// MinAdaptProfile computes line 4 of Algorithm 1:
-//
-//	n¹_HI ← inf{ n′ ∈ ℕ : pfh(LO) < PFH_LO }   (eq. 5 or eq. 7)
-//
-// the smallest uniform adaptation profile for the HI tasks that keeps the
-// LO tasks safe, given the LO re-execution profile nLO. Both pfh(LO)
-// bounds are non-increasing in n′ (larger n′ ⇒ LO tasks adapted less
-// often), so MinProfile's gallop and bisection find the infimum. df is
-// only used in Degrade mode. A +Inf requirement is met by n′ = 1.
-//
-// The search is served through a transient AdaptationCache; callers that run
-// the search repeatedly on the same (HI, LO) context (design-space sweeps)
-// should hold their own cache and call AdaptationCache.MinAdaptProfile so
-// the per-n′ models and bounds are shared across searches.
-func (c Config) MinAdaptProfile(mode AdaptMode, hiTasks, loTasks []task.Task, nLO int, df float64, requirement float64) (int, error) {
-	return NewAdaptationCache(c, hiTasks, loTasks).MinAdaptProfile(mode, nLO, df, requirement)
-}

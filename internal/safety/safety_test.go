@@ -419,11 +419,11 @@ func TestDegradationPFHLOPanicsOnBadDf(t *testing.T) {
 func TestMinAdaptProfile(t *testing.T) {
 	c := Config{OperationHours: 10, AssumeFullWCET: true}
 	s := example31()
-	hi, lo := s.ByClass(criticality.HI), s.ByClass(criticality.LO)
+	cache := NewAdaptationCache(c, s.ByClass(criticality.HI), s.ByClass(criticality.LO))
 
 	// LO is level D: no requirement, so n¹_HI = 1 in both modes.
 	for _, mode := range []AdaptMode{Kill, Degrade} {
-		n, err := c.MinAdaptProfile(mode, hi, lo, 1, 6, math.Inf(1))
+		n, err := cache.MinAdaptProfile(mode, 1, 6, math.Inf(1))
 		if err != nil || n != 1 {
 			t.Errorf("%v: n=%d err=%v, want 1", mode, n, err)
 		}
@@ -432,8 +432,8 @@ func TestMinAdaptProfile(t *testing.T) {
 	// Pretend LO were level C: killing must then use a larger profile than
 	// degradation (or fail), since killing hurts safety much more.
 	req := criticality.LevelC.PFHRequirement()
-	nKill, errKill := c.MinAdaptProfile(Kill, hi, lo, 2, 6, req)
-	nDeg, errDeg := c.MinAdaptProfile(Degrade, hi, lo, 2, 6, req)
+	nKill, errKill := cache.MinAdaptProfile(Kill, 2, 6, req)
+	nDeg, errDeg := cache.MinAdaptProfile(Degrade, 2, 6, req)
 	if errDeg != nil {
 		t.Fatalf("degrade: %v", errDeg)
 	}
@@ -445,7 +445,7 @@ func TestMinAdaptProfile(t *testing.T) {
 func TestMinAdaptProfileUnknownMode(t *testing.T) {
 	c := DefaultConfig()
 	s := example31()
-	_, err := c.MinAdaptProfile(AdaptMode(9), s.ByClass(criticality.HI), s.ByClass(criticality.LO), 1, 6, 1e-5)
+	_, err := NewAdaptationCache(c, s.ByClass(criticality.HI), s.ByClass(criticality.LO)).MinAdaptProfile(AdaptMode(9), 1, 6, 1e-5)
 	if err == nil {
 		t.Error("expected error for unknown mode")
 	}

@@ -20,93 +20,86 @@ func perturbHI(hi []task.Task, k int) []task.Task {
 	return out
 }
 
-// TestCacheShardsLRUBound: a pool with a small per-shard cap must stay
-// within cap×shardCount contexts under arbitrary churn, count its
-// evictions, and keep Stats() monotone (evicted caches' hit/miss totals
-// fold into the retired counters instead of vanishing).
+// TestCacheShardsLRUBound: a pool with a small cap must stay within it
+// under arbitrary churn, count one eviction per insert beyond it, and
+// lose no memo miss of an evicted cache from the safety.cache counters.
 func TestCacheShardsLRUBound(t *testing.T) {
+	counter := installRegistry(t)
 	cfg, hi, lo := shardContext(t, 41)
-	const perShard = 2
-	p := NewCacheShardsCap(perShard)
-	const contexts = shardCount * perShard * 4 // 4x the pool capacity
-	var prev CacheStats
+	const capacity = 16
+	p := NewCacheShardsCap(capacity)
+	const contexts = capacity * 4 // 4x the pool capacity
 	for k := 0; k < contexts; k++ {
 		c := p.Get(cfg, perturbHI(hi, k), lo)
 		if _, err := c.killingPFHLOUniform(2, 2); err != nil {
 			t.Fatal(err)
 		}
-		if n := p.Contexts(); n > perShard*shardCount {
-			t.Fatalf("after %d inserts the pool holds %d contexts, cap is %d", k+1, n, perShard*shardCount)
+		if n := p.Contexts(); n > capacity {
+			t.Fatalf("after %d inserts the pool holds %d contexts, cap is %d", k+1, n, capacity)
 		}
-		st := p.Stats()
-		if st.Hits+st.Misses < prev.Hits+prev.Misses {
-			t.Fatalf("stats went backwards across eviction: %+v then %+v", prev, st)
-		}
-		prev = st
 	}
-	st := p.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("4x-overcommitted pool evicted nothing: %+v", st)
+	if ev := counter("safety.shards.evictions"); ev != contexts-capacity {
+		t.Fatalf("4x-overcommitted pool evicted %d contexts, want %d", ev, contexts-capacity)
 	}
-	if st.Misses < uint64(contexts) {
-		// Every context was new and did at least one bound evaluation, and
-		// eviction must not have dropped those misses from the aggregate.
-		t.Fatalf("aggregate misses %d lost across evictions (want >= %d)", st.Misses, contexts)
+	if misses := counter("safety.cache.misses"); misses < contexts {
+		// Every context was new and did at least one bound evaluation.
+		t.Fatalf("%d memo misses over %d new contexts", misses, contexts)
 	}
 }
 
-// TestCacheShardsLRUKeepsHot: under a cap of one context per shard, a
-// context re-resolved immediately before the next probe must still be
-// pooled (pointer identity preserved) — recency protects the hot
-// working set while cold contexts churn.
+// TestCacheShardsExactBound pins the cap as an exact bound on contexts:
+// after 5·N + 40 distinct contexts a pool built with N holds N of them
+// and has evicted the other 4·N + 40.
+func TestCacheShardsExactBound(t *testing.T) {
+	cfg, hi, lo := shardContext(t, 61)
+	for _, n := range []int{1, 5, 17, 100} {
+		counter := installRegistry(t)
+		p := NewCacheShardsCap(n)
+		for k := 0; k < 5*n+40; k++ {
+			p.Get(cfg, perturbHI(hi, k), lo)
+		}
+		if got := p.Contexts(); got != n {
+			t.Errorf("cap %d: pool holds %d contexts", n, got)
+		}
+		if ev := counter("safety.shards.evictions"); ev != uint64(4*n+40) {
+			t.Errorf("cap %d: %d evictions, want %d", n, ev, 4*n+40)
+		}
+	}
+}
+
+// TestCacheShardsLRUKeepsHot: under a cap of one context, a context
+// re-resolved immediately before the next probe must still be pooled
+// (pointer identity preserved) — recency protects the hot working set
+// while cold contexts churn.
 func TestCacheShardsLRUKeepsHot(t *testing.T) {
+	counter := installRegistry(t)
 	cfg, hi, lo := shardContext(t, 43)
 	p := NewCacheShardsCap(1)
-	hot := p.Get(cfg, hi, lo)
+	p.Get(cfg, hi, lo)
 	for k := 0; k < 512; k++ {
-		p.Get(cfg, perturbHI(hi, k), lo) // cold insert, may evict
-		c := p.Get(cfg, hi, lo)          // may re-create if the cold insert shared the shard
+		p.Get(cfg, perturbHI(hi, k), lo) // cold insert, evicts
+		c := p.Get(cfg, hi, lo)          // re-creates the evicted hot context
 		if c2 := p.Get(cfg, hi, lo); c2 != c {
 			t.Fatalf("iteration %d: hot context evicted immediately after use", k)
 		}
-		hot = c
 	}
-	_ = hot
-	if st := p.Stats(); st.Evictions == 0 {
-		t.Fatalf("cap-1 pool under 512 cold inserts evicted nothing: %+v", st)
+	if ev := counter("safety.shards.evictions"); ev == 0 {
+		t.Fatal("cap-1 pool under 512 cold inserts evicted nothing")
 	}
 }
 
-// TestCacheShardsUnboundedCompat: cap <= 0 restores the original
-// unbounded pool; nothing is ever evicted.
-func TestCacheShardsUnboundedCompat(t *testing.T) {
-	cfg, hi, lo := shardContext(t, 47)
-	p := NewCacheShardsCap(0)
-	for k := 0; k < 256; k++ {
-		p.Get(cfg, perturbHI(hi, k), lo)
-	}
-	if n := p.Contexts(); n != 256 {
-		t.Fatalf("unbounded pool holds %d contexts, want 256", n)
-	}
-	if st := p.Stats(); st.Evictions != 0 {
-		t.Fatalf("unbounded pool reported evictions: %+v", st)
-	}
-}
-
-// TestCacheShardsChurnSoak is the multi-context churn stress of the
-// ROADMAP harness item, run under -race by the race-pool-shard CI job:
-// N goroutines × M distinct contexts with interleaved Get/analyze
-// against a capped pool. Asserts no lost verdicts (every bound read
-// from a pooled cache equals the reference computed on a private
-// cache), bounded memory (Contexts() never exceeds the cap) and clean
-// termination.
+// TestCacheShardsChurnSoak is the multi-context churn stress run under
+// -race by the race-pool-shard CI job: N goroutines × M distinct
+// contexts with interleaved Get/analyze against a capped pool. Asserts
+// no lost verdicts (every bound read from a pooled cache equals the
+// reference computed on a private cache), bounded memory (Contexts()
+// never exceeds the cap) and clean termination.
 func TestCacheShardsChurnSoak(t *testing.T) {
 	const (
 		workers     = 8
 		contexts    = 96
-		perShard    = 1 // far below the working set: constant churn
+		maxContexts = 32 // far below the working set: constant churn
 		iters       = 400
-		maxContexts = perShard * shardCount
 	)
 	cfgs := make([]Config, contexts)
 	his := make([][]task.Task, contexts)
@@ -121,7 +114,8 @@ func TestCacheShardsChurnSoak(t *testing.T) {
 		}
 		want[i] = v
 	}
-	p := NewCacheShardsCap(perShard)
+	counter := installRegistry(t)
+	p := NewCacheShardsCap(maxContexts)
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -159,12 +153,11 @@ func TestCacheShardsChurnSoak(t *testing.T) {
 	if n := p.Contexts(); n > maxContexts {
 		t.Fatalf("pool ended at %d contexts, cap is %d", n, maxContexts)
 	}
-	st := p.Stats()
-	if st.Evictions == 0 {
+	if ev := counter("safety.shards.evictions"); ev == 0 {
 		t.Fatalf("soak with working set %d over capacity %d evicted nothing", contexts, maxContexts)
 	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("soak stats look wrong: %+v", st)
+	if hits, misses := counter("safety.shards.hits"), counter("safety.shards.misses"); hits == 0 || misses == 0 {
+		t.Fatalf("soak counted %d pool hits, %d misses", hits, misses)
 	}
 }
 
@@ -179,7 +172,7 @@ func TestCacheShardsEvictedCacheStaysValid(t *testing.T) {
 	}
 	p := NewCacheShardsCap(1)
 	held := p.Get(cfg, hi, lo)
-	// Flood every shard so the held context is certainly evicted.
+	// Flood the pool so the held context is certainly evicted.
 	rng := rand.New(rand.NewSource(59))
 	for k := 0; k < 256; k++ {
 		s, err := gen.TaskSet(rng, gen.PaperParams(criticality.LevelB, criticality.LevelC, 0.7, 1e-5))
