@@ -67,10 +67,13 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # bench runs every microbenchmark (Benchmark* in the _test.go files) with
-# allocation counts: BenchmarkDrawKeyed (internal/gen) reports the
-# campaign's per-set draw cost in ns/set beside BenchmarkCampaignFigure
-# (internal/expt). End-to-end numbers come from the repository
-# benchmark: bash perfbench/run.sh (workloads in BENCHMARK.json).
+# allocation counts. The campaign and its stages report per-unit costs:
+# BenchmarkCampaignPaperFigure (internal/expt) one paper-size figure in
+# sets/s, BenchmarkDrawKeyed (internal/gen) the draw in ns/set,
+# BenchmarkMinReexecProfile line 2 in ns/set and BenchmarkMaxSchedProfile
+# line 8 in ns/search and probes/search (both internal/expt). End-to-end
+# numbers come from the repository benchmark: bash perfbench/run.sh
+# (workloads in BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -147,12 +150,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKillInterval$$' -fuzztime $(FUZZTIME) ./internal/safety
 	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/gen
 
-# profile writes pprof CPU and heap profiles of the full Fig. 3 campaign
-# (BenchmarkCampaignFigure: draw, line 2, line 8 and the eq. (5)/(7)
-# probes); inspect with `go tool pprof expt.test cpu.prof` /
-# `go tool pprof expt.test mem.prof`.
+# profile writes pprof CPU and heap profiles of paper-size Fig. 3
+# figures (BenchmarkCampaignPaperFigure, PaperCampaign(500, seed) per op:
+# draw, line 2, line 8 and the eq. (5)/(7) probes); inspect with
+# `go tool pprof expt.test cpu.prof` / `go tool pprof expt.test mem.prof`.
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkCampaignFigure$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkCampaignPaperFigure$$' \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/expt
 	@echo "wrote cpu.prof, mem.prof and expt.test"
 

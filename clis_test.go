@@ -5,6 +5,7 @@ package ftmc
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -244,5 +246,32 @@ func TestCLIGenRejectsNaN(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "failure probability is NaN") {
 		t.Errorf("ftmc-gen -f NaN printed:\n%s", out)
+	}
+}
+
+// TestCLIGenRejectsHugeTarget checks ftmc-gen refuses a finite target
+// utilization past the generator's bound at once, with exit status 1. A
+// draw toward 1e12 would append tasks until memory runs out, so the
+// just-past-the-bound U = 1001 runs first (a tree without the bound
+// draws it in a moment and fails here), and a timeout ends the 1e12 run.
+func TestCLIGenRejectsHugeTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI runs skipped in -short mode")
+	}
+	genBin := filepath.Join(t.TempDir(), "ftmc-gen")
+	if out, err := exec.Command("go", "build", "-o", genBin, "./cmd/ftmc-gen").CombinedOutput(); err != nil {
+		t.Fatalf("building ./cmd/ftmc-gen: %v\n%s", err, out)
+	}
+	for _, u := range []string{"1001", "1e12"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := exec.CommandContext(ctx, genBin, "-u", u).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("ftmc-gen -u %s: err %v, want exit status 1\n%.300s", u, err, out)
+		}
+		if !strings.Contains(string(out), "target utilization must be at most 1000") {
+			t.Errorf("ftmc-gen -u %s printed:\n%.300s", u, out)
+		}
 	}
 }

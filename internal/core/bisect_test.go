@@ -306,38 +306,72 @@ func TestDeltaPatchMatchesConvert(t *testing.T) {
 	}
 }
 
-// TestSchedulabilityDownwardClosedInNPrime pins the bisection
-// precondition of the line-8 search: over n′ = 1..n_HI the verdict
-// sequence of a monotone MC test is true…true false…false — schedulable
-// at n′ implies schedulable at every smaller profile.
+// TestSchedulabilityDownwardClosedInNPrime pins the precondition of the
+// line-8 search, whose answer must not depend on the order of its
+// probes: over n′ = 1..n_HI the verdict sequence of every shipped MC
+// test is true…true false…false — schedulable at n′ implies schedulable
+// at every smaller profile. It runs Appendix C draws with LO = D and
+// LO = C over n_HI = 2..6 and n_LO = 1..2.
 func TestSchedulabilityDownwardClosedInNPrime(t *testing.T) {
-	tests := []mcsched.Test{mcsched.EDFVD{}, mcsched.EDFVDDegrade{DF: 2}, mcsched.SMC{}, mcsched.AMCrtb{}}
-	for i, s := range diffSets(t) {
-		const nHI, nLO = 4, 2
-		for _, test := range tests {
-			seenFail := false
-			for n := 1; n <= nHI; n++ {
-				conv, err := Convert(s, Profiles{NHI: nHI, NLO: nLO, NPrime: n})
+	tests := []mcsched.Test{
+		mcsched.EDFVD{}, mcsched.EDFVDDegrade{DF: 2}, mcsched.SMC{}, mcsched.AMCrtb{},
+		mcsched.DBFTune{}, mcsched.EDFWorstCase{}, mcsched.DMRTA{}, mcsched.EDFVDDegradeMulti{Default: 3},
+	}
+	setsPerPoint := 135
+	if testing.Short() {
+		setsPerPoint = 30
+	}
+	probes := 0
+	// rise returns the first n′ at which test passes after failing at a
+	// smaller n′, or 0 when the verdicts fall monotonically.
+	rise := func(s *task.Set, nHI, nLO int, test mcsched.Test) int {
+		seenFail := false
+		for n := 1; n <= nHI; n++ {
+			conv, err := Convert(s, Profiles{NHI: nHI, NLO: nLO, NPrime: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes++
+			ok := test.Schedulable(conv)
+			if ok && seenFail {
+				return n
+			}
+			seenFail = seenFail || !ok
+		}
+		return 0
+	}
+	for li, lo := range []criticality.Level{criticality.LevelD, criticality.LevelC} {
+		for ui, u := range []float64{0.6, 0.85, 0.95} {
+			// The generators draw the same sets for every LO level from one
+			// seed, so each (level, U) point gets its own stream.
+			p := gen.PaperParams(criticality.LevelB, lo, u, 1e-5)
+			rng := rand.New(rand.NewSource(int64(31 + 3*li + ui)))
+			for i := 0; i < setsPerPoint; i++ {
+				s, err := gen.TaskSet(rng, p)
 				if err != nil {
-					t.Fatal(err)
+					continue
 				}
-				ok := test.Schedulable(conv)
-				if ok && seenFail {
-					t.Fatalf("set %d (%s): schedulable at n'=%d after failing at a smaller n'",
-						i, test.Name(), n)
-				}
-				if !ok {
-					seenFail = true
+				for nHI := 2; nHI <= 6; nHI++ {
+					for nLO := 1; nLO <= 2; nLO++ {
+						for _, test := range tests {
+							if n := rise(s, nHI, nLO, test); n != 0 {
+								t.Fatalf("LO=%v U=%g set %d n_HI=%d n_LO=%d (%s): schedulable at n'=%d after failing at a smaller n'",
+									lo, u, i, nHI, nLO, test.Name(), n)
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+	t.Logf("%d probes, no violation", probes)
 }
 
 // TestSupSchedulable pins the line-8 search on synthetic downward-closed
 // predicates: the sup of the schedulable prefix of [1, nMax] (0 when
-// empty), one probe when nMax itself is schedulable, at most
-// ⌈log₂ nMax⌉ + 2 probes otherwise, and a probe error returned as is.
+// empty), one probe when the sup is empty, two when nMax itself is
+// schedulable, at most ⌈log₂ nMax⌉ + 2 probes otherwise, and a probe
+// error returned as is.
 func TestSupSchedulable(t *testing.T) {
 	run := func(nMax, sup int) (got, probes int, err error) {
 		got, err = supSchedulable(nMax, func(n int) (bool, error) {
@@ -353,9 +387,9 @@ func TestSupSchedulable(t *testing.T) {
 		name              string
 		nMax, sup, probes int
 	}{
-		{"never schedulable", 6, 0, 3},
+		{"never schedulable", 6, 0, 1},
 		{"schedulable only at 1", 6, 1, 4},
-		{"schedulable at nMax", 6, 6, 1},
+		{"schedulable at nMax", 6, 6, 2},
 		{"nMax 1 unschedulable", 1, 0, 1},
 		{"nMax 1 schedulable", 1, 1, 1},
 	} {

@@ -312,17 +312,18 @@ func ftsSchedule(s *task.Set, opt Options, cache *safety.AdaptationCache, sv Saf
 // sup{n ∈ [1, p.NHI] : Γ(p.NHI, p.NLO, n) schedulable by test} (0 when
 // empty; p.NPrime is not read), with supSchedulable. It is exported for
 // engines that orchestrate the surrounding lines themselves (the Fig. 3
-// campaign). Its first probe (at n_HI) builds the conversion in full;
-// with a Scratch every later probe rewrites only the HI tasks' C(LO)
-// fields via patchNPrime instead of re-converting the set, and a nil scr
-// selects the allocating conversion path. The linear reference is
-// maxSchedProfileLinear, pinned to this search by
+// campaign). The search's first probe builds the conversion in full,
+// whatever n′ it asks; with a Scratch every later probe rewrites only
+// the HI tasks' C(LO) fields via patchNPrime instead of re-converting the
+// set, and a nil scr selects the allocating conversion path. The linear
+// reference is maxSchedProfileLinear, pinned to this search by
 // TestFTSBisectionDifferential.
 func MaxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (int, error) {
 	m := coreView.Get()
+	built := false
 	return supSchedulable(p.NHI, func(n int) (bool, error) {
 		var conv *mcsched.MCSet
-		if n < p.NHI && scr != nil {
+		if built && scr != nil {
 			conv = scr.patchNPrime(s, p.NHI, n)
 			m.deltaPatches.Inc()
 		} else {
@@ -331,6 +332,7 @@ func MaxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (
 			if err != nil {
 				return false, err
 			}
+			built = true
 			m.fullConverts.Inc()
 		}
 		m.line8Probes.Inc()
@@ -341,21 +343,28 @@ func MaxSchedProfile(s *task.Set, scr *Scratch, test mcsched.Test, p Profiles) (
 // supSchedulable is the line-8 search of both FT-S front ends: the sup of
 // {n ∈ [1, nMax] : sched(n)} (0 when empty). Schedulability is
 // downward-closed in n′ — a larger adaptation profile only inflates the
-// HI tasks' C(LO) (pinned by TestSchedulabilityDownwardClosedInNPrime) —
-// so it probes nMax first, which settles the common case in one probe,
-// and otherwise bisects [1, nMax−1]. A probe error stops the search and
-// is returned.
+// HI tasks' C(LO), and S is monotone (mcsched.Test; pinned by
+// TestSchedulabilityDownwardClosedInNPrime) — so the answer does not
+// depend on the order of the probes. The search asks n′ = 1 first, which
+// settles an empty sup, the common case, in one probe; then nMax, which
+// settles a set schedulable at every profile; and otherwise bisects
+// (1, nMax). A probe error stops the search and is returned.
 func supSchedulable(nMax int, sched func(n int) (bool, error)) (int, error) {
-	ok, err := sched(nMax)
-	if err != nil {
+	ok, err := sched(1)
+	if err != nil || !ok {
+		return 0, err
+	}
+	if nMax == 1 {
+		return 1, nil
+	}
+	if ok, err = sched(nMax); err != nil {
 		return 0, err
 	}
 	if ok {
 		return nMax, nil
 	}
-	// Bisect (lo, hi): schedulable at lo (or lo = 0, the empty-sup
-	// sentinel), not schedulable at hi.
-	lo, hi := 0, nMax
+	// Bisect (lo, hi): schedulable at lo, not schedulable at hi.
+	lo, hi := 1, nMax
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		ok, err := sched(mid)

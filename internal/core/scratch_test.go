@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/criticality"
 	"repro/internal/gen"
+	"repro/internal/mcsched"
 	"repro/internal/safety"
 	"repro/internal/task"
 )
@@ -49,6 +50,44 @@ func TestFTSScratchMatchesAllocating(t *testing.T) {
 		got.Converted = want.Converted
 		if got != want {
 			t.Fatalf("scratch FTS diverged:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
+// TestMaxSchedProfileScratchAcrossSets runs line 8 through one Scratch
+// on a stream of different sets, so each search starts on the previous
+// set's conversion, and requires the nil-scratch answer for every set.
+// A search that patched before building its first probe in full would
+// test the previous set's tasks here.
+func TestMaxSchedProfileScratchAcrossSets(t *testing.T) {
+	scr := NewScratch()
+	// Alternate low and high utilizations so consecutive sets differ in
+	// size and in verdict.
+	var sets []*task.Set
+	lows, highs := randomSets(t, 30, 0.5), randomSets(t, 30, 0.95)
+	for i := range lows {
+		sets = append(sets, lows[i], highs[i])
+	}
+	tests := []mcsched.Test{mcsched.EDFVD{}, mcsched.EDFVDDegrade{DF: 2}}
+	for i, s := range sets {
+		// From n_HI = 4 down, so a set's first search asks n′ = 1 below
+		// n_HI on the previous set's conversion.
+		for nHI := 4; nHI >= 1; nHI-- {
+			for _, test := range tests {
+				p := Profiles{NHI: nHI, NLO: 1, NPrime: nHI}
+				want, err := MaxSchedProfile(s, nil, test, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := MaxSchedProfile(s, scr, test, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("set %d n_HI=%d (%s): n²_HI %d through a reused Scratch, %d without",
+						i, nHI, test.Name(), got, want)
+				}
+			}
 		}
 	}
 }

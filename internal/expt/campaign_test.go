@@ -153,14 +153,15 @@ func TestCampaignValidate(t *testing.T) {
 			t.Errorf("%s: Campaign accepted an invalid config", tc.name)
 		}
 	}
-	// Non-finite grid values go through Validate only: at +Inf a draw
-	// that slipped past it would never return.
+	// Non-finite and huge grid values go through Validate only: at +Inf
+	// or 1e12 a draw that slipped past it would never return.
 	for _, tc := range []struct {
 		name string
 		mut  func(*CampaignConfig)
 	}{
 		{"infinite util", func(c *CampaignConfig) { c.Utils = []float64{0.5, math.Inf(1)} }},
 		{"NaN util", func(c *CampaignConfig) { c.Utils = []float64{math.NaN()} }},
+		{"huge util", func(c *CampaignConfig) { c.Utils = []float64{0.5, 1e12} }},
 		{"NaN fail prob", func(c *CampaignConfig) { c.FailProbs = []float64{math.NaN()} }},
 	} {
 		cfg := good

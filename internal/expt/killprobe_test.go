@@ -74,3 +74,26 @@ func TestKillIntervalSettlesPaperCampaign(t *testing.T) {
 		t.Errorf("%d of %d kill probes fell back to the exact sweep, want at most 1%%", fallbacks, settled+fallbacks)
 	}
 }
+
+// TestCampaignLine8Probes counts line 8 on the published figure. Each
+// search builds one full conversion and patches it for every later
+// probe, and most searches find no schedulable n′, which the search
+// settles with its first probe at n′ = 1; the figure asks fewer than 1.5
+// probes per search (2.6 when the search asked n′ = n_HI first).
+func TestCampaignLine8Probes(t *testing.T) {
+	read := killCounters(t)
+	if _, err := Campaign(PaperCampaign(500, 1)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, snap := read()
+	c := snap.Counters
+	searches, probes := c["expt.campaign.sched_searches"], c["core.line8.probes"]
+	full, patches := c["core.line8.full_converts"], c["core.line8.delta_patches"]
+	t.Logf("PaperCampaign(500, 1): %d line-8 searches, %d probes (%d full conversions, %d patches)", searches, probes, full, patches)
+	if searches == 0 || full != searches || full+patches != probes {
+		t.Errorf("%d searches made %d full conversions and %d patches for %d probes; want one full conversion per search", searches, full, patches, probes)
+	}
+	if 2*probes >= 3*searches {
+		t.Errorf("%d probes for %d searches, want fewer than 1.5 per search", probes, searches)
+	}
+}

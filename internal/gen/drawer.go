@@ -85,8 +85,7 @@ func (d *Drawer) Draw(seed int64) (*task.Set, error) {
 // the RNG's current state into the arena, retrying degenerate ones (a
 // class missing, or too little utilization left for a 1 µs WCET), up to
 // 1000 attempts. The generators reject a single-class candidate
-// themselves, so a retry builds no task.Set error; Reset refuses a
-// generated task only for a NaN f, which Params.Validate lets through.
+// themselves, so a retry builds no task.Set error.
 func (d *Drawer) draw() (*task.Set, error) {
 	for attempt := 0; attempt < 1000; attempt++ {
 		var ok bool

@@ -53,6 +53,11 @@ func TestParamsValidateRejections(t *testing.T) {
 		{func(p *Params) { p.TargetU = math.Inf(1) }, "target utilization must be finite"},
 		{func(p *Params) { p.TargetU = math.NaN() }, "target utilization is NaN"},
 		{func(p *Params) { p.FailProb = math.NaN() }, "failure probability is NaN"},
+		// A finite target past maxDrawTasks·UMin would append tasks until
+		// memory runs out (and past about 1e15, forever).
+		{func(p *Params) { p.TargetU = 1e12 }, "target utilization must be at most 1000"},
+		{func(p *Params) { p.TargetU = math.Nextafter(1000, 2000) }, "target utilization must be at most 1000"},
+		{func(p *Params) { p.UMin = 0.001; p.TargetU = 101 }, "target utilization must be at most 100"},
 	} {
 		p := good
 		c.mutate(&p)
@@ -62,6 +67,22 @@ func TestParamsValidateRejections(t *testing.T) {
 		if _, err := NewDrawer(p, 0); err == nil {
 			t.Errorf("NewDrawer accepted %+v", p)
 		}
+		if p.TargetU == good.TargetU || p.UMin != good.UMin {
+			continue
+		}
+		d, err := NewDrawer(good, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Retarget(p.TargetU); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Retarget(%g) = %v, want an error containing %q", p.TargetU, err, c.want)
+		}
+	}
+	// The bound itself is accepted (checked through Validate only).
+	p := good
+	p.TargetU = maxDrawTasks * p.UMin
+	if err := p.Validate(); err != nil {
+		t.Errorf("Validate at the bound U = %g: %v", p.TargetU, err)
 	}
 }
 

@@ -51,6 +51,14 @@ func PaperParams(hi, lo criticality.Level, targetU, failProb float64) Params {
 	}
 }
 
+// maxDrawTasks bounds the tasks one Appendix C draw may append. Each pass
+// of its loop adds about UMin or more of utilization, so Validate refuses
+// a TargetU above maxDrawTasks·UMin (1,000 at the paper's UMin = 0.01).
+// Without the bound a huge finite target allocates until the process
+// dies, and once adding u ≤ UMax no longer changes the float total
+// (around 10^15) the loop cannot end at all.
+const maxDrawTasks = 100_000
+
 // Validate reports parameter errors.
 func (p Params) Validate() error {
 	if !(0 < p.UMin && p.UMin < p.UMax && p.UMax <= 1) {
@@ -63,6 +71,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("gen: target utilization must be finite, got %g", p.TargetU)
 	case p.TargetU <= 0:
 		return fmt.Errorf("gen: target utilization must be positive, got %g", p.TargetU)
+	case p.TargetU > maxDrawTasks*p.UMin:
+		return fmt.Errorf("gen: target utilization must be at most %g (%d tasks of UMin = %g), got %g",
+			maxDrawTasks*p.UMin, maxDrawTasks, p.UMin, p.TargetU)
 	}
 	if !(0 < p.TMin && p.TMin <= p.TMax) {
 		return fmt.Errorf("gen: need 0 < TMin <= TMax, got [%v, %v]", p.TMin, p.TMax)

@@ -129,12 +129,18 @@ func (s *MCSet) Reset(tasks []MCTask) error {
 // task slice. Reset calls it; callers that mutate the aliased slice after
 // Reset (permitted by the Reset contract) must call it — or the targeted
 // RefreshUtilAt — before the next schedulability test, or Util returns
-// stale sums.
+// stale sums. It fills the four sums in one pass over the tasks; each
+// still accumulates its terms in task order, so the bits equal
+// RefreshUtilAt's.
 func (s *MCSet) RefreshUtil() {
-	for class := range s.u {
-		for mode := range s.u[class] {
-			s.refreshUtilAt(criticality.Class(class), criticality.Class(mode))
+	s.u = [2][2]float64{}
+	for _, t := range s.tasks {
+		if t.Class != criticality.LO && t.Class != criticality.HI {
+			continue
 		}
+		u := &s.u[t.Class]
+		u[criticality.LO] += t.UtilizationAt(criticality.LO)
+		u[criticality.HI] += t.UtilizationAt(criticality.HI)
 	}
 }
 
@@ -145,10 +151,6 @@ func (s *MCSet) RefreshUtil() {
 // re-accumulated in task order, exactly as Reset computes it, so a
 // patched set and a freshly built one agree bit for bit.
 func (s *MCSet) RefreshUtilAt(class, mode criticality.Class) {
-	s.refreshUtilAt(class, mode)
-}
-
-func (s *MCSet) refreshUtilAt(class, mode criticality.Class) {
 	u := 0.0
 	for _, t := range s.tasks {
 		if t.Class == class {

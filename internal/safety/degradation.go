@@ -26,12 +26,13 @@ func (c Config) omegaSum(loTasks []task.Task, ns []int, n int, df float64, t tim
 		panic(fmt.Sprintf("safety: %d profiles for %d LO tasks", len(ns), len(loTasks)))
 	}
 	var sum prob.KahanSum
+	var pow runMemo
 	for i, lo := range loTasks {
 		if ns != nil {
 			n = ns[i]
 		}
 		r := c.RoundsStretched(lo, n, df, t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, n))
+		sum.Add(float64(r) * pow.pow(lo.FailProb, n))
 	}
 	return sum.Value()
 }

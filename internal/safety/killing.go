@@ -49,6 +49,7 @@ func (a *Adaptation) init(cfg Config, hiTasks []task.Task, ns []int, n int) (*Ad
 	}
 	nprime := slices.Grow(a.nprime[:0], len(hiTasks))
 	logTerm := slices.Grow(a.logTerm[:0], len(hiTasks))
+	var log1mPow runMemo
 	for i, t := range hiTasks {
 		if ns != nil {
 			n = ns[i]
@@ -58,7 +59,7 @@ func (a *Adaptation) init(cfg Config, hiTasks []task.Task, ns []int, n int) (*Ad
 		}
 		term := 0.0
 		if f := t.FailProb; f > 0 {
-			term = prob.Log1mPow(f, n)
+			term = log1mPow.log1mPow(f, n)
 		}
 		nprime = append(nprime, n)
 		logTerm = append(logTerm, term)
@@ -142,12 +143,13 @@ func (c Config) killingPFHLOLimit(loTasks []task.Task, ns []int, n int) float64 
 	}
 	t := c.Horizon()
 	var sum prob.KahanSum
+	var pow runMemo
 	for i, lo := range loTasks {
 		if ns != nil {
 			n = ns[i]
 		}
 		r := c.Rounds(lo, n, t)
-		sum.Add(float64(r) * prob.Pow(lo.FailProb, n))
+		sum.Add(float64(r) * pow.pow(lo.FailProb, n))
 	}
 	return sum.Value() / float64(c.OperationHours)
 }

@@ -97,6 +97,7 @@ func (c Config) killingPFHLOFast(loTasks []task.Task, ns []int, uniform int, ada
 	t := c.Horizon()
 	logRt := adapt.logR(t) // the ∪{t} member, shared by every LO task
 	var sum prob.KahanSum
+	var log1mPow runMemo
 	for i, lo := range loTasks {
 		n := uniform
 		if ns != nil {
@@ -108,7 +109,7 @@ func (c Config) killingPFHLOFast(loTasks []task.Task, ns []int, uniform int, ada
 		}
 		log1mq := 0.0
 		if f := lo.FailProb; f > 0 {
-			log1mq = prob.Log1mPow(f, n)
+			log1mq = log1mPow.log1mPow(f, n)
 		}
 		sum.Add(prob.OneMinusExp(logRt + log1mq))
 		if r > 1 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/prob"
 	"repro/internal/task"
 	"repro/internal/timeunit"
 )
@@ -74,6 +73,7 @@ func (c Config) KillingIntervalUniform(loTasks []task.Task, nLO int, adapt *Adap
 	slack := intervalSlack(len(adapt.hi), len(loTasks))
 	logRt := adapt.logR(t)
 	var loSum, hiSum float64
+	var log1mPow runMemo
 	for _, lt := range loTasks {
 		r := c.Rounds(lt, nLO, t)
 		if r == 0 {
@@ -81,7 +81,7 @@ func (c Config) KillingIntervalUniform(loTasks []task.Task, nLO int, adapt *Adap
 		}
 		log1mq := 0.0
 		if f := lt.FailProb; f > 0 {
-			log1mq = prob.Log1mPow(f, nLO)
+			log1mq = log1mPow.log1mPow(f, nLO)
 		}
 		// Σ_α(−x) over the task's r points: the ∪{t} member plus the
 		// tail m = 1 .. r−1.

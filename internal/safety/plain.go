@@ -33,15 +33,45 @@ func (c Config) plainPFH(tasks []task.Task, ns []int, n int) float64 {
 		panic(fmt.Sprintf("safety: %d profiles for %d tasks", len(ns), len(tasks)))
 	}
 	var sum prob.KahanSum
+	var pow runMemo
 	hour := timeunit.Hours(1)
 	for i, t := range tasks {
 		if ns != nil {
 			n = ns[i]
 		}
 		r := c.Rounds(t, n, hour)
-		sum.Add(float64(r) * prob.Pow(t.FailProb, n))
+		sum.Add(float64(r) * pow.pow(t.FailProb, n))
 	}
 	return sum.Value()
+}
+
+// runMemo holds one value of a function of (f, n), f^n or log(1 − f^n),
+// for the last pair it was asked about. The per-task sums of eqs. (2),
+// (3), (5), (6) and the no-kill limit ask about each task's (f, n) in
+// task order, and every task of a drawn set shares one f, so a run of
+// equal pairs pays one transcendental instead of one per task, with the
+// same bits. One memo serves one of the two functions, and every query
+// has n ≥ 1, so the zero value holds no pair.
+type runMemo struct {
+	f float64
+	n int
+	v float64
+}
+
+// pow returns prob.Pow(f, n).
+func (m *runMemo) pow(f float64, n int) float64 {
+	if n != m.n || f != m.f {
+		m.f, m.n, m.v = f, n, prob.Pow(f, n)
+	}
+	return m.v
+}
+
+// log1mPow returns prob.Log1mPow(f, n).
+func (m *runMemo) log1mPow(f float64, n int) float64 {
+	if n != m.n || f != m.f {
+		m.f, m.n, m.v = f, n, prob.Log1mPow(f, n)
+	}
+	return m.v
 }
 
 // PlainPFHClass evaluates eq. (2) over the tasks of one criticality role

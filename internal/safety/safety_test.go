@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/criticality"
+	"repro/internal/prob"
 	"repro/internal/task"
 	"repro/internal/timeunit"
 )
@@ -336,6 +337,52 @@ func TestOmega(t *testing.T) {
 			t.Errorf("Omega(df=%g) = %g rose above %g", df, cur, prev)
 		}
 		prev = cur
+	}
+}
+
+// TestPerTaskSumsMatchDirectPow pins the per-task sums that evaluate f^n
+// or log(1 − f^n) once per run of equal (f, n) to the per-task
+// prob.Pow/prob.Log1mPow evaluation, bit for bit, on tasks whose f and n
+// change independently (and f = 0, which eq. (3) skips).
+func TestPerTaskSumsMatchDirectPow(t *testing.T) {
+	c := DefaultConfig()
+	fs := []float64{1e-5, 1e-5, 1e-3, 1e-3, 1e-5, 0, 0, 1e-5, 1e-5}
+	ns := []int{1, 1, 1, 2, 2, 2, 3, 3, 1}
+	tasks := make([]task.Task, len(fs))
+	for i, f := range fs {
+		tasks[i] = mkTask("", int64(20+7*i), int64(1+i), criticality.LevelD, f)
+	}
+	hour, horizon := timeunit.Hours(1), c.Horizon()
+	var plain, limit, omega prob.KahanSum
+	for i, tk := range tasks {
+		plain.Add(float64(c.Rounds(tk, ns[i], hour)) * prob.Pow(tk.FailProb, ns[i]))
+		limit.Add(float64(c.Rounds(tk, ns[i], horizon)) * prob.Pow(tk.FailProb, ns[i]))
+		omega.Add(float64(c.RoundsStretched(tk, ns[i], 2, horizon)) * prob.Pow(tk.FailProb, ns[i]))
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"eq. (2)", c.PlainPFH(tasks, ns), plain.Value()},
+		{"no-kill limit", c.KillingPFHLOLimit(tasks, ns), limit.Value() / float64(c.OperationHours)},
+		{"eq. (6)", c.Omega(tasks, ns, 2, horizon), omega.Value()},
+	} {
+		if math.Float64bits(tc.got) != math.Float64bits(tc.want) {
+			t.Errorf("%s: %.17g, want %.17g", tc.name, tc.got, tc.want)
+		}
+	}
+	a, err := NewAdaptation(c, tasks, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range tasks {
+		want := 0.0
+		if tk.FailProb > 0 {
+			want = prob.Log1mPow(tk.FailProb, ns[i])
+		}
+		if math.Float64bits(a.logTerm[i]) != math.Float64bits(want) {
+			t.Errorf("eq. (3) task %d: log(1 − f^n) %.17g, want %.17g", i, a.logTerm[i], want)
+		}
 	}
 }
 

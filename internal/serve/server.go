@@ -122,7 +122,9 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 
 // decodeRequest is the decode-and-validate step of POST /v1/verdict:
 // the JSON body, the paper defaults (toRequest), the analysis options
-// (keyOf) and the task set (task.NewSet). The body must be exactly one
+// (keyOf) and the task set. task.Set.UnmarshalJSON validates every set it
+// decodes, so only a body without "set" is left to refuse here, as an
+// empty set. The body must be exactly one
 // JSON object with no unknown top-level field: a misspelled option
 // would otherwise be dropped and the paper default analysed in its
 // place. Every error it returns wraps ErrInvalid, so a body it rejects
@@ -150,8 +152,8 @@ func decodeRequest(body io.Reader) (Request, error) {
 	if _, _, err := keyOf(req); err != nil {
 		return Request{}, err
 	}
-	if _, err := task.NewSet(req.Tasks); err != nil {
-		return Request{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	if len(req.Tasks) == 0 {
+		return Request{}, fmt.Errorf("%w: task: empty task set", ErrInvalid)
 	}
 	return req, nil
 }

@@ -167,6 +167,20 @@ func TestServerBadRequests(t *testing.T) {
 			t.Fatalf("bad request %d (%v): status %d, want 400", i, extra, resp.StatusCode)
 		}
 	}
+	// A body without "set", or with an empty one, has no tasks to
+	// analyse.
+	for _, body := range []string{`{}`, `{"mode":"degrade","df":2}`, `{"set":{"tasks":[]}}`} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/verdict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wireError
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, "empty task set") {
+			t.Fatalf("body %s: status %d, error %q (%v); want 400 naming the empty task set", body, resp.StatusCode, e.Error, err)
+		}
+	}
 }
 
 // TestServerBodyTooLarge: a body one byte over maxBodyBytes is a 413

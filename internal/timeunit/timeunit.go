@@ -76,6 +76,11 @@ func (t Time) MulSafe(k int) Time {
 	if k < 0 {
 		panic("timeunit: negative multiplier")
 	}
+	// 0 ≤ t < 2^31 µs (about 35 minutes) and k < 2^32 keep the product
+	// below 2^63, so it needs no check; other operands take the division.
+	if uint64(t) < 1<<31 && uint64(k) < 1<<32 {
+		return t * Time(k)
+	}
 	if t == 0 || k == 0 {
 		return 0
 	}
